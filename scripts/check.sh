@@ -87,13 +87,14 @@ test -s alerts.json
 test -s privacy.json
 
 # The shard-server smoke: every engine's report and telemetry folded
-# from forked worker processes must be byte-identical to the in-process
-# run (the driver exits non-zero on any difference or worker failure).
-# --exec re-runs the campaign through the fork+exec worker path, so the
-# wire protocol crosses a real process boundary on every verify.
+# from worker processes must be byte-identical to the in-process run
+# (shard_eval exits non-zero on any difference). Each engine runs twice: with
+# forked workers, and with --exec fork+exec workers that rebuild the
+# engine from its job name, so the wire protocol and the shared serving
+# closure cross a real process boundary for all three engines.
 for engine in campaign adaptive tuning; do
   "./$BUILD_DIR/shard_eval" --verify --workers 2 --engine "$engine" \
       > /dev/null
+  "./$BUILD_DIR/shard_eval" --verify --workers 2 --exec --engine "$engine" \
+      > /dev/null
 done
-"./$BUILD_DIR/shard_eval" --verify --workers 2 --exec --engine campaign \
-    > /dev/null

@@ -1,6 +1,5 @@
 #include "core/tuning/tuner.h"
 
-#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -15,34 +14,6 @@ namespace {
 
 using runtime::detail::json_escape;
 using runtime::detail::json_number;
-
-/// Publishes one (candidate, shard) cell into a private per-cell
-/// registry: the shard's pooled streaming stats, the arbitrated
-/// access-delay distribution as a histogram (shared bucket edges, so
-/// shard merges are bucket-wise sums), drop/session/flow counters, and
-/// one adaptive_* series set per epoch.
-void publish_cell(obs::MetricsRegistry& registry,
-                  const TunedConfiguration& candidate,
-                  const runtime::CellGrid::Cell& cell,
-                  const CandidateShardOutcome& outcome) {
-  const obs::LabelSet labels{{"candidate", candidate.name},
-                             {"shard", std::to_string(cell.shard)}};
-  registry.counter("tuner_sessions_total", labels).add(outcome.sessions);
-  registry.counter("tuner_flows_total", labels).add(outcome.flows);
-  registry.counter("tuner_frames_dropped_total", labels)
-      .add(outcome.frames_dropped);
-  obs::publish(registry, outcome.streaming, labels);
-  obs::Histogram& access = registry.histogram(
-      "tuner_access_delay_us", obs::latency_us_buckets(), labels);
-  for (const double sample : outcome.access_delay_us) {
-    access.observe(sample);
-  }
-  for (std::size_t e = 0; e < outcome.epochs.size(); ++e) {
-    obs::LabelSet epoch_labels = labels;
-    epoch_labels.set("epoch", std::to_string(e));
-    obs::publish(registry, outcome.epochs[e], epoch_labels);
-  }
-}
 
 void append_metrics(std::ostringstream& os, const CandidateMetrics& m) {
   os << "\"epochs_total\":" << m.epochs_total
@@ -143,99 +114,54 @@ const std::vector<TunedConfiguration>& ParameterTuner::candidates() const {
 
 std::size_t ParameterTuner::cell_count() {
   train();
-  return candidates_.size() * spec_.shards;
+  return grid().cell_count();
 }
 
-TuningRangeOutcome ParameterTuner::run_range(std::size_t begin,
-                                             std::size_t end,
-                                             std::size_t threads) {
-  train();
-  util::require(begin <= end && end <= candidates_.size() * spec_.shards,
-                "ParameterTuner::run_range: range out of bounds");
-  evaluator_.set_profiler(telemetry_config_.profiling ? &profiler_ : nullptr);
-
-  // The candidate grid is a one-scenario campaign: candidates take the
-  // defense axis, so workload streams stay keyed by shard alone and every
-  // candidate faces identical sampled sessions — the paired comparison
-  // the Pareto ranking needs.
-  const runtime::CellGrid grid{candidates_.size(), 1, spec_.shards};
-  TuningRangeOutcome outcome;
-  outcome.begin = begin;
-  outcome.end = end;
-  const std::size_t count = end - begin;
-  outcome.cells.resize(count);
-  std::vector<obs::MetricsSnapshot> cell_metrics(
-      telemetry_config_.metrics ? count : 0);
-  const bool collect_windows =
-      telemetry_config_.windowed || telemetry_config_.privacy;
-  std::vector<obs::WindowedSnapshot> cell_windows(collect_windows ? count
-                                                                  : 0);
-  runtime::run_cells(
-      count, threads,
-      [&](std::size_t index) {
-        const std::size_t cell_id = begin + index;
-        const runtime::CellGrid::Cell cell = grid.decompose(cell_id);
-        std::optional<obs::WindowedRegistry> windows;
-        if (collect_windows) {
-          windows.emplace(telemetry_config_.window);
-        }
-        outcome.cells[index] =
-            evaluator_.evaluate_cell(candidates_[cell.defense], grid, cell_id,
-                                     windows ? &*windows : nullptr,
-                                     telemetry_config_.privacy,
-                                     telemetry_config_.privacy_pairs);
-        if (telemetry_config_.metrics) {
-          obs::MetricsRegistry registry;
-          publish_cell(registry, candidates_[cell.defense], cell,
-                       outcome.cells[index]);
-          cell_metrics[index] = registry.snapshot();
-        }
-        if (windows) {
-          cell_windows[index] = windows->snapshot();
-        }
-      },
-      telemetry_config_.profiling ? &profiler_ : nullptr);
-  for (const obs::MetricsSnapshot& snapshot : cell_metrics) {
-    outcome.metrics.merge(snapshot);
-  }
-  for (const obs::WindowedSnapshot& snapshot : cell_windows) {
-    outcome.windows.merge(snapshot);
-  }
-  return outcome;
+void ParameterTuner::set_telemetry(obs::TelemetryConfig config) {
+  GridEngine::set_telemetry(config);
+  evaluator_.set_profiler(config.profiling ? &telemetry_.profiler : nullptr);
 }
 
-TuningReport ParameterTuner::fold(std::vector<TuningRangeOutcome> ranges) {
-  train();
-  std::size_t expected = 0;
-  for (const TuningRangeOutcome& range : ranges) {
-    if (range.begin != expected || range.end < range.begin ||
-        range.cells.size() != range.end - range.begin) {
-      throw std::invalid_argument{
-          "ParameterTuner::fold: ranges must cover the grid contiguously "
-          "in ascending order"};
-    }
-    expected = range.end;
-  }
-  if (expected != candidates_.size() * spec_.shards) {
-    throw std::invalid_argument{
-        "ParameterTuner::fold: ranges do not cover every cell"};
-  }
+CandidateShardOutcome ParameterTuner::run_cell(
+    std::size_t cell_id, runtime::WorkerArena& /*arena*/,
+    obs::WindowedRegistry* windows) const {
+  const runtime::CellGrid g = grid();
+  return evaluator_.evaluate_cell(candidates_[g.decompose(cell_id).defense],
+                                  g, cell_id, windows,
+                                  telemetry_.config.privacy,
+                                  telemetry_.config.privacy_pairs);
+}
 
-  telemetry_ = obs::MetricsSnapshot{};
-  windowed_ = obs::WindowedSnapshot{};
-  std::vector<CandidateShardOutcome> outcomes;
-  outcomes.reserve(candidates_.size() * spec_.shards);
-  for (TuningRangeOutcome& range : ranges) {
-    telemetry_.merge(range.metrics);
-    windowed_.merge(range.windows);
-    for (CandidateShardOutcome& cell : range.cells) {
-      outcomes.push_back(std::move(cell));
-    }
+// Publishes one (candidate, shard) cell into a private per-cell
+// registry: the shard's pooled streaming stats, the arbitrated
+// access-delay distribution as a histogram (shared bucket edges, so
+// shard merges are bucket-wise sums), drop/session/flow counters, and
+// one adaptive_* series set per epoch.
+void ParameterTuner::publish_cell(obs::MetricsRegistry& registry,
+                                  std::size_t cell_id,
+                                  const CandidateShardOutcome& outcome) const {
+  const runtime::CellGrid::Cell cell = grid().decompose(cell_id);
+  const obs::LabelSet labels{{"candidate", candidates_[cell.defense].name},
+                             {"shard", std::to_string(cell.shard)}};
+  registry.counter("tuner_sessions_total", labels).add(outcome.sessions);
+  registry.counter("tuner_flows_total", labels).add(outcome.flows);
+  registry.counter("tuner_frames_dropped_total", labels)
+      .add(outcome.frames_dropped);
+  obs::publish(registry, outcome.streaming, labels);
+  obs::Histogram& access = registry.histogram(
+      "tuner_access_delay_us", obs::latency_us_buckets(), labels);
+  for (const double sample : outcome.access_delay_us) {
+    access.observe(sample);
   }
-  if (sink_ != nullptr && telemetry_config_.metrics) {
-    sink_->consume(publications_++, telemetry_);
+  for (std::size_t e = 0; e < outcome.epochs.size(); ++e) {
+    obs::LabelSet epoch_labels = labels;
+    epoch_labels.set("epoch", std::to_string(e));
+    obs::publish(registry, outcome.epochs[e], epoch_labels);
   }
+}
 
+TuningReport ParameterTuner::aggregate(
+    std::vector<CandidateShardOutcome> outcomes) const {
   TuningReport report;
   report.seed = spec_.seed;
   report.shards = spec_.shards;
@@ -265,28 +191,6 @@ TuningReport ParameterTuner::fold(std::vector<TuningRangeOutcome> ranges) {
     report.candidates[*report.selected_index].selected = true;
   }
   return report;
-}
-
-TuningReport ParameterTuner::run(std::size_t threads) {
-  train();
-  profiler_.clear();
-  std::vector<TuningRangeOutcome> ranges;
-  ranges.push_back(run_range(0, candidates_.size() * spec_.shards, threads));
-  return fold(std::move(ranges));
-}
-
-std::string ParameterTuner::telemetry_to_json() const {
-  obs::TelemetryExport doc;
-  if (telemetry_config_.metrics) {
-    doc.metrics = &telemetry_;
-  }
-  if (telemetry_config_.windowed || telemetry_config_.privacy) {
-    doc.windows = &windowed_;
-  }
-  if (telemetry_config_.profiling) {
-    doc.profiler = &profiler_;
-  }
-  return doc.to_json();
 }
 
 }  // namespace reshape::core::tuning

@@ -22,9 +22,8 @@
 #include <vector>
 
 #include "core/tuning/evaluator.h"
-#include "obs/export.h"
 #include "obs/metrics.h"
-#include "obs/profiler.h"
+#include "runtime/grid_engine.h"
 
 namespace reshape::core::tuning {
 
@@ -37,15 +36,8 @@ struct CandidateReport {
   bool selected = false;
 };
 
-/// One scored contiguous slice of the candidate × shard grid — the
-/// shard-server work unit, mirroring runtime::CampaignRangeOutcome.
-struct TuningRangeOutcome {
-  std::size_t begin = 0;
-  std::size_t end = 0;
-  std::vector<CandidateShardOutcome> cells;
-  obs::MetricsSnapshot metrics;
-  obs::WindowedSnapshot windows;
-};
+/// One scored contiguous slice of the candidate × shard grid.
+using TuningRangeOutcome = runtime::RangeOutcome<CandidateShardOutcome>;
 
 /// Everything a tuning sweep produced, in enumeration order.
 struct TuningReport {
@@ -69,8 +61,13 @@ struct TuningReport {
   [[nodiscard]] std::string to_json() const;
 };
 
-/// Enumerates, measures, filters, ranks, selects.
-class ParameterTuner {
+/// Enumerates, measures, filters, ranks, selects. run(), run_range(),
+/// fold() and the telemetry accessors come from runtime::GridEngine; the
+/// profiler also carries the evaluator's streaming / arbitration /
+/// adaptive laps.
+class ParameterTuner
+    : public runtime::GridEngine<ParameterTuner, CandidateShardOutcome,
+                                 TuningReport> {
  public:
   explicit ParameterTuner(TunerSpec spec);
 
@@ -80,90 +77,45 @@ class ParameterTuner {
   ParameterTuner& operator=(const ParameterTuner&) = delete;
 
   /// Profiles the bootstrap corpus and enumerates the candidate space
-  /// (idempotent; run() calls it).
+  /// (idempotent; every run_range() calls it).
   void train();
 
   /// The enumerated candidates, in sweep order. Requires train().
   [[nodiscard]] const std::vector<TunedConfiguration>& candidates() const;
 
-  /// Sweeps the candidate grid on `threads` workers (0 = hardware
-  /// concurrency). The report is bit-identical for every thread count.
-  /// Equivalent to folding the single range [0, cell_count()).
-  [[nodiscard]] TuningReport run(std::size_t threads = 0);
-
   /// The number of (candidate, shard) cells the sweep decomposes into.
-  /// Requires train() (the candidate space must be enumerated).
+  /// Hides GridEngine::cell_count(): trains first, because the candidate
+  /// space must be enumerated.
   [[nodiscard]] std::size_t cell_count();
 
-  /// Measures cells [begin, end) without touching the engine's merged
-  /// telemetry — the shard-server work unit. Trains on first use.
-  [[nodiscard]] TuningRangeOutcome run_range(std::size_t begin,
-                                             std::size_t end,
-                                             std::size_t threads = 0);
-
-  /// Folds range outcomes — which must cover [0, cell_count()) contiguously
-  /// and in ascending order (throws std::invalid_argument otherwise) — into
-  /// the final report, rebuilding merged telemetry and firing the sink
-  /// exactly as run() does. Byte-identical to the in-process fold for any
-  /// range partition (per-cell series carry cell-unique labels).
-  [[nodiscard]] TuningReport fold(std::vector<TuningRangeOutcome> ranges);
-
   [[nodiscard]] const TunerSpec& spec() const { return spec_; }
-  [[nodiscard]] const CandidateEvaluator& evaluator() const {
-    return evaluator_;
-  }
 
-  /// Selects what the next run() collects. Telemetry is observation-only:
-  /// the TuningReport is byte-identical whatever this is set to.
-  void set_telemetry(obs::TelemetryConfig config) {
-    telemetry_config_ = config;
-  }
-  [[nodiscard]] const obs::TelemetryConfig& telemetry_config() const {
-    return telemetry_config_;
-  }
-
-  /// The merged metrics of the last run() (streaming_* / tuner_* series
-  /// per (candidate, shard) cell, folded in cell order on the main
-  /// thread). Empty when metrics collection was off.
-  [[nodiscard]] const obs::MetricsSnapshot& telemetry() const {
-    return telemetry_;
-  }
-
-  /// The merged sim-time-windowed series of the last run(): streaming_*
-  /// per-packet costs, channel_* on-air costs, and adaptive accuracy
-  /// epochs under (candidate, shard) labels, folded in cell order. Empty
-  /// when windowed collection was off.
-  [[nodiscard]] const obs::WindowedSnapshot& windowed() const {
-    return windowed_;
-  }
-
-  /// Publishes each run()'s merged metrics snapshot to `sink` (nullptr
-  /// detaches) with a per-engine sequence number — the stream the fleet
-  /// controller consumes. Only fires when metrics collection is on.
-  void set_telemetry_sink(obs::TelemetrySink* sink) { sink_ = sink; }
-
-  /// Wall/CPU phase timings of the last run(): per-cell laps from the
-  /// worker pool plus the evaluator's streaming / arbitration / adaptive
-  /// passes. Host measurements — never part of the deterministic report.
-  [[nodiscard]] const obs::PhaseProfiler& profiler() const {
-    return profiler_;
-  }
-
-  /// The combined telemetry document of the last run(); sections follow
-  /// the telemetry config.
-  [[nodiscard]] std::string telemetry_to_json() const;
+  /// GridEngine::set_telemetry, plus attaching the profiler to the
+  /// evaluator when profiling is on.
+  void set_telemetry(obs::TelemetryConfig config);
 
  private:
+  friend GridEngine;
+
+  // The candidate grid is a one-scenario campaign: candidates take the
+  // defense axis, so workload streams stay keyed by shard alone and every
+  // candidate faces identical sampled sessions — the paired comparison
+  // the Pareto ranking needs.
+  [[nodiscard]] runtime::CellGrid grid() const {
+    return runtime::CellGrid{candidates_.size(), 1, spec_.shards};
+  }
+  [[nodiscard]] CandidateShardOutcome run_cell(
+      std::size_t cell_id, runtime::WorkerArena& arena,
+      obs::WindowedRegistry* windows) const;
+  void publish_cell(obs::MetricsRegistry& registry, std::size_t cell_id,
+                    const CandidateShardOutcome& outcome) const;
+  [[nodiscard]] TuningReport aggregate(
+      std::vector<CandidateShardOutcome> cells) const;
+
   TunerSpec spec_;
   CandidateEvaluator evaluator_;
   std::vector<TunedConfiguration> candidates_;
   bool trained_ = false;
-  obs::TelemetryConfig telemetry_config_{};
-  obs::MetricsSnapshot telemetry_;
-  obs::WindowedSnapshot windowed_;
-  obs::PhaseProfiler profiler_;
-  obs::TelemetrySink* sink_ = nullptr;  // not owned
-  std::uint64_t publications_ = 0;      // sink sequence counter
 };
 
 }  // namespace reshape::core::tuning

@@ -145,13 +145,6 @@ class AccessPoint : public sim::RadioListener {
   [[nodiscard]] const core::online::StreamingStats* modeled_reshaping_stats_of(
       const mac::MacAddress& client_physical) const;
 
-  /// Deprecated name for modeled_reshaping_stats_of(); thin wrapper kept
-  /// so existing callers don't break.
-  [[nodiscard]] const core::online::StreamingStats* reshaping_stats_of(
-      const mac::MacAddress& client_physical) const {
-    return modeled_reshaping_stats_of(client_physical);
-  }
-
   /// *Observed* channel-access cost of the AP station under arbitration;
   /// nullptr when no ChannelArbiter serves this channel or the AP has not
   /// transmitted yet.

@@ -145,14 +145,6 @@ class WirelessClient : public sim::RadioListener {
     return reshaper_.stats();
   }
 
-  /// Deprecated name for modeled_reshaping_stats(); thin wrapper kept so
-  /// existing callers don't break. The per-interface radio model it reads
-  /// is superseded by sim::channel::ChannelStats wherever an arbiter is
-  /// installed.
-  [[nodiscard]] const core::online::StreamingStats& reshaping_stats() const {
-    return modeled_reshaping_stats();
-  }
-
   /// *Observed* channel-access cost of this station under arbitration:
   /// what the frames actually paid on the air (access delay, collisions,
   /// retries). nullptr when no ChannelArbiter serves this channel or the

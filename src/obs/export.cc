@@ -7,44 +7,6 @@
 
 namespace reshape::obs {
 
-void TimeSeriesRecorder::consume(std::uint64_t sequence,
-                                 const MetricsSnapshot& snapshot) {
-  sequences_.push_back(sequence);
-  snapshots_.push_back(snapshot);
-}
-
-std::string TimeSeriesRecorder::to_json() const {
-  std::ostringstream out;
-  out << "[";
-  for (std::size_t i = 0; i < snapshots_.size(); ++i) {
-    if (i > 0) {
-      out << ",";
-    }
-    out << "{\"sequence\":" << sequences_[i]
-        << ",\"metrics\":" << snapshots_[i].to_json() << "}";
-  }
-  out << "]";
-  return out.str();
-}
-
-std::string TimeSeriesRecorder::to_csv() const {
-  std::string out = "sequence,name,labels,field,value\n";
-  for (std::size_t i = 0; i < snapshots_.size(); ++i) {
-    const std::string body = snapshots_[i].to_csv();
-    // Re-prefix each data row of the single-snapshot CSV with the sequence.
-    std::istringstream rows(body);
-    std::string row;
-    std::getline(rows, row);  // skip the per-snapshot header
-    while (std::getline(rows, row)) {
-      out += std::to_string(sequences_[i]);
-      out += ',';
-      out += row;
-      out += '\n';
-    }
-  }
-  return out;
-}
-
 bool env_enabled(const char* name, bool fallback) {
   const char* value = std::getenv(name);
   if (value == nullptr) {
@@ -104,6 +66,20 @@ std::string TelemetryExport::to_json() const {
   }
   out << "}";
   return out.str();
+}
+
+std::string EngineTelemetry::to_json() const {
+  TelemetryExport doc;
+  if (config.metrics) {
+    doc.metrics = &metrics;
+  }
+  if (config.windowed || config.privacy) {
+    doc.windows = &windows;
+  }
+  if (config.profiling) {
+    doc.profiler = &profiler;
+  }
+  return doc.to_json();
 }
 
 bool write_file(const std::string& path, const std::string& contents) {

@@ -1,18 +1,14 @@
-// Telemetry export: stable-JSON / CSV dumps, the TelemetrySink interface,
-// and the on/off configuration shared by the engines and examples.
+// Telemetry export: stable-JSON / CSV dumps, the on/off configuration
+// shared by the engines and examples, and the telemetry one sweep engine
+// owns.
 //
 // The deterministic campaign/tuner reports and the telemetry export are
 // deliberately separate documents: metrics and traces are deterministic
 // (they describe the simulation) and may be compared byte-for-byte across
-// thread counts; the profile section measures the host and is not. Anything
-// consuming telemetry for drift decisions (the future TuningService)
-// implements TelemetrySink and receives merged MetricsSnapshots in
-// publication order.
+// thread counts; the profile section measures the host and is not.
 #pragma once
 
-#include <cstdint>
 #include <string>
-#include <vector>
 
 #include "obs/metrics.h"
 #include "obs/packet_trace.h"
@@ -21,38 +17,6 @@
 #include "util/time.h"
 
 namespace reshape::obs {
-
-/// Consumer interface for published telemetry — the seam the future
-/// TuningService (fleet controller) plugs into for its drift signal.
-/// `sequence` increases by one per publication from a given producer.
-class TelemetrySink {
- public:
-  virtual ~TelemetrySink() = default;
-  virtual void consume(std::uint64_t sequence,
-                       const MetricsSnapshot& snapshot) = 0;
-};
-
-/// A TelemetrySink that keeps every publication, exportable as a JSON
-/// array or long-form CSV time series.
-class TimeSeriesRecorder : public TelemetrySink {
- public:
-  void consume(std::uint64_t sequence,
-               const MetricsSnapshot& snapshot) override;
-
-  [[nodiscard]] const std::vector<MetricsSnapshot>& snapshots() const {
-    return snapshots_;
-  }
-
-  /// [{"sequence":0,"metrics":[...]},...]
-  [[nodiscard]] std::string to_json() const;
-
-  /// sequence,name,labels,field,value rows across all publications.
-  [[nodiscard]] std::string to_csv() const;
-
- private:
-  std::vector<std::uint64_t> sequences_;
-  std::vector<MetricsSnapshot> snapshots_;
-};
 
 /// What to collect. Default-constructed = everything off (zero overhead).
 struct TelemetryConfig {
@@ -107,6 +71,20 @@ struct TelemetryExport {
   /// {"metrics":...,"windows":...,"profile":...,"trace":...} with absent
   /// sections skipped. The metrics, windows, and trace sections are
   /// deterministic; profile is not (host timings).
+  [[nodiscard]] std::string to_json() const;
+};
+
+/// What one sweep engine collected in its last run: the config that
+/// selected it, the metrics and windowed snapshots folded in cell order
+/// (deterministic), and the host phase timings (not).
+struct EngineTelemetry {
+  TelemetryConfig config{};
+  MetricsSnapshot metrics;
+  WindowedSnapshot windows;
+  PhaseProfiler profiler;
+
+  /// The combined document; sections follow `config` (windows appear
+  /// with windowed or privacy collection, profile with profiling).
   [[nodiscard]] std::string to_json() const;
 };
 

@@ -1,8 +1,6 @@
 #include "runtime/adaptive_campaign.h"
 
-#include <optional>
 #include <sstream>
-#include <stdexcept>
 #include <utility>
 
 #include "obs/stat_views.h"
@@ -14,33 +12,21 @@ namespace reshape::runtime {
 
 namespace {
 
+using detail::cell_labels;
 using detail::json_escape;
 using detail::json_number;
 
 constexpr int kClasses = static_cast<int>(traffic::kAppCount);
 
-/// Publishes one adaptive cell into a private per-cell registry: session
-/// and flow counters plus one adaptive_* epoch series set per epoch
-/// (labels carry the epoch index — the curve survives the shard merge).
-obs::LabelSet cell_labels(const AdaptiveCampaignSpec& spec,
-                          const AdaptiveCellResult& cell) {
-  return obs::LabelSet{
-      {"defense", spec.defenses[cell.defense_index].name},
-      {"scenario", std::string{spec.scenarios[cell.scenario_index].name()}},
-      {"shard", std::to_string(cell.shard)}};
-}
-
-void publish_cell(obs::MetricsRegistry& registry,
-                  const AdaptiveCampaignSpec& spec,
-                  const AdaptiveCellResult& cell) {
-  const obs::LabelSet labels = cell_labels(spec, cell);
-  registry.counter("adaptive_sessions_total", labels).add(cell.session_count);
-  registry.counter("adaptive_flows_total", labels).add(cell.flow_count);
-  for (std::size_t e = 0; e < cell.epochs.size(); ++e) {
-    obs::LabelSet epoch_labels = labels;
-    epoch_labels.set("epoch", std::to_string(e));
-    obs::publish(registry, cell.epochs[e], epoch_labels);
-  }
+/// The fields a cell's epoch score and a shard-merged epoch share.
+template <typename Epoch>
+void append_epoch_fields(std::ostringstream& os, const Epoch& epoch) {
+  os << "\"windows\":" << epoch.windows
+     << ",\"accuracy\":" << json_number(epoch.accuracy_percent())
+     << ",\"static_accuracy\":"
+     << json_number(epoch.static_accuracy_percent())
+     << ",\"labels_correct\":" << epoch.labels_correct
+     << ",\"labels_assigned\":" << epoch.labels_assigned;
 }
 
 }  // namespace
@@ -66,14 +52,8 @@ double EpochAggregate::static_accuracy_percent() const {
 
 const AdaptiveAggregate& AdaptiveCampaignReport::aggregate(
     std::string_view defense, std::string_view scenario) const {
-  for (const AdaptiveAggregate& a : aggregates) {
-    if (a.defense == defense && a.scenario == scenario) {
-      return a;
-    }
-  }
-  throw std::out_of_range{"AdaptiveCampaignReport: no aggregate for '" +
-                          std::string{defense} + "' x '" +
-                          std::string{scenario} + "'"};
+  return detail::find_aggregate(aggregates, defense, scenario,
+                                "AdaptiveCampaignReport");
 }
 
 std::string AdaptiveCampaignReport::to_json() const {
@@ -88,13 +68,9 @@ std::string AdaptiveCampaignReport::to_json() const {
        << ",\"flows\":" << cell.flow_count << ",\"epochs\":[";
     for (std::size_t e = 0; e < cell.epochs.size(); ++e) {
       const attack::adaptive::EpochScore& epoch = cell.epochs[e];
-      os << (e == 0 ? "" : ",") << "{\"windows\":" << epoch.windows
-         << ",\"accuracy\":" << json_number(epoch.accuracy_percent())
-         << ",\"static_accuracy\":"
-         << json_number(epoch.static_accuracy_percent())
-         << ",\"labels_correct\":" << epoch.labels_correct
-         << ",\"labels_assigned\":" << epoch.labels_assigned
-         << ",\"training_rows\":" << epoch.training_rows
+      os << (e == 0 ? "" : ",") << "{";
+      append_epoch_fields(os, epoch);
+      os << ",\"training_rows\":" << epoch.training_rows
          << ",\"refitted\":" << (epoch.refitted ? 1 : 0) << "}";
     }
     os << "]}";
@@ -107,12 +83,9 @@ std::string AdaptiveCampaignReport::to_json() const {
        << "\",\"shards\":" << agg.shards << ",\"epochs\":[";
     for (std::size_t e = 0; e < agg.epochs.size(); ++e) {
       const EpochAggregate& epoch = agg.epochs[e];
-      os << (e == 0 ? "" : ",") << "{\"windows\":" << epoch.windows
-         << ",\"accuracy\":" << json_number(epoch.accuracy_percent())
-         << ",\"static_accuracy\":"
-         << json_number(epoch.static_accuracy_percent())
-         << ",\"labels_correct\":" << epoch.labels_correct
-         << ",\"labels_assigned\":" << epoch.labels_assigned << "}";
+      os << (e == 0 ? "" : ",") << "{";
+      append_epoch_fields(os, epoch);
+      os << "}";
     }
     os << "]}";
   }
@@ -122,38 +95,26 @@ std::string AdaptiveCampaignReport::to_json() const {
 
 AdaptiveCampaignEngine::AdaptiveCampaignEngine(AdaptiveCampaignSpec spec)
     : spec_{std::move(spec)} {
-  util::require(!spec_.defenses.empty(),
-                "AdaptiveCampaignEngine: need at least one defense");
-  util::require(!spec_.scenarios.empty(),
-                "AdaptiveCampaignEngine: need at least one scenario");
-  util::require(spec_.shards > 0,
-                "AdaptiveCampaignEngine: need at least one shard");
+  detail::require_defense_grid(spec_, "AdaptiveCampaignEngine");
   util::require(spec_.rssi_min_dbm <= spec_.rssi_max_dbm,
                 "AdaptiveCampaignEngine: bad RSSI range");
-  for (const DefenseSpec& defense : spec_.defenses) {
-    util::require(!defense.name.empty() && defense.factory != nullptr,
-                  "AdaptiveCampaignEngine: defense needs a name and factory");
-  }
-}
-
-std::size_t AdaptiveCampaignEngine::cell_count() const {
-  return spec_.defenses.size() * spec_.scenarios.size() * spec_.shards;
 }
 
 void AdaptiveCampaignEngine::train() {
-  if (trained_) {
-    return;
+  if (!trained_) {
+    base_ = bootstrap_profile(spec_.bootstrap, spec_.attacker);
+    trained_ = true;
   }
-  base_ = bootstrap_profile(spec_.bootstrap, spec_.attacker);
-  trained_ = true;
-}
-
-CellGrid AdaptiveCampaignEngine::grid() const {
-  return CellGrid{spec_.defenses.size(), spec_.scenarios.size(), spec_.shards};
+  if (telemetry_.config.privacy && !probe_) {
+    // The attacker proxy shares the adversary's own bootstrap rows —
+    // built once, read-only across cells and runs.
+    probe_.emplace(base_, spec_.attacker.attack);
+  }
 }
 
 AdaptiveCellResult AdaptiveCampaignEngine::run_cell(
-    std::size_t cell_id, obs::WindowedRegistry* windows) const {
+    std::size_t cell_id, WorkerArena& /*arena*/,
+    obs::WindowedRegistry* windows) const {
   const CellGrid g = grid();
   const CellGrid::Cell cell = g.decompose(cell_id);
   CellStreams streams = cell_streams(spec_.seed, g, cell_id);
@@ -176,120 +137,51 @@ AdaptiveCellResult AdaptiveCampaignEngine::run_cell(
   const std::vector<attack::adaptive::ObservedFlow> flows =
       rssi_tagged_flows(defended, streams.rssi, rssi);
   result.flow_count = flows.size();
-  if (windows != nullptr && telemetry_config_.privacy) {
+  if (windows != nullptr && telemetry_.config.privacy) {
     // The label-free audit sees exactly the flows the oracle-labeled
     // adversary is about to score — the pairing the proxy-vs-oracle
     // correlation tests rely on.
     attack::audit::AuditConfig audit;
-    audit.per_pair_series = telemetry_config_.privacy_pairs;
+    audit.per_pair_series = telemetry_.config.privacy_pairs;
     audit_flows(flows, probe_ ? &*probe_ : nullptr, *windows,
                 cell_labels(spec_, result), audit);
   }
   result.epochs =
       run_adaptive_flows(base_, spec_.attacker, spec_.make_classifier, flows);
+  if (windows != nullptr && telemetry_.config.windowed) {
+    // Epoch scores observed at their sim-time starts: with the window set
+    // to the attacker cadence, windows align 1:1 with epochs — the
+    // accuracy-over-time signal the drift detectors watch.
+    const obs::LabelSet labels = cell_labels(spec_, result);
+    for (const attack::adaptive::EpochScore& epoch : result.epochs) {
+      publish_windowed(*windows, epoch, labels);
+    }
+  }
   return result;
 }
 
-AdaptiveRangeOutcome AdaptiveCampaignEngine::run_range(std::size_t begin,
-                                                       std::size_t end,
-                                                       std::size_t threads) {
-  util::require(begin <= end && end <= cell_count(),
-                "AdaptiveCampaignEngine::run_range: range out of bounds");
-  train();
-
-  if (telemetry_config_.privacy && !probe_) {
-    // The attacker proxy shares the adversary's own bootstrap rows —
-    // built once, read-only across cells and runs.
-    probe_.emplace(base_, spec_.attacker.attack);
+// Publishes one adaptive cell into a private per-cell registry: session
+// and flow counters plus one adaptive_* epoch series set per epoch
+// (labels carry the epoch index — the curve survives the shard merge).
+void AdaptiveCampaignEngine::publish_cell(
+    obs::MetricsRegistry& registry, std::size_t /*cell_id*/,
+    const AdaptiveCellResult& cell) const {
+  const obs::LabelSet labels = cell_labels(spec_, cell);
+  registry.counter("adaptive_sessions_total", labels).add(cell.session_count);
+  registry.counter("adaptive_flows_total", labels).add(cell.flow_count);
+  for (std::size_t e = 0; e < cell.epochs.size(); ++e) {
+    obs::LabelSet epoch_labels = labels;
+    epoch_labels.set("epoch", std::to_string(e));
+    obs::publish(registry, cell.epochs[e], epoch_labels);
   }
-
-  AdaptiveRangeOutcome outcome;
-  outcome.begin = begin;
-  outcome.end = end;
-  const std::size_t count = end - begin;
-  outcome.cells.resize(count);
-  std::vector<obs::MetricsSnapshot> cell_metrics(
-      telemetry_config_.metrics ? count : 0);
-  const bool collect_windows =
-      telemetry_config_.windowed || telemetry_config_.privacy;
-  std::vector<obs::WindowedSnapshot> cell_windows(collect_windows ? count
-                                                                  : 0);
-  run_cells(
-      count, threads,
-      [&](std::size_t index) {
-        const std::size_t cell_id = begin + index;
-        std::optional<obs::WindowedRegistry> windows;
-        if (collect_windows) {
-          windows.emplace(telemetry_config_.window);
-        }
-        outcome.cells[index] =
-            run_cell(cell_id, windows ? &*windows : nullptr);
-        if (telemetry_config_.metrics) {
-          obs::MetricsRegistry registry;
-          publish_cell(registry, spec_, outcome.cells[index]);
-          cell_metrics[index] = registry.snapshot();
-        }
-        if (telemetry_config_.windowed) {
-          // Epoch scores observed at their sim-time starts: with the
-          // window set to the attacker cadence, windows align 1:1 with
-          // epochs — the accuracy-over-time signal the drift detectors
-          // watch.
-          const obs::LabelSet labels = cell_labels(spec_, outcome.cells[index]);
-          for (const attack::adaptive::EpochScore& epoch :
-               outcome.cells[index].epochs) {
-            publish_windowed(*windows, epoch, labels);
-          }
-        }
-        if (windows) {
-          cell_windows[index] = windows->snapshot();
-        }
-      },
-      telemetry_config_.profiling ? &profiler_ : nullptr);
-  for (const obs::MetricsSnapshot& snapshot : cell_metrics) {
-    outcome.metrics.merge(snapshot);
-  }
-  for (const obs::WindowedSnapshot& snapshot : cell_windows) {
-    outcome.windows.merge(snapshot);
-  }
-  return outcome;
 }
 
-AdaptiveCampaignReport AdaptiveCampaignEngine::fold(
-    std::vector<AdaptiveRangeOutcome> ranges) {
-  std::size_t expected = 0;
-  for (const AdaptiveRangeOutcome& range : ranges) {
-    if (range.begin != expected || range.end < range.begin ||
-        range.cells.size() != range.end - range.begin) {
-      throw std::invalid_argument{
-          "AdaptiveCampaignEngine::fold: ranges must cover the grid "
-          "contiguously in ascending order"};
-    }
-    expected = range.end;
-  }
-  if (expected != cell_count()) {
-    throw std::invalid_argument{
-        "AdaptiveCampaignEngine::fold: ranges do not cover every cell"};
-  }
-
-  telemetry_ = obs::MetricsSnapshot{};
-  windowed_ = obs::WindowedSnapshot{};
-  std::vector<AdaptiveCellResult> results;
-  results.reserve(cell_count());
-  for (AdaptiveRangeOutcome& range : ranges) {
-    telemetry_.merge(range.metrics);
-    windowed_.merge(range.windows);
-    for (AdaptiveCellResult& cell : range.cells) {
-      results.push_back(std::move(cell));
-    }
-  }
-  if (sink_ != nullptr && telemetry_config_.metrics) {
-    sink_->consume(publications_++, telemetry_);
-  }
-
+AdaptiveCampaignReport AdaptiveCampaignEngine::aggregate(
+    std::vector<AdaptiveCellResult> cells) const {
   AdaptiveCampaignReport report;
   report.seed = spec_.seed;
   report.shards = spec_.shards;
-  report.cells = std::move(results);
+  report.cells = std::move(cells);
 
   // Merge shards per (defense, scenario, epoch) in grid order; epoch
   // counts can differ across shards (sessions end at different instants),
@@ -315,27 +207,6 @@ AdaptiveCampaignReport AdaptiveCampaignEngine::fold(
     }
   }
   return report;
-}
-
-AdaptiveCampaignReport AdaptiveCampaignEngine::run(std::size_t threads) {
-  profiler_.clear();
-  std::vector<AdaptiveRangeOutcome> ranges;
-  ranges.push_back(run_range(0, cell_count(), threads));
-  return fold(std::move(ranges));
-}
-
-std::string AdaptiveCampaignEngine::telemetry_to_json() const {
-  obs::TelemetryExport doc;
-  if (telemetry_config_.metrics) {
-    doc.metrics = &telemetry_;
-  }
-  if (telemetry_config_.windowed || telemetry_config_.privacy) {
-    doc.windows = &windowed_;
-  }
-  if (telemetry_config_.profiling) {
-    doc.profiler = &profiler_;
-  }
-  return doc.to_json();
 }
 
 }  // namespace reshape::runtime

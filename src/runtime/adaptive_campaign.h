@@ -30,10 +30,9 @@
 #include "eval/experiment.h"
 #include "ml/dataset.h"
 #include "ml/metrics.h"
-#include "obs/export.h"
 #include "obs/metrics.h"
-#include "obs/profiler.h"
 #include "runtime/campaign.h"
+#include "runtime/grid_engine.h"
 #include "runtime/scenario.h"
 
 namespace reshape::runtime {
@@ -108,15 +107,8 @@ struct AdaptiveAggregate {
   std::vector<EpochAggregate> epochs;
 };
 
-/// One scored contiguous slice of the adaptive grid — the shard-server
-/// work unit, mirroring runtime::CampaignRangeOutcome.
-struct AdaptiveRangeOutcome {
-  std::size_t begin = 0;
-  std::size_t end = 0;
-  std::vector<AdaptiveCellResult> cells;
-  obs::MetricsSnapshot metrics;
-  obs::WindowedSnapshot windows;
-};
+/// One scored contiguous slice of the adaptive grid.
+using AdaptiveRangeOutcome = RangeOutcome<AdaptiveCellResult>;
 
 /// Everything an adaptive campaign produced, in deterministic order.
 struct AdaptiveCampaignReport {
@@ -136,96 +128,40 @@ struct AdaptiveCampaignReport {
 };
 
 /// Profiles the bootstrap corpus once, then runs cells on a worker pool.
-class AdaptiveCampaignEngine {
+/// run(), run_range(), fold() and the telemetry accessors come from
+/// GridEngine. The windowed series carry adaptive_accuracy_percent (and
+/// the static baseline) observed at each epoch's start: with the config
+/// window set to the attacker cadence, windows align 1:1 with epochs.
+class AdaptiveCampaignEngine
+    : public GridEngine<AdaptiveCampaignEngine, AdaptiveCellResult,
+                        AdaptiveCampaignReport> {
  public:
   /// Validates the spec (>= 1 defense, >= 1 scenario, >= 1 shard).
   explicit AdaptiveCampaignEngine(AdaptiveCampaignSpec spec);
 
-  /// Runs the whole grid on `threads` workers (0 = hardware concurrency).
-  /// The report is bit-identical for every `threads` value. Equivalent to
-  /// folding the single range [0, cell_count()).
-  [[nodiscard]] AdaptiveCampaignReport run(std::size_t threads = 0);
-
-  /// Scores cells [begin, end) without touching the engine's merged
-  /// telemetry — the shard-server work unit. Bootstraps (and builds the
-  /// privacy probe) on first use, exactly like run().
-  [[nodiscard]] AdaptiveRangeOutcome run_range(std::size_t begin,
-                                               std::size_t end,
-                                               std::size_t threads = 0);
-
-  /// Folds range outcomes — which must cover [0, cell_count()) contiguously
-  /// and in ascending order (throws std::invalid_argument otherwise) — into
-  /// the final report, rebuilding merged telemetry and firing the sink
-  /// exactly as run() does. Byte-identical to the in-process fold for any
-  /// range partition (per-cell series carry cell-unique labels).
-  [[nodiscard]] AdaptiveCampaignReport fold(
-      std::vector<AdaptiveRangeOutcome> ranges);
-
-  /// Builds the shared bootstrap dataset without running cells
-  /// (idempotent; run() calls it).
+  /// Builds the shared bootstrap dataset and, when privacy telemetry is
+  /// on, the label-free probe (idempotent; every run_range() calls it).
   void train();
 
-  [[nodiscard]] std::size_t cell_count() const;
-  [[nodiscard]] bool trained() const { return trained_; }
-
-  /// Selects what the next run() collects. Telemetry is observation-only:
-  /// the AdaptiveCampaignReport is byte-identical whatever this is set to.
-  void set_telemetry(obs::TelemetryConfig config) {
-    telemetry_config_ = config;
-  }
-  [[nodiscard]] const obs::TelemetryConfig& telemetry_config() const {
-    return telemetry_config_;
-  }
-
-  /// The merged metrics of the last run() (adaptive_* epoch series plus
-  /// session/flow counters per cell, folded in cell order on the main
-  /// thread). Empty when metrics collection was off.
-  [[nodiscard]] const obs::MetricsSnapshot& telemetry() const {
-    return telemetry_;
-  }
-
-  /// The merged sim-time-windowed series of the last run():
-  /// adaptive_accuracy_percent (and the static baseline) observed at each
-  /// epoch's start under (defense, scenario, shard) labels. With the
-  /// config window set to the attacker cadence, windows align 1:1 with
-  /// epochs. Empty when windowed collection was off.
-  [[nodiscard]] const obs::WindowedSnapshot& windowed() const {
-    return windowed_;
-  }
-
-  /// Publishes each run()'s merged metrics snapshot to `sink` (nullptr
-  /// detaches) with a per-engine sequence number — the stream the fleet
-  /// controller consumes. Only fires when metrics collection is on.
-  void set_telemetry_sink(obs::TelemetrySink* sink) { sink_ = sink; }
-
-  /// Wall/CPU phase timings of the last run() (host measurements — never
-  /// part of the deterministic report).
-  [[nodiscard]] const obs::PhaseProfiler& profiler() const {
-    return profiler_;
-  }
-
-  /// The combined telemetry document of the last run(); sections follow
-  /// the telemetry config.
-  [[nodiscard]] std::string telemetry_to_json() const;
-
  private:
-  [[nodiscard]] CellGrid grid() const;
+  friend GridEngine;
+
+  [[nodiscard]] CellGrid grid() const { return detail::defense_grid(spec_); }
   [[nodiscard]] AdaptiveCellResult run_cell(
-      std::size_t cell_id, obs::WindowedRegistry* windows) const;
+      std::size_t cell_id, WorkerArena& arena,
+      obs::WindowedRegistry* windows) const;
+  void publish_cell(obs::MetricsRegistry& registry, std::size_t cell_id,
+                    const AdaptiveCellResult& cell) const;
+  [[nodiscard]] AdaptiveCampaignReport aggregate(
+      std::vector<AdaptiveCellResult> cells) const;
 
   AdaptiveCampaignSpec spec_;
   ml::Dataset base_;  // shared raw bootstrap rows (read-only after train)
   bool trained_ = false;
 
   // The label-free attacker proxy (privacy telemetry), built from base_
-  // on the first privacy-enabled run().
+  // by the first train() with privacy on.
   std::optional<attack::audit::NearestCentroidProbe> probe_;
-  obs::TelemetryConfig telemetry_config_{};
-  obs::MetricsSnapshot telemetry_;
-  obs::WindowedSnapshot windowed_;
-  obs::PhaseProfiler profiler_;
-  obs::TelemetrySink* sink_ = nullptr;  // not owned
-  std::uint64_t publications_ = 0;      // sink sequence counter
 };
 
 }  // namespace reshape::runtime

@@ -1,49 +1,18 @@
 #include "runtime/campaign.h"
 
-#include <optional>
 #include <sstream>
-#include <stdexcept>
 #include <utility>
 
 #include "runtime/evaluation_backend.h"
 #include "runtime/report_json.h"
-#include "util/check.h"
 
 namespace reshape::runtime {
 
 namespace {
 
+using detail::cell_labels;
 using detail::json_escape;
 using detail::json_number;
-
-/// Publishes one cell's scored result into a (private, per-cell)
-/// registry: windows and correct-window tallies as counters so shard
-/// merges recompute accuracy from summed evidence, point metrics as
-/// per-cell gauges (unique labels — never merged across cells).
-obs::LabelSet cell_labels(const CampaignSpec& spec, const CellResult& cell) {
-  return obs::LabelSet{
-      {"defense", spec.defenses[cell.defense_index].name},
-      {"scenario", std::string{spec.scenarios[cell.scenario_index].name()}},
-      {"shard", std::to_string(cell.shard)}};
-}
-
-void publish_cell(obs::MetricsRegistry& registry, const CampaignSpec& spec,
-                  const CellResult& cell) {
-  const obs::LabelSet labels = cell_labels(spec, cell);
-  registry.counter("campaign_sessions_total", labels)
-      .add(cell.session_count);
-  const ml::ConfusionMatrix& confusion = cell.evaluation.confusion;
-  std::uint64_t correct = 0;
-  for (int c = 0; c < confusion.num_classes(); ++c) {
-    correct += confusion.count(c, c);
-  }
-  registry.counter("campaign_windows_total", labels).add(confusion.total());
-  registry.counter("campaign_windows_correct_total", labels).add(correct);
-  registry.gauge("campaign_mean_accuracy_percent", labels)
-      .set(cell.evaluation.mean_accuracy);
-  registry.gauge("campaign_mean_overhead_percent", labels)
-      .set(cell.evaluation.mean_overhead);
-}
 
 void append_evaluation_fields(std::ostringstream& os,
                               const eval::DefenseEvaluation& e) {
@@ -67,14 +36,8 @@ void append_evaluation_fields(std::ostringstream& os,
 
 const CellAggregate& CampaignReport::aggregate(
     std::string_view defense, std::string_view scenario) const {
-  for (const CellAggregate& a : aggregates) {
-    if (a.defense == defense && a.scenario == scenario) {
-      return a;
-    }
-  }
-  throw std::out_of_range{"CampaignReport: no aggregate for '" +
-                          std::string{defense} + "' x '" +
-                          std::string{scenario} + "'"};
+  return detail::find_aggregate(aggregates, defense, scenario,
+                                "CampaignReport");
 }
 
 std::string CampaignReport::to_json() const {
@@ -104,15 +67,7 @@ std::string CampaignReport::to_json() const {
 
 CampaignEngine::CampaignEngine(CampaignSpec spec)
     : spec_{std::move(spec)}, harness_{spec_.training} {
-  util::require(!spec_.defenses.empty(),
-                "CampaignEngine: need at least one defense");
-  util::require(!spec_.scenarios.empty(),
-                "CampaignEngine: need at least one scenario");
-  util::require(spec_.shards > 0, "CampaignEngine: need at least one shard");
-  for (const DefenseSpec& defense : spec_.defenses) {
-    util::require(!defense.name.empty() && defense.factory != nullptr,
-                  "CampaignEngine: defense needs a name and a factory");
-  }
+  detail::require_defense_grid(spec_, "CampaignEngine");
   const std::size_t workload_slots = spec_.scenarios.size() * spec_.shards;
   workload_once_ = std::make_unique<std::once_flag[]>(workload_slots);
   workloads_.resize(workload_slots);
@@ -121,7 +76,7 @@ CampaignEngine::CampaignEngine(CampaignSpec spec)
 }
 
 void CampaignEngine::set_telemetry(obs::TelemetryConfig config) {
-  telemetry_config_ = config;
+  GridEngine::set_telemetry(config);
   // The cached offered-load reductions are keyed on the window length;
   // rebuild them lazily under the (possibly new) config.
   const std::size_t workload_slots = spec_.scenarios.size() * spec_.shards;
@@ -129,14 +84,21 @@ void CampaignEngine::set_telemetry(obs::TelemetryConfig config) {
   offered_windows_.assign(workload_slots, nullptr);
 }
 
-std::size_t CampaignEngine::cell_count() const {
-  return spec_.defenses.size() * spec_.scenarios.size() * spec_.shards;
+void CampaignEngine::train() {
+  harness_.train();
+  if (telemetry_.config.privacy && !probe_) {
+    // The attacker proxy profiles the same clean corpus the adaptive
+    // adversary bootstraps from — built once per engine, reused by every
+    // cell and every later run().
+    const attack::adaptive::AdaptiveConfig adaptive{};
+    probe_.emplace(bootstrap_profile(spec_.training, adaptive),
+                   adaptive.attack);
+  }
 }
 
-void CampaignEngine::train() { harness_.train(); }
-
-CellGrid CampaignEngine::grid() const {
-  return CellGrid{spec_.defenses.size(), spec_.scenarios.size(), spec_.shards};
+void CampaignEngine::prepare() {
+  train();
+  warm_workloads();
 }
 
 CellResult CampaignEngine::run_cell(std::size_t cell_id, WorkerArena& arena,
@@ -150,24 +112,14 @@ CellResult CampaignEngine::run_cell(std::size_t cell_id, WorkerArena& arena,
   result.scenario_index = cell.scenario;
   result.shard = cell.shard;
 
-  const Scenario& scenario = spec_.scenarios[cell.scenario];
   const DefenseSpec& defense = spec_.defenses[cell.defense];
-  // First cell on a (scenario, shard) materializes the workload; the
-  // other defenses (and later run() calls) reuse it. streams.workload is
-  // keyed on exactly that pair, so the cached sessions are the ones this
-  // cell would have generated.
   const std::size_t workload_slot = g.workload_id(cell);
-  std::call_once(workload_once_[workload_slot], [&] {
-    workloads_[workload_slot] =
-        std::make_shared<const std::vector<traffic::Trace>>(
-            scenario.generate(streams.workload));
-  });
-  const std::vector<traffic::Trace>& sessions = *workloads_[workload_slot];
+  const std::vector<traffic::Trace>& sessions = workload(workload_slot);
   result.session_count = sessions.size();
   // The leakage audit needs the exact defended flows the attacker was
   // scored on; evaluate_sessions hands them back instead of applying the
   // defense a second time.
-  const bool auditing = windows != nullptr && telemetry_config_.privacy;
+  const bool auditing = windows != nullptr && telemetry_.config.privacy;
   std::vector<eval::DefendedSession> defended;
   result.evaluation = harness_.evaluate_sessions(
       defense.factory, defense.name, sessions, streams.defense_seed,
@@ -179,11 +131,11 @@ CellResult CampaignEngine::run_cell(std::size_t cell_id, WorkerArena& arena,
     const std::vector<attack::adaptive::ObservedFlow> flows =
         rssi_tagged_flows(defended, streams.rssi, RssiModel{});
     attack::audit::AuditConfig audit;
-    audit.per_pair_series = telemetry_config_.privacy_pairs;
+    audit.per_pair_series = telemetry_.config.privacy_pairs;
     audit_flows(flows, probe_ ? &*probe_ : nullptr, *windows,
                 cell_labels(spec_, result), audit);
   }
-  if (windows != nullptr && telemetry_config_.windowed) {
+  if (windows != nullptr && telemetry_.config.windowed) {
     // Offered load per window — the time-resolved workload shape the
     // drift detectors slice (count = packets, sum = bytes per window).
     // The reduction only reads the pre-defense workload, so the first
@@ -191,7 +143,7 @@ CellResult CampaignEngine::run_cell(std::size_t cell_id, WorkerArena& arena,
     // every defense row folds the cached points (commutative merge: the
     // result is byte-identical to reducing per cell).
     std::call_once(offered_once_[workload_slot], [&] {
-      obs::WindowedSeries reduced{telemetry_config_.window};
+      obs::WindowedSeries reduced{telemetry_.config.window};
       for (const traffic::Trace& session : sessions) {
         publish_windowed(reduced, session);
       }
@@ -208,121 +160,57 @@ CellResult CampaignEngine::run_cell(std::size_t cell_id, WorkerArena& arena,
   return result;
 }
 
+const std::vector<traffic::Trace>& CampaignEngine::workload(
+    std::size_t slot) const {
+  // The first cell on a (scenario, shard) materializes the workload; the
+  // other defenses (and later run() calls) reuse it. The workload stream
+  // is keyed on exactly that pair — slot s is the cell id of defense row
+  // 0 — so the cached sessions are the ones any cell would generate.
+  std::call_once(workload_once_[slot], [&] {
+    const CellGrid g = grid();
+    util::Rng stream = cell_streams(spec_.seed, g, slot).workload;
+    workloads_[slot] = std::make_shared<const std::vector<traffic::Trace>>(
+        spec_.scenarios[g.decompose(slot).scenario].generate(stream));
+  });
+  return *workloads_[slot];
+}
+
 void CampaignEngine::warm_workloads() {
-  const CellGrid g = grid();
-  for (std::size_t s = 0; s < spec_.scenarios.size(); ++s) {
-    for (std::size_t shard = 0; shard < spec_.shards; ++shard) {
-      // The workload stream is keyed (scenario, shard) only, so defense
-      // row 0's cell id produces exactly the sessions any row would.
-      const std::size_t cell_id = s * spec_.shards + shard;
-      const std::size_t workload_slot = s * spec_.shards + shard;
-      std::call_once(workload_once_[workload_slot], [&] {
-        CellStreams streams = cell_streams(spec_.seed, g, cell_id);
-        workloads_[workload_slot] =
-            std::make_shared<const std::vector<traffic::Trace>>(
-                spec_.scenarios[s].generate(streams.workload));
-      });
-    }
+  for (std::size_t slot = 0; slot < spec_.scenarios.size() * spec_.shards;
+       ++slot) {
+    (void)workload(slot);
   }
 }
 
-CampaignRangeOutcome CampaignEngine::run_range(std::size_t begin,
-                                               std::size_t end,
-                                               std::size_t threads) {
-  util::require(begin <= end && end <= cell_count(),
-                "CampaignEngine::run_range: range out of bounds");
-  train();
-
-  if (telemetry_config_.privacy && !probe_) {
-    // The attacker proxy profiles the same clean corpus the adaptive
-    // adversary bootstraps from — built once per engine, reused by every
-    // cell and every later run().
-    const attack::adaptive::AdaptiveConfig adaptive{};
-    probe_.emplace(bootstrap_profile(spec_.training, adaptive),
-                   adaptive.attack);
+// Publishes one cell's scored result into a (private, per-cell)
+// registry: windows and correct-window tallies as counters so shard
+// merges recompute accuracy from summed evidence, point metrics as
+// per-cell gauges (unique labels — never merged across cells).
+void CampaignEngine::publish_cell(obs::MetricsRegistry& registry,
+                                  std::size_t /*cell_id*/,
+                                  const CellResult& cell) const {
+  const obs::LabelSet labels = cell_labels(spec_, cell);
+  registry.counter("campaign_sessions_total", labels)
+      .add(cell.session_count);
+  const ml::ConfusionMatrix& confusion = cell.evaluation.confusion;
+  std::uint64_t correct = 0;
+  for (int c = 0; c < confusion.num_classes(); ++c) {
+    correct += confusion.count(c, c);
   }
-
-  CampaignRangeOutcome outcome;
-  outcome.begin = begin;
-  outcome.end = end;
-  const std::size_t count = end - begin;
-  outcome.cells.resize(count);
-  // One private registry per cell, snapshotted by whichever worker ran the
-  // cell and folded in cell order — the snapshot of a cell is a pure
-  // function of its result, so the merged telemetry is as
-  // thread-count-independent as the report itself. Windowed series follow
-  // the same per-cell-then-fold pattern.
-  std::vector<obs::MetricsSnapshot> cell_metrics(
-      telemetry_config_.metrics ? count : 0);
-  const bool collect_windows =
-      telemetry_config_.windowed || telemetry_config_.privacy;
-  std::vector<obs::WindowedSnapshot> cell_windows(collect_windows ? count
-                                                                  : 0);
-  run_cells(
-      count, threads,
-      std::function<void(std::size_t, WorkerArena&)>{
-          [&](std::size_t index, WorkerArena& arena) {
-        const std::size_t cell_id = begin + index;
-        std::optional<obs::WindowedRegistry> windows;
-        if (collect_windows) {
-          windows.emplace(telemetry_config_.window);
-        }
-        outcome.cells[index] =
-            run_cell(cell_id, arena, windows ? &*windows : nullptr);
-        if (telemetry_config_.metrics) {
-          obs::MetricsRegistry registry;
-          publish_cell(registry, spec_, outcome.cells[index]);
-          cell_metrics[index] = registry.snapshot();
-        }
-        if (windows) {
-          cell_windows[index] = windows->snapshot();
-        }
-      }},
-      telemetry_config_.profiling ? &profiler_ : nullptr);
-  for (const obs::MetricsSnapshot& snapshot : cell_metrics) {
-    outcome.metrics.merge(snapshot);
-  }
-  for (const obs::WindowedSnapshot& snapshot : cell_windows) {
-    outcome.windows.merge(snapshot);
-  }
-  return outcome;
+  registry.counter("campaign_windows_total", labels).add(confusion.total());
+  registry.counter("campaign_windows_correct_total", labels).add(correct);
+  registry.gauge("campaign_mean_accuracy_percent", labels)
+      .set(cell.evaluation.mean_accuracy);
+  registry.gauge("campaign_mean_overhead_percent", labels)
+      .set(cell.evaluation.mean_overhead);
 }
 
-CampaignReport CampaignEngine::fold(std::vector<CampaignRangeOutcome> ranges) {
-  std::size_t expected = 0;
-  for (const CampaignRangeOutcome& range : ranges) {
-    if (range.begin != expected || range.end < range.begin ||
-        range.cells.size() != range.end - range.begin) {
-      throw std::invalid_argument{
-          "CampaignEngine::fold: ranges must cover the grid contiguously "
-          "in ascending order"};
-    }
-    expected = range.end;
-  }
-  if (expected != cell_count()) {
-    throw std::invalid_argument{
-        "CampaignEngine::fold: ranges do not cover every cell"};
-  }
-
-  telemetry_ = obs::MetricsSnapshot{};
-  windowed_ = obs::WindowedSnapshot{};
-  std::vector<CellResult> results;
-  results.reserve(cell_count());
-  for (CampaignRangeOutcome& range : ranges) {
-    telemetry_.merge(range.metrics);
-    windowed_.merge(range.windows);
-    for (CellResult& cell : range.cells) {
-      results.push_back(std::move(cell));
-    }
-  }
-  if (sink_ != nullptr && telemetry_config_.metrics) {
-    sink_->consume(publications_++, telemetry_);
-  }
-
+CampaignReport CampaignEngine::aggregate(
+    std::vector<CellResult> cells) const {
   CampaignReport report;
   report.seed = spec_.seed;
   report.shards = spec_.shards;
-  report.cells = std::move(results);
+  report.cells = std::move(cells);
 
   // Shard-merge each (defense, scenario) in grid order. Aggregation runs
   // on the main thread over deterministic cell results, so the report is
@@ -375,27 +263,6 @@ CampaignReport CampaignEngine::fold(std::vector<CampaignRangeOutcome> ranges) {
     }
   }
   return report;
-}
-
-CampaignReport CampaignEngine::run(std::size_t threads) {
-  profiler_.clear();
-  std::vector<CampaignRangeOutcome> ranges;
-  ranges.push_back(run_range(0, cell_count(), threads));
-  return fold(std::move(ranges));
-}
-
-std::string CampaignEngine::telemetry_to_json() const {
-  obs::TelemetryExport doc;
-  if (telemetry_config_.metrics) {
-    doc.metrics = &telemetry_;
-  }
-  if (telemetry_config_.windowed || telemetry_config_.privacy) {
-    doc.windows = &windowed_;
-  }
-  if (telemetry_config_.profiling) {
-    doc.profiler = &profiler_;
-  }
-  return doc.to_json();
 }
 
 }  // namespace reshape::runtime

@@ -28,13 +28,12 @@
 #include "eval/experiment.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
-#include "obs/profiler.h"
+#include "runtime/evaluation_backend.h"
+#include "runtime/grid_engine.h"
 #include "runtime/scenario.h"
+#include "util/check.h"
 
 namespace reshape::runtime {
-
-struct CellGrid;     // evaluation_backend.h
-struct WorkerArena;  // evaluation_backend.h
 
 /// One defense under evaluation.
 struct DefenseSpec {
@@ -78,18 +77,8 @@ struct CellAggregate {
   eval::DefenseEvaluation evaluation;
 };
 
-/// One scored contiguous slice of the grid — the unit of work the shard
-/// server ships between processes. `cells` holds the results of ids
-/// [begin, end) in order; metrics/windows are that slice's per-cell
-/// telemetry snapshots folded in cell order (empty when the matching
-/// collection is off).
-struct CampaignRangeOutcome {
-  std::size_t begin = 0;
-  std::size_t end = 0;
-  std::vector<CellResult> cells;
-  obs::MetricsSnapshot metrics;
-  obs::WindowedSnapshot windows;
-};
+/// One scored contiguous slice of the campaign grid.
+using CampaignRangeOutcome = RangeOutcome<CellResult>;
 
 /// Everything a campaign produced, in deterministic order.
 struct CampaignReport {
@@ -108,101 +97,105 @@ struct CampaignReport {
   [[nodiscard]] std::string to_json() const;
 };
 
-/// Trains once, then runs campaign cells on a worker pool.
-class CampaignEngine {
+namespace detail {
+
+// The defense × scenario × shard grid both campaign engines sweep, shared
+// over their spec, cell and aggregate types.
+
+/// Throws std::invalid_argument unless the spec has >= 1 defense (each
+/// named, with a factory), >= 1 scenario and >= 1 shard.
+template <typename Spec>
+void require_defense_grid(const Spec& spec, const std::string& engine) {
+  util::require(!spec.defenses.empty(),
+                engine + ": need at least one defense");
+  util::require(!spec.scenarios.empty(),
+                engine + ": need at least one scenario");
+  util::require(spec.shards > 0, engine + ": need at least one shard");
+  for (const DefenseSpec& defense : spec.defenses) {
+    util::require(!defense.name.empty() && defense.factory != nullptr,
+                  engine + ": defense needs a name and a factory");
+  }
+}
+
+/// The grid's shape: defense-major, then scenario, then shard.
+template <typename Spec>
+[[nodiscard]] CellGrid defense_grid(const Spec& spec) {
+  return CellGrid{spec.defenses.size(), spec.scenarios.size(), spec.shards};
+}
+
+/// The cell-unique labels every per-cell series carries.
+template <typename Spec, typename Cell>
+[[nodiscard]] obs::LabelSet cell_labels(const Spec& spec, const Cell& cell) {
+  return obs::LabelSet{
+      {"defense", spec.defenses[cell.defense_index].name},
+      {"scenario", std::string{spec.scenarios[cell.scenario_index].name()}},
+      {"shard", std::to_string(cell.shard)}};
+}
+
+/// The (defense, scenario) entry of `aggregates`; throws
+/// std::out_of_range naming `report` when the pair is absent.
+template <typename Aggregate>
+[[nodiscard]] const Aggregate& find_aggregate(
+    const std::vector<Aggregate>& aggregates, std::string_view defense,
+    std::string_view scenario, std::string_view report) {
+  for (const Aggregate& a : aggregates) {
+    if (a.defense == defense && a.scenario == scenario) {
+      return a;
+    }
+  }
+  throw std::out_of_range{std::string{report} + ": no aggregate for '" +
+                          std::string{defense} + "' x '" +
+                          std::string{scenario} + "'"};
+}
+
+}  // namespace detail
+
+/// Trains once, then runs campaign cells on a worker pool. run(),
+/// run_range(), fold() and the telemetry accessors come from GridEngine.
+class CampaignEngine
+    : public GridEngine<CampaignEngine, CellResult, CampaignReport> {
  public:
   /// Validates the spec (>= 1 defense, >= 1 scenario, >= 1 shard).
   explicit CampaignEngine(CampaignSpec spec);
 
-  /// Runs the whole grid on `threads` workers (0 = hardware concurrency).
-  /// First call trains the attackers; later calls reuse them. The report
-  /// is bit-identical for every `threads` value. Equivalent to folding
-  /// the single range [0, cell_count()).
-  [[nodiscard]] CampaignReport run(std::size_t threads = 0);
-
-  /// Scores cells [begin, end) on `threads` workers without touching the
-  /// engine's merged telemetry — the shard-server work unit. Trains (and
-  /// builds the privacy probe) on first use, exactly like run().
-  [[nodiscard]] CampaignRangeOutcome run_range(std::size_t begin,
-                                               std::size_t end,
-                                               std::size_t threads = 0);
-
-  /// Folds range outcomes — which must cover [0, cell_count()) contiguously
-  /// and in ascending order (throws std::invalid_argument otherwise) — into
-  /// the final report, rebuilding the engine's merged telemetry/windowed
-  /// snapshots and firing the sink, exactly as run() does. Because every
-  /// per-cell telemetry series carries cell-unique labels, the fold of
-  /// range-grouped snapshots is byte-identical to the in-process per-cell
-  /// fold for any range partition.
-  [[nodiscard]] CampaignReport fold(std::vector<CampaignRangeOutcome> ranges);
-
-  /// The number of cells the grid decomposes into.
-  [[nodiscard]] std::size_t cell_count() const;
+  /// Trains the attackers and, when privacy telemetry is on, builds the
+  /// label-free probe (idempotent; every run_range() calls it).
+  void train();
 
   /// Materializes every (scenario, shard) workload slot now, on this
-  /// thread. Shard-server coordinators call this before forking so worker
-  /// processes inherit the sessions instead of regenerating them per
-  /// process; byte-neutral (the slots are pure functions of the spec).
+  /// thread. Byte-neutral (the slots are pure functions of the spec).
   void warm_workloads();
+
+  /// train() plus warm_workloads(): shard-server coordinators call this
+  /// before forking so worker processes inherit the sessions instead of
+  /// regenerating them per process.
+  void prepare();
 
   /// The shared trained harness (valid after the first run()/train()).
   [[nodiscard]] eval::ExperimentHarness& harness() { return harness_; }
 
-  /// Trains the attackers without running cells (idempotent).
-  void train();
-
-  /// Selects what the next run() collects. Telemetry is observation-only:
-  /// the CampaignReport is byte-identical whatever this is set to.
+  /// GridEngine::set_telemetry, plus dropping the offered-load cache
+  /// (it is keyed on the window length).
   void set_telemetry(obs::TelemetryConfig config);
-  [[nodiscard]] const obs::TelemetryConfig& telemetry_config() const {
-    return telemetry_config_;
-  }
-
-  /// The merged metrics of the last run() (campaign_* series per cell,
-  /// folded in cell order on the main thread — deterministic). Empty when
-  /// metrics collection was off.
-  [[nodiscard]] const obs::MetricsSnapshot& telemetry() const {
-    return telemetry_;
-  }
-
-  /// The merged sim-time-windowed series of the last run()
-  /// (campaign_offered_bytes per cell, folded in cell order — as
-  /// deterministic as the report). Empty when windowed collection was off.
-  [[nodiscard]] const obs::WindowedSnapshot& windowed() const {
-    return windowed_;
-  }
-
-  /// Publishes each run()'s merged metrics snapshot to `sink` (nullptr
-  /// detaches) with a per-engine sequence number — the stream the fleet
-  /// controller consumes. Only fires when metrics collection is on.
-  void set_telemetry_sink(obs::TelemetrySink* sink) { sink_ = sink; }
-
-  /// Wall/CPU phase timings of the last run() (host measurements — never
-  /// part of the deterministic report).
-  [[nodiscard]] const obs::PhaseProfiler& profiler() const {
-    return profiler_;
-  }
-
-  /// The combined telemetry document of the last run(); sections follow
-  /// the telemetry config.
-  [[nodiscard]] std::string telemetry_to_json() const;
 
  private:
-  [[nodiscard]] CellGrid grid() const;
+  friend GridEngine;
+
+  [[nodiscard]] CellGrid grid() const { return detail::defense_grid(spec_); }
+  /// The memoized sessions of workload slot (scenario, shard).
+  [[nodiscard]] const std::vector<traffic::Trace>& workload(
+      std::size_t slot) const;
   [[nodiscard]] CellResult run_cell(std::size_t cell_id, WorkerArena& arena,
                                     obs::WindowedRegistry* windows) const;
+  void publish_cell(obs::MetricsRegistry& registry, std::size_t cell_id,
+                    const CellResult& cell) const;
+  [[nodiscard]] CampaignReport aggregate(std::vector<CellResult> cells) const;
 
   CampaignSpec spec_;
   eval::ExperimentHarness harness_;
-  obs::TelemetryConfig telemetry_config_{};
-  obs::MetricsSnapshot telemetry_;
-  obs::WindowedSnapshot windowed_;
-  obs::PhaseProfiler profiler_;
-  obs::TelemetrySink* sink_ = nullptr;  // not owned
-  std::uint64_t publications_ = 0;      // sink sequence counter
 
   // The label-free attacker proxy (privacy telemetry): built from the
-  // clean bootstrap corpus on the first privacy-enabled run(), then
+  // clean bootstrap corpus by the first train() with privacy on, then
   // shared read-only by every cell.
   std::optional<attack::audit::NearestCentroidProbe> probe_;
 

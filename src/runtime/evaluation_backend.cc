@@ -28,16 +28,6 @@ CellStreams cell_streams(std::uint64_t seed, const CellGrid& grid,
 }
 
 void run_cells(std::size_t cells, std::size_t threads,
-               const std::function<void(std::size_t)>& run_one,
-               obs::PhaseProfiler* profiler) {
-  run_cells(
-      cells, threads,
-      std::function<void(std::size_t, WorkerArena&)>{
-          [&run_one](std::size_t c, WorkerArena&) { run_one(c); }},
-      profiler);
-}
-
-void run_cells(std::size_t cells, std::size_t threads,
                const std::function<void(std::size_t, WorkerArena&)>& run_one,
                obs::PhaseProfiler* profiler) {
   if (threads == 0) {

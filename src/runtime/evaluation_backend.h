@@ -14,7 +14,8 @@
 //     keying: workload streams by (scenario, shard) ONLY (every defense
 //     faces the same sampled sessions — the paired comparison the paper's
 //     tables rely on), defense/RSSI/channel streams by the full cell id.
-//   * run_cells — the abort-on-first-error worker pool.
+//   * run_cells — the abort-on-first-error worker pool (GridEngine,
+//     runtime/grid_engine.h, drives it).
 //   * bootstrap_profile — the clean-corpus profiling an adaptive
 //     adversary starts from (byte-identical to the static harness corpus).
 //   * rssi_tagged_flows / run_adaptive_flows — defended flows packaged
@@ -84,18 +85,14 @@ struct WorkerArena {
   eval::EvalScratch eval;
 };
 
-/// Runs `run_one(cell_id)` for every cell on `threads` workers (0 =
-/// hardware concurrency). Aborts remaining cells on the first exception
-/// and rethrows it after the pool drains. `run_one` must be thread-safe
-/// and write only to its own cell's slot. A non-null `profiler` records
-/// one wall/CPU lap per cell (phase "cell/<id>") plus a pooled "cells"
-/// total — host timings only, never part of the deterministic reports.
-void run_cells(std::size_t cells, std::size_t threads,
-               const std::function<void(std::size_t)>& run_one,
-               obs::PhaseProfiler* profiler = nullptr);
-
-/// Same pool, passing each worker's private WorkerArena (profiler wired
-/// into arena.eval) so engines can reuse allocations across cells.
+/// Runs `run_one(cell_id, arena)` for every cell on `threads` workers (0
+/// = hardware concurrency), passing each worker's private WorkerArena
+/// (profiler wired into arena.eval) so engines can reuse allocations
+/// across cells. Aborts remaining cells on the first exception and
+/// rethrows it after the pool drains. `run_one` must be thread-safe and
+/// write only to its own cell's slot. A non-null `profiler` records one
+/// wall/CPU lap per cell (phase "cell/<id>") plus a pooled "cells" total —
+/// host timings only, never part of the deterministic reports.
 void run_cells(std::size_t cells, std::size_t threads,
                const std::function<void(std::size_t, WorkerArena&)>& run_one,
                obs::PhaseProfiler* profiler = nullptr);

@@ -11,6 +11,7 @@
 #include <cstring>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <utility>
 
@@ -77,10 +78,18 @@ RecvFrame recv_frame(int fd) {
     return out;
   }
   out.header = wire::decode_frame_header({header, sizeof header});
-  out.payload.resize(out.header.length);
-  if (recv_all(fd, out.payload.data(), out.payload.size()) !=
-      out.payload.size()) {
-    return out;
+  // The length is the peer's claim, not a promise: the buffer grows only
+  // as bytes arrive, so a lying header ends in a short read instead of
+  // one giant allocation.
+  constexpr std::size_t kChunk = std::size_t{1} << 16;
+  while (out.payload.size() < out.header.length) {
+    const std::size_t have = out.payload.size();
+    const std::size_t want = static_cast<std::size_t>(
+        std::min<std::uint64_t>(kChunk, out.header.length - have));
+    out.payload.resize(have + want);
+    if (recv_all(fd, out.payload.data() + have, want) != want) {
+      return out;
+    }
   }
   out.ok = true;
   return out;
@@ -90,31 +99,6 @@ std::vector<std::uint8_t> error_frame(std::string_view what) {
   const std::span<const std::uint8_t> bytes{
       reinterpret_cast<const std::uint8_t*>(what.data()), what.size()};
   return wire::encode_frame(wire::FrameType::kError, bytes);
-}
-
-bool is_outcome_type(wire::FrameType type) {
-  return type == wire::FrameType::kCampaignRange ||
-         type == wire::FrameType::kAdaptiveRange ||
-         type == wire::FrameType::kTuningRange;
-}
-
-/// Balanced contiguous [begin, end) chunks covering [0, cell_count).
-std::vector<std::pair<std::size_t, std::size_t>> make_ranges(
-    std::size_t cell_count, std::size_t chunks) {
-  chunks = std::max<std::size_t>(1, std::min(chunks, cell_count));
-  std::vector<std::pair<std::size_t, std::size_t>> out;
-  if (cell_count == 0) {
-    return out;
-  }
-  const std::size_t base = cell_count / chunks;
-  const std::size_t extra = cell_count % chunks;
-  std::size_t begin = 0;
-  for (std::size_t i = 0; i < chunks; ++i) {
-    const std::size_t size = base + (i < extra ? 1 : 0);
-    out.emplace_back(begin, begin + size);
-    begin += size;
-  }
-  return out;
 }
 
 struct Worker {
@@ -206,17 +190,34 @@ void serve(int fd, const JobFactory& factory) {
   }
 }
 
-ShardRun dispatch(std::size_t cell_count, obs::TelemetryConfig telemetry,
-                  const ShardConfig& config, const JobFactory& factory) {
+std::vector<CellRange> shard_ranges(std::size_t cell_count,
+                                    const ShardConfig& config) {
   util::require(config.ranges_per_worker > 0,
                 "shard_server: ranges_per_worker must be positive");
-  const auto ranges = make_ranges(
-      cell_count,
-      std::max<std::size_t>(1, config.workers) * config.ranges_per_worker);
+  std::vector<CellRange> out;
+  if (cell_count == 0) {
+    return out;
+  }
+  const std::size_t chunks = std::min(
+      std::max<std::size_t>(1, config.workers) * config.ranges_per_worker,
+      cell_count);
+  const std::size_t base = cell_count / chunks;
+  const std::size_t extra = cell_count % chunks;
+  std::size_t begin = 0;
+  for (std::size_t i = 0; i < chunks; ++i) {
+    const std::size_t size = base + (i < extra ? 1 : 0);
+    out.emplace_back(begin, begin + size);
+    begin += size;
+  }
+  return out;
+}
 
-  ShardRun run;
-  run.payloads.resize(ranges.size());
-  run.types.assign(ranges.size(), wire::FrameType::kError);
+std::vector<std::string> dispatch(std::span<const CellRange> ranges,
+                                  obs::TelemetryConfig telemetry,
+                                  const ShardConfig& config,
+                                  const JobFactory& factory,
+                                  const ReplySink& accept) {
+  std::vector<std::string> failures;
   // Not vector<bool>: coordinator threads set distinct elements
   // concurrently, which packed bits cannot tolerate.
   std::vector<unsigned char> done(ranges.size(), 0);
@@ -244,55 +245,63 @@ ShardRun dispatch(std::size_t cell_count, obs::TelemetryConfig telemetry,
     }
 
     std::atomic<std::size_t> next{0};
-    std::mutex mutex;  // guards run.failures
+    std::mutex mutex;  // guards failures
     std::vector<std::thread> threads;
     threads.reserve(workers.size());
     for (std::size_t wi = 0; wi < workers.size(); ++wi) {
       threads.emplace_back([&, wi] {
         const int fd = workers[wi].fd;
-        for (;;) {
-          const std::size_t range = next.fetch_add(1);
-          if (range >= ranges.size()) {
-            send_frame(fd, wire::encode_frame(wire::FrameType::kShutdown, {}));
-            return;
-          }
-          const wire::WorkOrder order = order_of(range);
-          std::string failure;
-          if (!send_frame(fd,
-                          wire::encode_frame(wire::FrameType::kWorkOrder,
-                                             encode_work_order(order)))) {
-            failure = "worker hung up mid-order";
-          } else {
-            RecvFrame reply;
-            try {
-              reply = recv_frame(fd);
-            } catch (const wire::WireError& e) {
-              failure = e.what();
+        // Serves ranges until none are left; returns why this worker
+        // failed, or nothing when it drained cleanly. A failed range
+        // stays !done and the fallback below re-runs it.
+        const auto drain = [&]() -> std::optional<std::string> {
+          for (;;) {
+            const std::size_t range = next.fetch_add(1);
+            if (range >= ranges.size()) {
+              send_frame(fd,
+                         wire::encode_frame(wire::FrameType::kShutdown, {}));
+              return std::nullopt;
             }
-            if (!failure.empty()) {
-              // fall through
-            } else if (!reply.ok) {
-              failure = reply.at_boundary ? "worker exited before replying"
-                                          : "short read from worker";
-            } else if (reply.header.type == wire::FrameType::kError) {
-              failure = std::string{
+            const wire::WorkOrder order = order_of(range);
+            if (!send_frame(fd,
+                            wire::encode_frame(wire::FrameType::kWorkOrder,
+                                               encode_work_order(order)))) {
+              return "worker hung up mid-order";
+            }
+            const RecvFrame reply = recv_frame(fd);
+            if (!reply.ok) {
+              return reply.at_boundary ? "worker exited before replying"
+                                       : "short read from worker";
+            }
+            if (reply.header.type == wire::FrameType::kError) {
+              return std::string{
                   reinterpret_cast<const char*>(reply.payload.data()),
                   reply.payload.size()};
-            } else if (!is_outcome_type(reply.header.type)) {
-              failure = "worker sent an unexpected frame type";
-            } else {
-              // One order outstanding per worker, so this reply is the
-              // claimed range's — no ids needed on the wire.
-              run.payloads[range] = std::move(reply.payload);
-              run.types[range] = reply.header.type;
-              done[range] = 1;
-              continue;
             }
+            if (reply.header.type != wire::FrameType::kRange) {
+              return "worker sent an unexpected frame type";
+            }
+            // One order outstanding per worker, so this reply is the
+            // claimed range's — accept() checks it says so.
+            accept(range, order, reply.payload);
+            done[range] = 1;
           }
+        };
+        // Anything a hostile reply throws — a bad header, an undecodable
+        // or mismatched payload — is this worker's failure, never the
+        // coordinator's.
+        std::optional<std::string> failure;
+        try {
+          failure = drain();
+        } catch (const std::exception& e) {
+          failure = e.what();
+        } catch (...) {
+          failure = "unknown error";
+        }
+        if (failure) {
           const std::lock_guard<std::mutex> lock{mutex};
-          run.failures.push_back("worker " + std::to_string(wi) + ": " +
-                                 failure);
-          return;  // range stays !done; the fallback below re-runs it
+          failures.push_back("worker " + std::to_string(wi) + ": " +
+                             *failure);
         }
       });
     }
@@ -304,15 +313,13 @@ ShardRun dispatch(std::size_t cell_count, obs::TelemetryConfig telemetry,
       int status = 0;
       ::waitpid(workers[wi].pid, &status, 0);
       if (WIFEXITED(status) && WEXITSTATUS(status) != 0) {
-        const std::lock_guard<std::mutex> lock{mutex};
-        run.failures.push_back("worker " + std::to_string(wi) +
-                               ": exited with status " +
-                               std::to_string(WEXITSTATUS(status)));
+        failures.push_back("worker " + std::to_string(wi) +
+                           ": exited with status " +
+                           std::to_string(WEXITSTATUS(status)));
       } else if (WIFSIGNALED(status)) {
-        const std::lock_guard<std::mutex> lock{mutex};
-        run.failures.push_back("worker " + std::to_string(wi) +
-                               ": killed by signal " +
-                               std::to_string(WTERMSIG(status)));
+        failures.push_back("worker " + std::to_string(wi) +
+                           ": killed by signal " +
+                           std::to_string(WTERMSIG(status)));
       }
     }
   }
@@ -327,117 +334,16 @@ ShardRun dispatch(std::size_t cell_count, obs::TelemetryConfig telemetry,
     if (!local.run) {
       local = factory(config.job);
     }
-    const std::vector<std::uint8_t> frame = local.run(order_of(range));
+    const wire::WorkOrder order = order_of(range);
+    const std::vector<std::uint8_t> frame = local.run(order);
     const wire::FrameHeader header = wire::decode_frame_header(frame);
-    util::require(is_outcome_type(header.type) &&
+    util::require(header.type == wire::FrameType::kRange &&
                       frame.size() == wire::kFrameHeaderSize + header.length,
                   "shard_server: local runner produced a malformed frame");
-    run.payloads[range].assign(frame.begin() + wire::kFrameHeaderSize,
-                               frame.end());
-    run.types[range] = header.type;
+    accept(range, order,
+           std::span{frame}.subspan(wire::kFrameHeaderSize));
   }
-  return run;
-}
-
-namespace {
-
-/// The shared tail of the three engine front-ends: dispatch, decode each
-/// payload (type-checked), fold in range order.
-template <typename Outcome, typename Engine, typename Encode, typename Decode,
-          typename Fold>
-auto run_sharded_impl(Engine& engine, std::size_t cells,
-                      obs::TelemetryConfig telemetry,
-                      const ShardConfig& config,
-                      std::vector<std::string>* failures,
-                      wire::FrameType type, Encode encode_outcome,
-                      Decode decode_outcome, Fold fold) {
-  const JobFactory factory = [&engine, type,
-                              &encode_outcome](std::string_view) {
-    WorkerJob job;
-    job.run = [&engine, type,
-               &encode_outcome](const wire::WorkOrder& order) {
-      // Fork-mode workers inherit the coordinator's telemetry config;
-      // only a genuinely different one is applied (set_telemetry can
-      // invalidate warmed caches).
-      if (engine.telemetry_config() != order.telemetry) {
-        engine.set_telemetry(order.telemetry);
-      }
-      const Outcome outcome =
-          engine.run_range(static_cast<std::size_t>(order.begin),
-                           static_cast<std::size_t>(order.end),
-                           static_cast<std::size_t>(order.threads));
-      return wire::encode_frame(type, encode_outcome(outcome));
-    };
-    return job;
-  };
-
-  const ShardRun run = dispatch(cells, telemetry, config, factory);
-  if (failures != nullptr) {
-    *failures = run.failures;
-  }
-  std::vector<Outcome> outcomes;
-  outcomes.reserve(run.payloads.size());
-  for (std::size_t i = 0; i < run.payloads.size(); ++i) {
-    util::require(run.types[i] == type,
-                  "shard_server: outcome frame type mismatch");
-    outcomes.push_back(decode_outcome(run.payloads[i]));
-  }
-  return fold(std::move(outcomes));
-}
-
-}  // namespace
-
-CampaignReport run_sharded(CampaignEngine& engine, const ShardConfig& config,
-                           std::vector<std::string>* failures) {
-  // Train, build the probe (run_range of zero cells does both), and
-  // materialize every workload slot *before* forking, so children inherit
-  // the expensive state instead of rebuilding it per process.
-  (void)engine.run_range(0, 0, 1);
-  engine.warm_workloads();
-  return run_sharded_impl<CampaignRangeOutcome>(
-      engine, engine.cell_count(), engine.telemetry_config(), config,
-      failures, wire::FrameType::kCampaignRange,
-      [](const CampaignRangeOutcome& o) { return wire::encode_campaign_range(o); },
-      [](const std::vector<std::uint8_t>& b) {
-        return wire::decode_campaign_range(b);
-      },
-      [&engine](std::vector<CampaignRangeOutcome> outcomes) {
-        return engine.fold(std::move(outcomes));
-      });
-}
-
-AdaptiveCampaignReport run_sharded(AdaptiveCampaignEngine& engine,
-                                   const ShardConfig& config,
-                                   std::vector<std::string>* failures) {
-  (void)engine.run_range(0, 0, 1);  // bootstrap corpus + probe pre-fork
-  return run_sharded_impl<AdaptiveRangeOutcome>(
-      engine, engine.cell_count(), engine.telemetry_config(), config,
-      failures, wire::FrameType::kAdaptiveRange,
-      [](const AdaptiveRangeOutcome& o) { return wire::encode_adaptive_range(o); },
-      [](const std::vector<std::uint8_t>& b) {
-        return wire::decode_adaptive_range(b);
-      },
-      [&engine](std::vector<AdaptiveRangeOutcome> outcomes) {
-        return engine.fold(std::move(outcomes));
-      });
-}
-
-core::tuning::TuningReport run_sharded(core::tuning::ParameterTuner& tuner,
-                                       const ShardConfig& config,
-                                       std::vector<std::string>* failures) {
-  tuner.train();  // enumerate candidates + profile pre-fork
-  return run_sharded_impl<core::tuning::TuningRangeOutcome>(
-      tuner, tuner.cell_count(), tuner.telemetry_config(), config, failures,
-      wire::FrameType::kTuningRange,
-      [](const core::tuning::TuningRangeOutcome& o) {
-        return wire::encode_tuning_range(o);
-      },
-      [](const std::vector<std::uint8_t>& b) {
-        return wire::decode_tuning_range(b);
-      },
-      [&tuner](std::vector<core::tuning::TuningRangeOutcome> outcomes) {
-        return tuner.fold(std::move(outcomes));
-      });
+  return failures;
 }
 
 }  // namespace reshape::runtime

@@ -124,11 +124,12 @@ FrameHeader decode_frame_header(std::span<const std::uint8_t> header) {
                     ", want " + std::to_string(kVersion) + ")"};
   }
   FrameHeader out;
-  const std::uint16_t type = r.u16();
-  if (type < 1 || type > 6) {
-    throw WireError{"wire: unknown frame type " + std::to_string(type)};
+  out.type = static_cast<FrameType>(r.u16());
+  if (out.type != FrameType::kWorkOrder && out.type != FrameType::kRange &&
+      out.type != FrameType::kShutdown && out.type != FrameType::kError) {
+    throw WireError{"wire: unknown frame type " +
+                    std::to_string(static_cast<unsigned>(out.type))};
   }
-  out.type = static_cast<FrameType>(type);
   out.length = r.u64();
   return out;
 }
@@ -417,147 +418,76 @@ WorkOrder decode_work_order(std::span<const std::uint8_t> b) {
   return o;
 }
 
-std::vector<std::uint8_t> encode_campaign_range(const CampaignRangeOutcome& o) {
-  WireWriter w;
-  w.u64(o.begin);
-  w.u64(o.end);
-  w.u64(o.cells.size());
-  for (const CellResult& cell : o.cells) {
-    w.u64(cell.defense_index);
-    w.u64(cell.scenario_index);
-    w.u64(cell.shard);
-    w.u64(cell.session_count);
-    encode_evaluation(w, cell.evaluation);
-  }
-  encode(w, o.metrics);
-  encode(w, o.windows);
-  return w.take();
+void encode(WireWriter& w, const CellResult& v) {
+  w.u64(v.defense_index);
+  w.u64(v.scenario_index);
+  w.u64(v.shard);
+  w.u64(v.session_count);
+  encode_evaluation(w, v.evaluation);
 }
 
-CampaignRangeOutcome decode_campaign_range(std::span<const std::uint8_t> b) {
-  WireReader r{b};
-  CampaignRangeOutcome o;
-  o.begin = static_cast<std::size_t>(r.u64());
-  o.end = static_cast<std::size_t>(r.u64());
-  const std::size_t n = r.length();
-  o.cells.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    CellResult cell;
-    cell.defense_index = static_cast<std::size_t>(r.u64());
-    cell.scenario_index = static_cast<std::size_t>(r.u64());
-    cell.shard = static_cast<std::size_t>(r.u64());
-    cell.session_count = static_cast<std::size_t>(r.u64());
-    cell.evaluation = decode_evaluation(r);
-    o.cells.push_back(std::move(cell));
-  }
-  o.metrics = decode_metrics_snapshot(r);
-  o.windows = decode_windowed_snapshot(r);
-  r.require_exhausted();
-  return o;
+void decode(WireReader& r, CellResult& v) {
+  v.defense_index = static_cast<std::size_t>(r.u64());
+  v.scenario_index = static_cast<std::size_t>(r.u64());
+  v.shard = static_cast<std::size_t>(r.u64());
+  v.session_count = static_cast<std::size_t>(r.u64());
+  v.evaluation = decode_evaluation(r);
 }
 
-std::vector<std::uint8_t> encode_adaptive_range(const AdaptiveRangeOutcome& o) {
-  WireWriter w;
-  w.u64(o.begin);
-  w.u64(o.end);
-  w.u64(o.cells.size());
-  for (const AdaptiveCellResult& cell : o.cells) {
-    w.u64(cell.defense_index);
-    w.u64(cell.scenario_index);
-    w.u64(cell.shard);
-    w.u64(cell.session_count);
-    w.u64(cell.flow_count);
-    w.u64(cell.epochs.size());
-    for (const attack::adaptive::EpochScore& epoch : cell.epochs) {
-      encode(w, epoch);
-    }
+void encode(WireWriter& w, const AdaptiveCellResult& v) {
+  w.u64(v.defense_index);
+  w.u64(v.scenario_index);
+  w.u64(v.shard);
+  w.u64(v.session_count);
+  w.u64(v.flow_count);
+  w.u64(v.epochs.size());
+  for (const attack::adaptive::EpochScore& epoch : v.epochs) {
+    encode(w, epoch);
   }
-  encode(w, o.metrics);
-  encode(w, o.windows);
-  return w.take();
 }
 
-AdaptiveRangeOutcome decode_adaptive_range(std::span<const std::uint8_t> b) {
-  WireReader r{b};
-  AdaptiveRangeOutcome o;
-  o.begin = static_cast<std::size_t>(r.u64());
-  o.end = static_cast<std::size_t>(r.u64());
-  const std::size_t n = r.length();
-  o.cells.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    AdaptiveCellResult cell;
-    cell.defense_index = static_cast<std::size_t>(r.u64());
-    cell.scenario_index = static_cast<std::size_t>(r.u64());
-    cell.shard = static_cast<std::size_t>(r.u64());
-    cell.session_count = static_cast<std::size_t>(r.u64());
-    cell.flow_count = static_cast<std::size_t>(r.u64());
-    const std::size_t epochs = r.length();
-    cell.epochs.reserve(epochs);
-    for (std::size_t e = 0; e < epochs; ++e) {
-      cell.epochs.push_back(decode_epoch_score(r));
-    }
-    o.cells.push_back(std::move(cell));
+void decode(WireReader& r, AdaptiveCellResult& v) {
+  v.defense_index = static_cast<std::size_t>(r.u64());
+  v.scenario_index = static_cast<std::size_t>(r.u64());
+  v.shard = static_cast<std::size_t>(r.u64());
+  v.session_count = static_cast<std::size_t>(r.u64());
+  v.flow_count = static_cast<std::size_t>(r.u64());
+  const std::size_t epochs = r.length();
+  v.epochs.reserve(epochs);
+  for (std::size_t e = 0; e < epochs; ++e) {
+    v.epochs.push_back(decode_epoch_score(r));
   }
-  o.metrics = decode_metrics_snapshot(r);
-  o.windows = decode_windowed_snapshot(r);
-  r.require_exhausted();
-  return o;
 }
 
-std::vector<std::uint8_t> encode_tuning_range(
-    const core::tuning::TuningRangeOutcome& o) {
-  WireWriter w;
-  w.u64(o.begin);
-  w.u64(o.end);
-  w.u64(o.cells.size());
-  for (const core::tuning::CandidateShardOutcome& cell : o.cells) {
-    w.u64(cell.sessions);
-    w.u64(cell.flows);
-    w.u64(cell.epochs.size());
-    for (const attack::adaptive::EpochScore& epoch : cell.epochs) {
-      encode(w, epoch);
-    }
-    encode_streaming(w, cell.streaming);
-    w.u64(cell.access_delay_us.size());
-    for (const double d : cell.access_delay_us) {
-      w.f64(d);
-    }
-    w.u64(cell.frames_dropped);
+void encode(WireWriter& w, const core::tuning::CandidateShardOutcome& v) {
+  w.u64(v.sessions);
+  w.u64(v.flows);
+  w.u64(v.epochs.size());
+  for (const attack::adaptive::EpochScore& epoch : v.epochs) {
+    encode(w, epoch);
   }
-  encode(w, o.metrics);
-  encode(w, o.windows);
-  return w.take();
+  encode_streaming(w, v.streaming);
+  w.u64(v.access_delay_us.size());
+  for (const double d : v.access_delay_us) {
+    w.f64(d);
+  }
+  w.u64(v.frames_dropped);
 }
 
-core::tuning::TuningRangeOutcome decode_tuning_range(
-    std::span<const std::uint8_t> b) {
-  WireReader r{b};
-  core::tuning::TuningRangeOutcome o;
-  o.begin = static_cast<std::size_t>(r.u64());
-  o.end = static_cast<std::size_t>(r.u64());
-  const std::size_t n = r.length();
-  o.cells.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    core::tuning::CandidateShardOutcome cell;
-    cell.sessions = static_cast<std::size_t>(r.u64());
-    cell.flows = static_cast<std::size_t>(r.u64());
-    const std::size_t epochs = r.length();
-    cell.epochs.reserve(epochs);
-    for (std::size_t e = 0; e < epochs; ++e) {
-      cell.epochs.push_back(decode_epoch_score(r));
-    }
-    cell.streaming = decode_streaming(r);
-    cell.access_delay_us.resize(r.length());
-    for (double& d : cell.access_delay_us) {
-      d = r.f64();
-    }
-    cell.frames_dropped = r.u64();
-    o.cells.push_back(std::move(cell));
+void decode(WireReader& r, core::tuning::CandidateShardOutcome& v) {
+  v.sessions = static_cast<std::size_t>(r.u64());
+  v.flows = static_cast<std::size_t>(r.u64());
+  const std::size_t epochs = r.length();
+  v.epochs.reserve(epochs);
+  for (std::size_t e = 0; e < epochs; ++e) {
+    v.epochs.push_back(decode_epoch_score(r));
   }
-  o.metrics = decode_metrics_snapshot(r);
-  o.windows = decode_windowed_snapshot(r);
-  r.require_exhausted();
-  return o;
+  v.streaming = decode_streaming(r);
+  v.access_delay_us.resize(r.length());
+  for (double& d : v.access_delay_us) {
+    d = r.f64();
+  }
+  v.frames_dropped = r.u64();
 }
 
 }  // namespace reshape::runtime::wire

@@ -32,6 +32,7 @@
 #include "obs/export.h"
 #include "runtime/adaptive_campaign.h"
 #include "runtime/campaign.h"
+#include "runtime/grid_engine.h"
 
 namespace reshape::runtime::wire {
 
@@ -46,13 +47,14 @@ inline constexpr std::uint32_t kMagic = 0x52534857u;  // "WHSR" on the wire
 inline constexpr std::uint16_t kVersion = 1;
 inline constexpr std::size_t kFrameHeaderSize = 16;
 
+// Types 3 and 4 (the former per-engine range frames) are retired: every
+// engine's range outcome travels as kRange, and decode_frame_header
+// rejects them like any other unknown type.
 enum class FrameType : std::uint16_t {
-  kWorkOrder = 1,      // coordinator -> worker: run cells [begin, end)
-  kCampaignRange = 2,  // worker -> coordinator: CampaignRangeOutcome
-  kAdaptiveRange = 3,  // worker -> coordinator: AdaptiveRangeOutcome
-  kTuningRange = 4,    // worker -> coordinator: TuningRangeOutcome
-  kShutdown = 5,       // coordinator -> worker: drain and exit
-  kError = 6,          // worker -> coordinator: payload = what() string
+  kWorkOrder = 1,  // coordinator -> worker: run cells [begin, end)
+  kRange = 2,      // worker -> coordinator: a RangeOutcome<Cell>
+  kShutdown = 5,   // coordinator -> worker: drain and exit
+  kError = 6,      // worker -> coordinator: payload = what() string
 };
 
 /// Append-only payload builder.
@@ -137,20 +139,13 @@ struct WorkOrder {
 [[nodiscard]] std::vector<std::uint8_t> encode_work_order(const WorkOrder& o);
 [[nodiscard]] WorkOrder decode_work_order(std::span<const std::uint8_t> b);
 
-[[nodiscard]] std::vector<std::uint8_t> encode_campaign_range(
-    const CampaignRangeOutcome& o);
-[[nodiscard]] CampaignRangeOutcome decode_campaign_range(
-    std::span<const std::uint8_t> b);
-
-[[nodiscard]] std::vector<std::uint8_t> encode_adaptive_range(
-    const AdaptiveRangeOutcome& o);
-[[nodiscard]] AdaptiveRangeOutcome decode_adaptive_range(
-    std::span<const std::uint8_t> b);
-
-[[nodiscard]] std::vector<std::uint8_t> encode_tuning_range(
-    const core::tuning::TuningRangeOutcome& o);
-[[nodiscard]] core::tuning::TuningRangeOutcome decode_tuning_range(
-    std::span<const std::uint8_t> b);
+// Per-cell codecs the range codec is generic over.
+void encode(WireWriter& w, const CellResult& v);
+void decode(WireReader& r, CellResult& v);
+void encode(WireWriter& w, const AdaptiveCellResult& v);
+void decode(WireReader& r, AdaptiveCellResult& v);
+void encode(WireWriter& w, const core::tuning::CandidateShardOutcome& v);
+void decode(WireReader& r, core::tuning::CandidateShardOutcome& v);
 
 // Mid-level codecs, exposed for the round-trip property tests.
 void encode(WireWriter& w, const obs::TelemetryConfig& v);
@@ -170,5 +165,49 @@ void encode(WireWriter& w, const obs::WindowedSnapshot& v);
 
 void encode(WireWriter& w, const attack::adaptive::EpochScore& v);
 [[nodiscard]] attack::adaptive::EpochScore decode_epoch_score(WireReader& r);
+
+/// One range codec for every engine: begin, end, the cells through their
+/// per-cell codec, then the metrics and windowed snapshots.
+template <typename Cell>
+[[nodiscard]] std::vector<std::uint8_t> encode_range(
+    const RangeOutcome<Cell>& o) {
+  WireWriter w;
+  w.u64(o.begin);
+  w.u64(o.end);
+  w.u64(o.cells.size());
+  for (const Cell& cell : o.cells) {
+    encode(w, cell);
+  }
+  encode(w, o.metrics);
+  encode(w, o.windows);
+  return w.take();
+}
+
+/// Decodes an `Outcome` (a RangeOutcome<Cell>) from the whole span.
+template <typename Outcome>
+[[nodiscard]] Outcome decode_range(std::span<const std::uint8_t> b) {
+  WireReader r{b};
+  Outcome o;
+  o.begin = static_cast<std::size_t>(r.u64());
+  o.end = static_cast<std::size_t>(r.u64());
+  const std::size_t n = r.length();
+  o.cells.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    decode(r, o.cells.emplace_back());
+  }
+  o.metrics = decode_metrics_snapshot(r);
+  o.windows = decode_windowed_snapshot(r);
+  r.require_exhausted();
+  return o;
+}
+
+[[nodiscard]] inline std::vector<std::uint8_t> encode_campaign_range(
+    const CampaignRangeOutcome& o) {
+  return encode_range(o);
+}
+[[nodiscard]] inline CampaignRangeOutcome decode_campaign_range(
+    std::span<const std::uint8_t> b) {
+  return decode_range<CampaignRangeOutcome>(b);
+}
 
 }  // namespace reshape::runtime::wire

@@ -468,12 +468,6 @@ TEST(ObservedStatsTest, ClientAndApExposeChannelStatsUnderArbitration) {
   const ChannelStats* ap_stats = cell.ap->observed_channel_stats();
   ASSERT_NE(ap_stats, nullptr);
   EXPECT_EQ(ap_stats->frames_sent, 4u);  // handshake response + 3 data
-
-  // The deprecated accessors are thin wrappers over the modeled view.
-  EXPECT_EQ(&cell.client->reshaping_stats(),
-            &cell.client->modeled_reshaping_stats());
-  EXPECT_EQ(cell.ap->reshaping_stats_of(cell.client_mac),
-            cell.ap->modeled_reshaping_stats_of(cell.client_mac));
 }
 
 TEST(ObservedStatsTest, NullWithoutArbiterOrTraffic) {

@@ -338,21 +338,6 @@ TEST(ExportTest, SnapshotJsonAndCsvAreStable) {
   EXPECT_NE(csv.find("g,\"\",value,1.5"), std::string::npos);
 }
 
-TEST(ExportTest, TimeSeriesRecorderKeepsPublicationOrder) {
-  obs::TimeSeriesRecorder recorder;
-  obs::MetricsRegistry registry;
-  auto& c = registry.counter("c");
-  c.add(1);
-  recorder.consume(0, registry.snapshot());
-  c.add(1);
-  recorder.consume(1, registry.snapshot());
-  ASSERT_EQ(recorder.snapshots().size(), 2u);
-  EXPECT_EQ(recorder.snapshots()[0].value("c"), 1.0);
-  EXPECT_EQ(recorder.snapshots()[1].value("c"), 2.0);
-  EXPECT_NE(recorder.to_json().find("\"sequence\":1"), std::string::npos);
-  EXPECT_NE(recorder.to_csv().find("1,c,\"\",value,2"), std::string::npos);
-}
-
 TEST(ExportTest, TelemetryExportOmitsAbsentSections) {
   const obs::TelemetryExport empty;
   EXPECT_EQ(empty.to_json(), "{}");

@@ -1,8 +1,7 @@
 // Unit tests of obs::WindowedSeries / WindowedRegistry / WindowedSnapshot:
 // window-boundary bucketing, the canonical window-wise merge (commutative,
 // associative, observe==merge equivalence), stable JSON, the EpochScore
-// and Trace publishers, histogram quantile estimation, and the
-// TimeSeriesRecorder sink fed by a campaign engine.
+// and Trace publishers, and histogram quantile estimation.
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -10,12 +9,9 @@
 #include <gtest/gtest.h>
 
 #include "attack/adaptive/adaptive_attacker.h"
-#include "eval/defense_factory.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/windowed.h"
-#include "runtime/campaign.h"
-#include "runtime/scenario.h"
 #include "traffic/trace.h"
 #include "util/time.h"
 
@@ -254,51 +250,6 @@ TEST(HistogramQuantileTest, UniformSpreadMatchesExpectedPercentiles) {
   EXPECT_NEAR(h.quantile(0.5), 50.0, 1.0);
   EXPECT_NEAR(h.quantile(0.9), 90.0, 1.0);
   EXPECT_NEAR(h.quantile(0.99), 99.0, 1.0);
-}
-
-// The sink seam: a campaign publishes one merged snapshot per run() with
-// an increasing sequence, and the recorder's exports are stable.
-TEST(TimeSeriesRecorderTest, CampaignPublishesMergedSnapshotsInSequence) {
-  runtime::CampaignSpec spec;
-  spec.seed = 0x0B5;
-  spec.training.seed = 777;
-  spec.training.window = util::Duration::seconds(5.0);
-  spec.training.train_sessions_per_app = 2;
-  spec.training.train_session_duration = util::Duration::seconds(30.0);
-  spec.training.test_sessions_per_app = 1;
-  spec.training.test_session_duration = util::Duration::seconds(30.0);
-  spec.defenses.push_back({"Original", eval::no_defense_factory()});
-  spec.scenarios.push_back(runtime::multi_app_station(
-      1, util::Duration::seconds(30.0)));
-  spec.shards = 2;
-
-  runtime::CampaignEngine engine{spec};
-  engine.set_telemetry(obs::TelemetryConfig::enabled());
-  obs::TimeSeriesRecorder recorder;
-  engine.set_telemetry_sink(&recorder);
-  (void)engine.run(1);
-  (void)engine.run(2);
-  engine.set_telemetry_sink(nullptr);
-  (void)engine.run(1);
-
-  ASSERT_EQ(recorder.snapshots().size(), 2u);
-  // Deterministic engine: both publications carry identical metrics.
-  EXPECT_EQ(recorder.snapshots()[0].to_json(),
-            recorder.snapshots()[1].to_json());
-  const std::string json = recorder.to_json();
-  EXPECT_NE(json.find("{\"sequence\":0,"), std::string::npos);
-  EXPECT_NE(json.find("{\"sequence\":1,"), std::string::npos);
-  const std::string csv = recorder.to_csv();
-  EXPECT_NE(csv.find("\n0,campaign_sessions_total"), std::string::npos);
-  EXPECT_NE(csv.find("\n1,campaign_sessions_total"), std::string::npos);
-
-  // The windowed snapshot carries the offered-load series per cell.
-  EXPECT_NE(engine.windowed().find(
-                "campaign_offered_bytes",
-                obs::LabelSet{{"defense", "Original"},
-                              {"scenario", "multi-app-station"},
-                              {"shard", "0"}}),
-            nullptr);
 }
 
 }  // namespace

@@ -341,27 +341,28 @@ TEST(WireTest, EmptyCampaignRangeRoundTrip) {
 
 TEST(WireTest, AdaptiveRangeRoundTrip) {
   const AdaptiveRangeOutcome outcome = sample_adaptive_range();
-  const std::vector<std::uint8_t> bytes = wire::encode_adaptive_range(outcome);
-  const AdaptiveRangeOutcome back = wire::decode_adaptive_range(bytes);
+  const std::vector<std::uint8_t> bytes = wire::encode_range(outcome);
+  const AdaptiveRangeOutcome back =
+      wire::decode_range<AdaptiveRangeOutcome>(bytes);
   ASSERT_EQ(back.cells.size(), 1u);
   EXPECT_EQ(back.cells[0].flow_count, 12u);
   ASSERT_EQ(back.cells[0].epochs.size(), 1u);
   EXPECT_EQ(back.cells[0].epochs[0].training_rows, 37u);
-  EXPECT_EQ(wire::encode_adaptive_range(back), bytes);
+  EXPECT_EQ(wire::encode_range(back), bytes);
 }
 
 TEST(WireTest, TuningRangeRoundTrip) {
   const core::tuning::TuningRangeOutcome outcome = sample_tuning_range();
-  const std::vector<std::uint8_t> bytes = wire::encode_tuning_range(outcome);
+  const std::vector<std::uint8_t> bytes = wire::encode_range(outcome);
   const core::tuning::TuningRangeOutcome back =
-      wire::decode_tuning_range(bytes);
+      wire::decode_range<core::tuning::TuningRangeOutcome>(bytes);
   ASSERT_EQ(back.cells.size(), 1u);
   EXPECT_EQ(back.cells[0].streaming.packets, 1000u);
   EXPECT_EQ(back.cells[0].streaming.max_queueing_delay.count_us(), 900);
   EXPECT_EQ(back.cells[0].access_delay_us,
             (std::vector<double>{1.5, 2.5, 100.0}));
   EXPECT_EQ(back.cells[0].frames_dropped, 2u);
-  EXPECT_EQ(wire::encode_tuning_range(back), bytes);
+  EXPECT_EQ(wire::encode_range(back), bytes);
 }
 
 // ------------------------------------------------------------------ frames

@@ -96,53 +96,21 @@ core::tuning::TunerSpec tuning_spec() {
 }
 
 /// The job registry both sides share: a name resolves to a freshly built
-/// engine serving run_range orders. Worker processes call this through
-/// serve(); the coordinator's fork-mode path never does (run_sharded
-/// closes over its own engine).
+/// engine behind the same serving closure run_sharded uses. Worker
+/// processes call this through serve(); the coordinator's fork-mode path
+/// never does (run_sharded serves its own engine).
 runtime::WorkerJob make_job(std::string_view name) {
-  runtime::WorkerJob job;
   if (name == "campaign") {
-    auto engine = std::make_shared<runtime::CampaignEngine>(campaign_spec());
-    job.run = [engine](const runtime::wire::WorkOrder& order) {
-      if (engine->telemetry_config() != order.telemetry) {
-        engine->set_telemetry(order.telemetry);
-      }
-      const runtime::CampaignRangeOutcome outcome = engine->run_range(
-          order.begin, order.end, static_cast<std::size_t>(order.threads));
-      return runtime::wire::encode_frame(
-          runtime::wire::FrameType::kCampaignRange,
-          runtime::wire::encode_campaign_range(outcome));
-    };
-    return job;
+    return runtime::range_job(
+        std::make_shared<runtime::CampaignEngine>(campaign_spec()));
   }
   if (name == "adaptive") {
-    auto engine =
-        std::make_shared<runtime::AdaptiveCampaignEngine>(adaptive_spec());
-    job.run = [engine](const runtime::wire::WorkOrder& order) {
-      if (engine->telemetry_config() != order.telemetry) {
-        engine->set_telemetry(order.telemetry);
-      }
-      const runtime::AdaptiveRangeOutcome outcome = engine->run_range(
-          order.begin, order.end, static_cast<std::size_t>(order.threads));
-      return runtime::wire::encode_frame(
-          runtime::wire::FrameType::kAdaptiveRange,
-          runtime::wire::encode_adaptive_range(outcome));
-    };
-    return job;
+    return runtime::range_job(
+        std::make_shared<runtime::AdaptiveCampaignEngine>(adaptive_spec()));
   }
   if (name == "tuning") {
-    auto tuner = std::make_shared<core::tuning::ParameterTuner>(tuning_spec());
-    job.run = [tuner](const runtime::wire::WorkOrder& order) {
-      if (tuner->telemetry_config() != order.telemetry) {
-        tuner->set_telemetry(order.telemetry);
-      }
-      const core::tuning::TuningRangeOutcome outcome = tuner->run_range(
-          order.begin, order.end, static_cast<std::size_t>(order.threads));
-      return runtime::wire::encode_frame(
-          runtime::wire::FrameType::kTuningRange,
-          runtime::wire::encode_tuning_range(outcome));
-    };
-    return job;
+    return runtime::range_job(
+        std::make_shared<core::tuning::ParameterTuner>(tuning_spec()));
   }
   throw std::runtime_error{"shard_eval: unknown job '" + std::string{name} +
                            "'"};
@@ -171,16 +139,18 @@ int usage() {
 
 /// Runs one engine type both ways and reports. Returns the process exit
 /// code: nonzero when --verify finds any byte difference.
-template <typename Engine>
-int drive(Engine in_process, Engine sharded_engine, const Options& opt) {
+template <typename Engine, typename Spec>
+int drive(const Spec& spec, const Options& opt) {
   std::string expect_report;
   std::string expect_telemetry;
   if (opt.verify) {
+    Engine in_process{spec};
     in_process.set_telemetry(telemetry());
     expect_report = in_process.run(opt.threads).to_json();
     expect_telemetry = in_process.telemetry_to_json();
   }
 
+  Engine sharded_engine{spec};
   sharded_engine.set_telemetry(telemetry());
   runtime::ShardConfig config;
   config.workers = opt.workers;
@@ -272,50 +242,13 @@ int main(int argc, char** argv) {
       return 0;
     }
     if (opt.engine == "campaign") {
-      return drive(runtime::CampaignEngine{campaign_spec()},
-                   runtime::CampaignEngine{campaign_spec()}, opt);
+      return drive<runtime::CampaignEngine>(campaign_spec(), opt);
     }
     if (opt.engine == "adaptive") {
-      return drive(runtime::AdaptiveCampaignEngine{adaptive_spec()},
-                   runtime::AdaptiveCampaignEngine{adaptive_spec()}, opt);
+      return drive<runtime::AdaptiveCampaignEngine>(adaptive_spec(), opt);
     }
     if (opt.engine == "tuning") {
-      // ParameterTuner is non-movable (the evaluator references the
-      // spec); drive it via dedicated instances.
-      core::tuning::ParameterTuner in_process{tuning_spec()};
-      core::tuning::ParameterTuner sharded{tuning_spec()};
-      std::string expect_report;
-      std::string expect_telemetry;
-      if (opt.verify) {
-        in_process.set_telemetry(telemetry());
-        expect_report = in_process.run(opt.threads).to_json();
-        expect_telemetry = in_process.telemetry_to_json();
-      }
-      sharded.set_telemetry(telemetry());
-      runtime::ShardConfig config;
-      config.workers = opt.workers;
-      config.threads_per_worker = opt.threads;
-      config.job = opt.engine;
-      if (opt.exec_mode) {
-        config.worker_command = {opt.argv0, "--worker"};
-      }
-      std::vector<std::string> failures;
-      const std::string report =
-          runtime::run_sharded(sharded, config, &failures).to_json();
-      const std::string sharded_telemetry = sharded.telemetry_to_json();
-      for (const std::string& failure : failures) {
-        std::cerr << "shard_eval: " << failure << "\n";
-      }
-      const bool ok = !opt.verify || (report == expect_report &&
-                                      sharded_telemetry == expect_telemetry);
-      if (opt.verify) {
-        std::cout << "engine=tuning workers=" << opt.workers
-                  << " threads=" << opt.threads << " result="
-                  << (ok ? "identical" : "DIFFERS") << "\n";
-        return ok ? 0 : 1;
-      }
-      std::cout << report << "\n";
-      return 0;
+      return drive<core::tuning::ParameterTuner>(tuning_spec(), opt);
     }
     return usage();
   } catch (const std::exception& e) {

@@ -7,12 +7,15 @@
 #   ./scripts/check.sh --sanitize  # Debug + ASan/UBSan, separate build dir
 #   ./scripts/check.sh --quick     # skip ctest-labeled "slow" tests
 #                                  # (contention campaigns); flags combine
+#   ./scripts/check.sh --tsan      # ThreadSanitizer build; runs only the
+#                                  # ctest-labeled "concurrency" suites
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BUILD_DIR=build
 CMAKE_ARGS=()
 CTEST_ARGS=()
+TSAN=0
 for arg in "$@"; do
   case "$arg" in
     --sanitize)
@@ -23,6 +26,19 @@ for arg in "$@"; do
         "-DCMAKE_EXE_LINKER_FLAGS=-fsanitize=address,undefined"
       )
       ;;
+    --tsan)
+      # The worker pool, the workload memos' call_once slots and the shard
+      # server's dispatch threads are the shared-state paths; the
+      # "concurrency" label selects the suites that drive them.
+      TSAN=1
+      BUILD_DIR=build-tsan
+      CMAKE_ARGS+=(
+        -DCMAKE_BUILD_TYPE=RelWithDebInfo
+        "-DCMAKE_CXX_FLAGS=-fsanitize=thread -fno-omit-frame-pointer"
+        "-DCMAKE_EXE_LINKER_FLAGS=-fsanitize=thread"
+      )
+      CTEST_ARGS+=(-L concurrency)
+      ;;
     --quick)
       # -LE slow keeps the fast suites, which include telemetry_test —
       # the telemetry-on/off and cross-thread determinism guarantees run
@@ -30,7 +46,7 @@ for arg in "$@"; do
       CTEST_ARGS+=(-LE slow)
       ;;
     *)
-      echo "unknown argument: $arg (supported: --sanitize --quick)" >&2
+      echo "unknown argument: $arg (supported: --sanitize --tsan --quick)" >&2
       exit 2
       ;;
   esac
@@ -45,6 +61,12 @@ cmake --build "$BUILD_DIR" -j
 # following argument.
 (cd "$BUILD_DIR" && ctest --output-on-failure \
     ${CTEST_ARGS[@]+"${CTEST_ARGS[@]}"} -j)
+
+# The TSan leg checks the concurrent paths only; the smokes below run on
+# the plain and ASan/UBSan legs.
+if [ "$TSAN" = 1 ]; then
+  exit 0
+fi
 
 # The tuner's smoke sweep doubles as the machine-readable perf record:
 # deterministic, so the diff of BENCH_tuning.json across PRs is the

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
 #include <optional>
 #include <utility>
 
@@ -23,6 +22,32 @@ constexpr int kChannel = 1;
 /// Inert transmitter identity for the access-delay measurement cell.
 struct StationIdentity final : sim::RadioListener {
   void on_frame(const mac::Frame&, double) override {}
+};
+
+/// Enqueues released frames on the measurement cell: one typed event
+/// (station, record index) per frame instead of one scheduled closure.
+class ReleaseEvents final : public sim::EventHandler {
+ public:
+  ReleaseEvents(
+      sim::channel::ChannelArbiter& arbiter,
+      const std::vector<std::vector<traffic::PacketRecord>>& released)
+      : arbiter_{arbiter}, released_{released}, stations_(released.size()) {}
+  ReleaseEvents(const ReleaseEvents&) = delete;  // the simulator holds it
+  ReleaseEvents& operator=(const ReleaseEvents&) = delete;
+
+  void on_event(std::uint64_t station, std::uint64_t index) override {
+    mac::Frame frame;
+    frame.size_bytes = released_[station][index].size_bytes;
+    frame.channel = kChannel;
+    arbiter_.enqueue(std::move(frame),
+                     sim::Position{static_cast<double>(station), 0.0},
+                     &stations_[station]);
+  }
+
+ private:
+  sim::channel::ChannelArbiter& arbiter_;
+  const std::vector<std::vector<traffic::PacketRecord>>& released_;
+  std::vector<StationIdentity> stations_;  // sized once: stable addresses
 };
 
 /// Nearest-rank percentile of an ascending-sorted sample vector.
@@ -81,7 +106,8 @@ const traffic::Trace& CandidateEvaluator::profile_trace() const {
 }
 
 CandidateShardOutcome CandidateEvaluator::evaluate_cell(
-    const TunedConfiguration& candidate, const runtime::CellGrid& grid,
+    const TunedConfiguration& candidate,
+    std::span<const traffic::Trace> sessions, const runtime::CellGrid& grid,
     std::size_t cell_id, obs::WindowedRegistry* windows,
     bool audit_privacy, bool audit_pairs) const {
   util::require(trained_, "CandidateEvaluator: call train() first");
@@ -91,10 +117,6 @@ CandidateShardOutcome CandidateEvaluator::evaluate_cell(
   const obs::LabelSet window_labels{
       {"candidate", candidate.name},
       {"shard", std::to_string(grid.decompose(cell_id).shard)}};
-
-  util::Rng workload = streams.workload;
-  const std::vector<traffic::Trace> sessions =
-      spec_.scenario.generate(workload);
 
   CandidateShardOutcome outcome;
   outcome.sessions = sessions.size();
@@ -165,19 +187,10 @@ CandidateShardOutcome CandidateEvaluator::evaluate_cell(
       ++outcome.frames_dropped;
     });
 
-    std::deque<StationIdentity> stations(sessions.size());
-    for (std::size_t s = 0; s < sessions.size(); ++s) {
-      const sim::Position position{static_cast<double>(s), 0.0};
-      for (const traffic::PacketRecord& record : released[s]) {
-        simulator.schedule_at(
-            record.time,
-            [&arbiter, &station = stations[s], position,
-             size = record.size_bytes] {
-              mac::Frame frame;
-              frame.size_bytes = size;
-              frame.channel = kChannel;
-              arbiter.enqueue(std::move(frame), position, &station);
-            });
+    ReleaseEvents release{arbiter, released};
+    for (std::size_t s = 0; s < released.size(); ++s) {
+      for (std::size_t i = 0; i < released[s].size(); ++i) {
+        simulator.schedule_event(released[s][i].time, release, s, i);
       }
     }
     simulator.run();
@@ -242,15 +255,20 @@ CandidateMetrics CandidateEvaluator::merge(
     metrics.final_static_accuracy = merged.back().static_accuracy_percent();
   }
 
+  // Each shard's samples are sorted, so merging them pairwise gives the
+  // pooled multiset in order: the nearest-rank percentiles below read
+  // exactly what a concatenate-and-sort would.
   online::StreamingStats pooled;
   std::vector<double> samples;
+  std::vector<double> next;
   for (const CandidateShardOutcome& shard : shards) {
     pooled.merge(shard.streaming);
-    samples.insert(samples.end(), shard.access_delay_us.begin(),
-                   shard.access_delay_us.end());
+    next.resize(samples.size() + shard.access_delay_us.size());
+    std::merge(samples.begin(), samples.end(), shard.access_delay_us.begin(),
+               shard.access_delay_us.end(), next.begin());
+    samples.swap(next);
     metrics.frames_dropped += shard.frames_dropped;
   }
-  std::sort(samples.begin(), samples.end());
   metrics.deadline_miss_rate = pooled.deadline_miss_rate();
   metrics.mean_queueing_delay_us = pooled.mean_queueing_delay_us();
   metrics.access_delay_p50_us = percentile(samples, 0.50);

@@ -4,7 +4,8 @@
 // story once, all from the shared runtime:: evaluation backend's keyed
 // streams so a sweep is bit-identical for any thread count:
 //
-//   scenario workload            (runtime::Scenario, shard-keyed stream)
+//   scenario workload            (runtime::Scenario, shard-keyed stream;
+//                                 generated by the caller, once per shard)
 //     └─> per-session StreamingReshaper built from the candidate
 //           ├─> per-interface flows  ──> RSSI tagging ──> adaptive
 //           │   (batch-parity view)      (backend)        attacker epochs
@@ -110,8 +111,11 @@ class CandidateEvaluator {
   [[nodiscard]] const traffic::Trace& profile_trace() const;
 
   /// Evaluates one (candidate, shard) cell of `grid` (candidates-major,
-  /// one scenario). Deterministic in (spec seed, grid, cell_id); const
-  /// and thread-safe after train().
+  /// one scenario) on `sessions`, the cell's arena: spec().scenario
+  /// generated from the cell's workload stream. That stream is keyed by
+  /// shard alone, so every candidate on a shard takes the same sessions
+  /// and the caller generates them once. Deterministic in (spec seed,
+  /// grid, cell_id, sessions); const and thread-safe after train().
   /// `windows` (optional) receives sim-time-windowed series from the
   /// cell's streaming reshaper, channel arbiter, and adaptive epochs
   /// under (candidate, shard) labels; observation-only, the outcome is
@@ -121,13 +125,16 @@ class CandidateEvaluator {
   /// the same labels, still observation-only; `audit_pairs` adds the
   /// per-vMAC-pair divergence series on top.
   [[nodiscard]] CandidateShardOutcome evaluate_cell(
-      const TunedConfiguration& candidate, const runtime::CellGrid& grid,
+      const TunedConfiguration& candidate,
+      std::span<const traffic::Trace> sessions, const runtime::CellGrid& grid,
       std::size_t cell_id, obs::WindowedRegistry* windows = nullptr,
       bool audit_privacy = false, bool audit_pairs = false) const;
 
   /// Merges one candidate's shard outcomes into metrics under
   /// `objective` (epoch confusions merged per epoch before the crossing
-  /// test, delay samples pooled before percentiles).
+  /// test, delay samples pooled before percentiles). Each shard's
+  /// access_delay_us must be sorted, as evaluate_cell leaves it; the
+  /// pooled samples are their linear merge.
   [[nodiscard]] static CandidateMetrics merge(
       std::span<const CandidateShardOutcome> shards,
       const TuningObjective& objective);

@@ -122,13 +122,34 @@ void ParameterTuner::set_telemetry(obs::TelemetryConfig config) {
   evaluator_.set_profiler(config.profiling ? &telemetry_.profiler : nullptr);
 }
 
+TuningRangeOutcome ParameterTuner::run_range(std::size_t begin,
+                                             std::size_t end,
+                                             std::size_t threads) {
+  runtime::WorkloadMemo memo{
+      spec_.shards,
+      telemetry_.config.profiling ? &telemetry_.profiler : nullptr};
+  workloads_ = &memo;
+  struct Detach {
+    runtime::WorkloadMemo*& memo;
+    ~Detach() { memo = nullptr; }
+  } detach{workloads_};
+  return GridEngine::run_range(begin, end, threads);
+}
+
 CandidateShardOutcome ParameterTuner::run_cell(
     std::size_t cell_id, runtime::WorkerArena& /*arena*/,
     obs::WindowedRegistry* windows) const {
   const runtime::CellGrid g = grid();
-  return evaluator_.evaluate_cell(candidates_[g.decompose(cell_id).defense],
-                                  g, cell_id, windows,
-                                  telemetry_.config.privacy,
+  const runtime::CellGrid::Cell cell = g.decompose(cell_id);
+  // Candidates take the defense axis, so the workload slot is the shard.
+  const std::vector<traffic::Trace>& sessions =
+      workloads_->get(g.workload_id(cell), [&] {
+        util::Rng stream =
+            runtime::cell_streams(spec_.seed, g, cell_id).workload;
+        return spec_.scenario.generate(stream);
+      });
+  return evaluator_.evaluate_cell(candidates_[cell.defense], sessions, g,
+                                  cell_id, windows, telemetry_.config.privacy,
                                   telemetry_.config.privacy_pairs);
 }
 

@@ -61,10 +61,10 @@ struct TuningReport {
   [[nodiscard]] std::string to_json() const;
 };
 
-/// Enumerates, measures, filters, ranks, selects. run(), run_range(),
-/// fold() and the telemetry accessors come from runtime::GridEngine; the
-/// profiler also carries the evaluator's streaming / arbitration /
-/// adaptive laps.
+/// Enumerates, measures, filters, ranks, selects. run(), fold() and the
+/// telemetry accessors come from runtime::GridEngine; the profiler also
+/// carries the arena "generation" laps and the evaluator's streaming /
+/// arbitration / adaptive laps.
 class ParameterTuner
     : public runtime::GridEngine<ParameterTuner, CandidateShardOutcome,
                                  TuningReport> {
@@ -89,6 +89,14 @@ class ParameterTuner
   [[nodiscard]] std::size_t cell_count();
 
   [[nodiscard]] const TunerSpec& spec() const { return spec_; }
+
+  /// GridEngine::run_range over a workload memo scoped to this call: each
+  /// shard's arena is generated at most once per range, by whichever cell
+  /// reaches it first, and shared read-only by every candidate on the
+  /// shard. Nothing is held between calls.
+  [[nodiscard]] TuningRangeOutcome run_range(std::size_t begin,
+                                             std::size_t end,
+                                             std::size_t threads = 0);
 
   /// GridEngine::set_telemetry, plus attaching the profiler to the
   /// evaluator when profiling is on.
@@ -116,6 +124,9 @@ class ParameterTuner
   CandidateEvaluator evaluator_;
   std::vector<TunedConfiguration> candidates_;
   bool trained_ = false;
+  // The memo of the run_range() in flight (one slot per shard); null
+  // between calls.
+  runtime::WorkloadMemo* workloads_ = nullptr;
 };
 
 }  // namespace reshape::core::tuning

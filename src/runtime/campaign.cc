@@ -66,11 +66,11 @@ std::string CampaignReport::to_json() const {
 }
 
 CampaignEngine::CampaignEngine(CampaignSpec spec)
-    : spec_{std::move(spec)}, harness_{spec_.training} {
+    : spec_{std::move(spec)},
+      harness_{spec_.training},
+      workloads_{spec_.scenarios.size() * spec_.shards} {
   detail::require_defense_grid(spec_, "CampaignEngine");
   const std::size_t workload_slots = spec_.scenarios.size() * spec_.shards;
-  workload_once_ = std::make_unique<std::once_flag[]>(workload_slots);
-  workloads_.resize(workload_slots);
   offered_once_ = std::make_unique<std::once_flag[]>(workload_slots);
   offered_windows_.assign(workload_slots, nullptr);
 }
@@ -166,13 +166,11 @@ const std::vector<traffic::Trace>& CampaignEngine::workload(
   // other defenses (and later run() calls) reuse it. The workload stream
   // is keyed on exactly that pair — slot s is the cell id of defense row
   // 0 — so the cached sessions are the ones any cell would generate.
-  std::call_once(workload_once_[slot], [&] {
+  return workloads_.get(slot, [&] {
     const CellGrid g = grid();
     util::Rng stream = cell_streams(spec_.seed, g, slot).workload;
-    workloads_[slot] = std::make_shared<const std::vector<traffic::Trace>>(
-        spec_.scenarios[g.decompose(slot).scenario].generate(stream));
+    return spec_.scenarios[g.decompose(slot).scenario].generate(stream);
   });
-  return *workloads_[slot];
 }
 
 void CampaignEngine::warm_workloads() {

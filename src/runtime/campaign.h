@@ -199,16 +199,15 @@ class CampaignEngine
   // shared read-only by every cell.
   std::optional<attack::audit::NearestCentroidProbe> probe_;
 
-  // Workload memoization. A cell's sessions are a pure function of
-  // (seed, scenario, shard) — the workload stream is keyed on exactly
-  // that, never on the defense — so every defense row of the grid reuses
-  // one materialization, and repeated run() calls regenerate nothing.
-  // Traffic generation dominates cell cost (it burns the RNG draws), so
-  // this is the difference between re-simulating the paper's workload
-  // per defense and sampling it once per (scenario, shard).
-  mutable std::unique_ptr<std::once_flag[]> workload_once_;
-  mutable std::vector<std::shared_ptr<const std::vector<traffic::Trace>>>
-      workloads_;
+  // Workload memoization for the engine's lifetime. A cell's sessions are
+  // a pure function of (seed, scenario, shard) — the workload stream is
+  // keyed on exactly that, never on the defense — so every defense row of
+  // the grid reuses one materialization, and repeated run() calls
+  // regenerate nothing. Traffic generation dominates cell cost (it burns
+  // the RNG draws), so this is the difference between re-simulating the
+  // paper's workload per defense and sampling it once per (scenario,
+  // shard).
+  mutable WorkloadMemo workloads_;
 
   // Windowed-reduction memoization, same keying: campaign_offered_bytes
   // is the *pre-defense* workload, so its per-window reduction is shared

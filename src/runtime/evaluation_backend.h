@@ -14,6 +14,8 @@
 //     keying: workload streams by (scenario, shard) ONLY (every defense
 //     faces the same sampled sessions — the paired comparison the paper's
 //     tables rely on), defense/RSSI/channel streams by the full cell id.
+//   * WorkloadMemo — one materialization per workload slot, shared
+//     read-only by every cell on it.
 //   * run_cells — the abort-on-first-error worker pool (GridEngine,
 //     runtime/grid_engine.h, drives it).
 //   * bootstrap_profile — the clean-corpus profiling an adaptive
@@ -24,6 +26,8 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
+#include <mutex>
 #include <span>
 #include <vector>
 
@@ -34,6 +38,8 @@
 #include "ml/dataset.h"
 #include "obs/profiler.h"
 #include "obs/windowed.h"
+#include "traffic/trace.h"
+#include "util/check.h"
 #include "util/rng.h"
 
 namespace reshape::runtime {
@@ -83,6 +89,40 @@ struct CellStreams {
 /// cell results never depend on which worker (or arena) ran them.
 struct WorkerArena {
   eval::EvalScratch eval;
+};
+
+/// Materializes each workload slot at most once: the first caller on a
+/// slot generates its sessions, concurrent callers block until they are
+/// ready, and later callers share them read-only. A slot's sessions are a
+/// pure function of the spec and the slot (workload streams are keyed by
+/// (scenario, shard) only), so which cell or worker fills a slot never
+/// shows in a result. A non-null `profiler` records one "generation" lap
+/// per filled slot.
+class WorkloadMemo {
+ public:
+  explicit WorkloadMemo(std::size_t slots,
+                        obs::PhaseProfiler* profiler = nullptr)
+      : once_{std::make_unique<std::once_flag[]>(slots)},
+        sessions_(slots),
+        profiler_{profiler} {}
+
+  /// The sessions of `slot`, from `generate()` on first use.
+  template <typename Generate>
+  [[nodiscard]] const std::vector<traffic::Trace>& get(std::size_t slot,
+                                                       Generate&& generate) {
+    util::require(slot < sessions_.size(), "WorkloadMemo: slot out of range");
+    std::call_once(once_[slot], [&] {
+      const auto lap = obs::PhaseProfiler::time(profiler_, "generation");
+      sessions_[slot] = generate();
+    });
+    return sessions_[slot];
+  }
+
+ private:
+  std::unique_ptr<std::once_flag[]> once_;
+  // Never resized: each slot is written once, under its own once_flag.
+  std::vector<std::vector<traffic::Trace>> sessions_;
+  obs::PhaseProfiler* profiler_;  // not owned
 };
 
 /// Runs `run_one(cell_id, arena)` for every cell on `threads` workers (0

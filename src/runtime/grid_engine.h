@@ -18,8 +18,9 @@
 //                     const Cell&) const;
 //   Report aggregate(std::vector<Cell> cells) const;  // whole grid
 //
-// and may hide set_telemetry() or prepare() to do more, and cell_count()
-// when the grid is only known after train().
+// and may hide set_telemetry() or prepare() to do more, run_range() to
+// scope per-run state around the range run (run() calls the engine's),
+// and cell_count() when the grid is only known after train().
 //
 // Determinism: a cell's result and its telemetry snapshots are pure
 // functions of the spec and the cell id, every per-cell series carries
@@ -70,7 +71,7 @@ class GridEngine {
     const std::size_t cells = self().cell_count();
     telemetry_.profiler.clear();
     std::vector<Outcome> ranges;
-    ranges.push_back(run_range(0, cells, threads));
+    ranges.push_back(self().run_range(0, cells, threads));
     return fold(std::move(ranges));
   }
 

@@ -34,10 +34,11 @@ sim::PathLossModel quiet_path_loss() {
 
 /// Shared scaffolding of the arbitrated-channel scenarios: owns the
 /// simulator/medium/arbiter stack, registers transmitter identities,
-/// schedules per-record enqueues at their original times, mirrors the
-/// arbiter's per-station FIFO against the on-air and drop hooks, and
-/// collects the observed (restamped) records per output stream.
-class ArbitratedAir {
+/// schedules per-record enqueues at their original times (one typed
+/// event per record), mirrors the arbiter's per-station FIFO against the
+/// on-air and drop hooks, and collects the observed (restamped) records
+/// per output stream.
+class ArbitratedAir final : public sim::EventHandler {
  public:
   ArbitratedAir(double bitrate_mbps, util::Rng medium_rng,
                 util::Rng arbiter_rng, std::size_t output_streams)
@@ -51,7 +52,7 @@ class ArbitratedAir {
     arbiter_.set_on_air_hook([this](const mac::Frame& frame, util::Duration,
                                     const sim::RadioListener* tx) {
       Transmitter& t = transmitter_of(tx);
-      const auto [stream, original] = t.fifo.front();
+      const auto& [stream, original] = scheduled_[t.fifo.front()];
       t.fifo.pop_front();
       collected_[stream].push_back(
           {frame.timestamp, frame.size_bytes, original.direction});
@@ -69,19 +70,24 @@ class ArbitratedAir {
     return transmitters_.size() - 1;
   }
 
-  /// Schedules `record` (carried by value — trace views hand out
-  /// per-iteration temporaries) for transmission by `transmitter` at its
-  /// original timestamp, observed into `stream`.
+  /// Schedules `record` (copied — trace views hand out per-iteration
+  /// temporaries) for transmission by `transmitter` at its original
+  /// timestamp, observed into `stream`.
   void schedule(std::size_t transmitter, std::size_t stream,
-                traffic::PacketRecord record) {
-    simulator_.schedule_at(record.time, [this, transmitter, stream, record] {
-      Transmitter& t = transmitters_[transmitter];
-      t.fifo.emplace_back(stream, record);
-      mac::Frame frame;
-      frame.size_bytes = record.size_bytes;
-      frame.channel = kChannel;
-      arbiter_.enqueue(std::move(frame), t.position, &t.identity);
-    });
+                const traffic::PacketRecord& record) {
+    simulator_.schedule_event(record.time, *this, transmitter,
+                              scheduled_.size());
+    scheduled_.emplace_back(stream, record);
+  }
+
+  /// Fires a scheduled record: enqueues its frame on the arbiter.
+  void on_event(std::uint64_t transmitter, std::uint64_t index) override {
+    Transmitter& t = transmitters_[transmitter];
+    t.fifo.push_back(index);
+    mac::Frame frame;
+    frame.size_bytes = scheduled_[index].second.size_bytes;
+    frame.channel = kChannel;
+    arbiter_.enqueue(std::move(frame), t.position, &t.identity);
   }
 
   /// Drains the simulator and returns each stream's observed records,
@@ -102,7 +108,7 @@ class ArbitratedAir {
   struct Transmitter {
     StationIdentity identity;
     sim::Position position;
-    std::deque<std::pair<std::size_t, traffic::PacketRecord>> fifo;
+    std::deque<std::size_t> fifo;  // indices into scheduled_
   };
 
   [[nodiscard]] Transmitter& transmitter_of(const sim::RadioListener* id) {
@@ -128,6 +134,8 @@ class ArbitratedAir {
   sim::channel::ChannelArbiter arbiter_;
   std::deque<Transmitter> transmitters_;  // deque: stable identity addresses
   std::unordered_map<const sim::RadioListener*, std::size_t> index_;
+  // Every scheduled record with its output stream, in scheduling order.
+  std::vector<std::pair<std::size_t, traffic::PacketRecord>> scheduled_;
   std::vector<std::vector<traffic::PacketRecord>> collected_;
 };
 

@@ -6,7 +6,8 @@
 #   ./scripts/check.sh             # RelWithDebInfo, plain build
 #   ./scripts/check.sh --sanitize  # Debug + ASan/UBSan, separate build dir
 #   ./scripts/check.sh --quick     # skip ctest-labeled "slow" tests
-#                                  # (contention campaigns); flags combine
+#                                  # (contention campaigns) and "paper"
+#                                  # benches; flags combine
 #   ./scripts/check.sh --tsan      # ThreadSanitizer build; runs only the
 #                                  # ctest-labeled "concurrency" suites
 set -euo pipefail
@@ -15,6 +16,7 @@ cd "$(dirname "$0")/.."
 BUILD_DIR=build
 CMAKE_ARGS=()
 CTEST_ARGS=()
+EXCLUDE_LABELS=()
 TSAN=0
 for arg in "$@"; do
   case "$arg" in
@@ -25,6 +27,8 @@ for arg in "$@"; do
         "-DCMAKE_CXX_FLAGS=-fsanitize=address,undefined -fno-sanitize-recover=all -fno-omit-frame-pointer"
         "-DCMAKE_EXE_LINKER_FLAGS=-fsanitize=address,undefined"
       )
+      # The paper benches are full reproductions; the plain leg runs them.
+      EXCLUDE_LABELS+=(paper)
       ;;
     --tsan)
       # The worker pool, the workload memos' call_once slots and the shard
@@ -43,7 +47,7 @@ for arg in "$@"; do
       # -LE slow keeps the fast suites, which include telemetry_test —
       # the telemetry-on/off and cross-thread determinism guarantees run
       # on every quick pass, not just the full verify.
-      CTEST_ARGS+=(-LE slow)
+      EXCLUDE_LABELS+=(slow paper)
       ;;
     *)
       echo "unknown argument: $arg (supported: --sanitize --tsan --quick)" >&2
@@ -51,6 +55,11 @@ for arg in "$@"; do
       ;;
   esac
 done
+
+# One -LE regex: ctest reads repeated -LE options as a conjunction.
+if [ ${#EXCLUDE_LABELS[@]} -gt 0 ]; then
+  CTEST_ARGS+=(-LE "$(IFS='|'; echo "${EXCLUDE_LABELS[*]}")")
+fi
 
 # The ${VAR[@]+...} form keeps `set -u` happy on bash < 4.4 (macOS
 # default 3.2), where expanding an empty array is an unbound-variable

@@ -212,17 +212,23 @@ void extract_all_windows_into(std::vector<WindowFeatures>& out,
     return;
   }
   const auto times = records.times_us();
-  const auto sizes = records.sizes_bytes();
-  const auto dirs = records.directions();
-  IncrementalWindowExtractor extractor{w, min_packets};
-  for (std::size_t i = 0; i < times.size(); ++i) {
-    if (auto f = extractor.push(util::TimePoint::from_microseconds(times[i]),
-                                sizes[i], dirs[i])) {
-      out.push_back(*f);
+  const std::int64_t window_us = w.count_us();
+  const std::int64_t start_us = times.front();
+  // Window by window: one division places the window's first record, a
+  // compare-only scan finds where the window ends, and extract_window
+  // sweeps the slice — the same windows, emission rule and add order as
+  // pushing every record through IncrementalWindowExtractor.
+  for (std::size_t begin = 0; begin < times.size();) {
+    const std::int64_t end_us =
+        start_us + ((times[begin] - start_us) / window_us + 1) * window_us;
+    std::size_t end = begin + 1;
+    while (end < times.size() && times[end] < end_us) {
+      ++end;
     }
-  }
-  if (auto f = extractor.finish()) {
-    out.push_back(*f);
+    if (end - begin >= min_packets) {
+      out.push_back(*extract_window(records.subview(begin, end - begin)));
+    }
+    begin = end;
   }
 }
 

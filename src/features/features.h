@@ -7,11 +7,12 @@
 // idle gaps longer than 5 seconds are excluded from interarrival
 // statistics, matching the paper's §IV-B processing.
 //
-// Extraction is single-pass over the struct-of-arrays columns: one
-// IncrementalWindowExtractor consumes (time, size, direction) per arrival
-// and emits a window the moment its boundary is crossed. The batch
-// extract_all_windows and the sniffer/adaptive per-arrival path share
-// that accumulator, so both produce bit-identical doubles to the
+// Extraction is single-pass over the struct-of-arrays columns. The batch
+// extract_all_windows cuts the columns window by window and sweeps each
+// slice per direction; the sniffer/adaptive per-arrival path pushes
+// (time, size, direction) into an IncrementalWindowExtractor, which emits
+// a window the moment its boundary is crossed. Both feed the same
+// per-direction accumulator, so both produce bit-identical doubles to the
 // original slice-per-window implementation (same util::RunningStats add
 // order, same values).
 #pragma once
@@ -157,14 +158,21 @@ class IncrementalWindowExtractor {
 
 /// Cuts the records into consecutive windows of length `w` (aligned to
 /// the first record) and extracts features for every non-empty window
-/// with at least `min_packets` packets. Single pass over the columns.
+/// with at least `min_packets` packets. Scans window by window: one
+/// division per window, a compare-only scan for its end, then one
+/// column sweep per direction. Bit-identical to pushing every record
+/// through IncrementalWindowExtractor.
+///
+/// Precondition: `records` is time-ordered (non-decreasing times), as
+/// every Trace and TraceView slice is.
 [[nodiscard]] std::vector<WindowFeatures> extract_all_windows(
     traffic::TraceView records, util::Duration w, std::size_t min_packets = 2);
 [[nodiscard]] std::vector<WindowFeatures> extract_all_windows(
     const traffic::Trace& trace, util::Duration w, std::size_t min_packets = 2);
 
 /// Same, appending into a caller-owned buffer (cleared first) so per-cell
-/// arenas can reuse the allocation across flows.
+/// arenas can reuse the allocation across flows. Same precondition:
+/// `records` must be time-ordered.
 void extract_all_windows_into(std::vector<WindowFeatures>& out,
                               traffic::TraceView records, util::Duration w,
                               std::size_t min_packets = 2);

@@ -15,38 +15,35 @@ MlpClassifier::MlpClassifier(MlpConfig config) : config_{config} {
   util::require(config_.batch_size > 0, "MlpClassifier: batch_size > 0");
 }
 
-MlpClassifier::Activations MlpClassifier::forward(
-    std::span<const double> row) const {
-  Activations act;
-  act.hidden.assign(config_.hidden_units, 0.0);
+void MlpClassifier::forward(std::span<const double> row,
+                            std::span<double> hidden,
+                            std::span<double> probs) const {
   for (std::size_t h = 0; h < config_.hidden_units; ++h) {
     double z = b1_[h];
     const auto& wrow = w1_[h];
     for (std::size_t i = 0; i < inputs_; ++i) {
       z += wrow[i] * row[i];
     }
-    act.hidden[h] = z > 0.0 ? z : 0.0;  // ReLU
+    hidden[h] = z > 0.0 ? z : 0.0;  // ReLU
   }
-  act.probs.assign(outputs_, 0.0);
   double max_z = -1e300;
   for (std::size_t o = 0; o < outputs_; ++o) {
     double z = b2_[o];
     const auto& wrow = w2_[o];
     for (std::size_t h = 0; h < config_.hidden_units; ++h) {
-      z += wrow[h] * act.hidden[h];
+      z += wrow[h] * hidden[h];
     }
-    act.probs[o] = z;
+    probs[o] = z;
     max_z = std::max(max_z, z);
   }
   double denom = 0.0;
-  for (double& p : act.probs) {
+  for (double& p : probs) {
     p = std::exp(p - max_z);  // stable softmax
     denom += p;
   }
-  for (double& p : act.probs) {
+  for (double& p : probs) {
     p /= denom;
   }
-  return act;
 }
 
 void MlpClassifier::fit(const Dataset& data) {
@@ -89,6 +86,10 @@ void MlpClassifier::fit(const Dataset& data) {
   std::vector<double> v_b1(config_.hidden_units, 0.0);
   std::vector<double> v_b2(outputs_, 0.0);
 
+  std::vector<double> hidden(config_.hidden_units);
+  std::vector<double> probs(outputs_);
+  std::vector<double> dz2(outputs_);
+
   std::vector<std::size_t> order(data.size());
   std::iota(order.begin(), order.end(), 0);
 
@@ -113,23 +114,22 @@ void MlpClassifier::fit(const Dataset& data) {
       for (std::size_t k = start; k < stop; ++k) {
         const auto& row = data.row(order[k]);
         const int label = data.label(order[k]);
-        const Activations act = forward(row);
+        forward(row, hidden, probs);
         epoch_loss -=
-            std::log(std::max(act.probs[static_cast<std::size_t>(label)],
-                              1e-12));
+            std::log(std::max(probs[static_cast<std::size_t>(label)], 1e-12));
 
         // dL/dz2 = p - onehot(label)
-        std::vector<double> dz2 = act.probs;
+        dz2 = probs;
         dz2[static_cast<std::size_t>(label)] -= 1.0;
         for (std::size_t o = 0; o < outputs_; ++o) {
           g_b2[o] += dz2[o];
           for (std::size_t h = 0; h < config_.hidden_units; ++h) {
-            g_w2[o][h] += dz2[o] * act.hidden[h];
+            g_w2[o][h] += dz2[o] * hidden[h];
           }
         }
         // Backprop through ReLU.
         for (std::size_t h = 0; h < config_.hidden_units; ++h) {
-          if (act.hidden[h] <= 0.0) {
+          if (hidden[h] <= 0.0) {
             continue;
           }
           double dh = 0.0;
@@ -166,16 +166,27 @@ void MlpClassifier::fit(const Dataset& data) {
   }
 }
 
-std::vector<double> MlpClassifier::predict_proba(
+std::span<const double> MlpClassifier::forward_scratch(
     std::span<const double> row) const {
   util::require(trained(), "MlpClassifier::predict_proba: not trained");
   util::require(row.size() == inputs_,
                 "MlpClassifier::predict_proba: dimensionality mismatch");
-  return forward(row).probs;
+  thread_local std::vector<double> scratch;
+  scratch.resize(config_.hidden_units + outputs_);
+  const std::span<double> all{scratch};
+  const std::span<double> probs = all.subspan(config_.hidden_units, outputs_);
+  forward(row, all.first(config_.hidden_units), probs);
+  return probs;
+}
+
+std::vector<double> MlpClassifier::predict_proba(
+    std::span<const double> row) const {
+  const std::span<const double> probs = forward_scratch(row);
+  return {probs.begin(), probs.end()};
 }
 
 int MlpClassifier::predict(std::span<const double> row) const {
-  const std::vector<double> probs = predict_proba(row);
+  const std::span<const double> probs = forward_scratch(row);
   return static_cast<int>(std::max_element(probs.begin(), probs.end()) -
                           probs.begin());
 }

@@ -48,11 +48,17 @@ class MlpClassifier final : public Classifier {
   [[nodiscard]] double final_training_loss() const { return final_loss_; }
 
  private:
-  struct Activations {
-    std::vector<double> hidden;  // post-ReLU
-    std::vector<double> probs;   // softmax
-  };
-  [[nodiscard]] Activations forward(std::span<const double> row) const;
+  /// Forward pass into caller-provided buffers: `hidden` (hidden_units
+  /// post-ReLU activations) and `probs` (one softmax output per class).
+  void forward(std::span<const double> row, std::span<double> hidden,
+               std::span<double> probs) const;
+
+  /// Validates `row`, runs forward() into thread-local scratch and returns
+  /// the class probabilities (valid until the thread's next call). Keeps
+  /// per-window prediction off the heap; predict runs concurrently on
+  /// pool threads, so the scratch cannot be a member.
+  [[nodiscard]] std::span<const double> forward_scratch(
+      std::span<const double> row) const;
 
   MlpConfig config_;
   std::size_t inputs_ = 0;

@@ -3,10 +3,18 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <limits>
 
 #include "util/check.h"
 
 namespace reshape::ml {
+
+namespace {
+
+/// Slot marker for training rows that support no machine.
+constexpr std::uint32_t kUnpooled = std::numeric_limits<std::uint32_t>::max();
+
+}  // namespace
 
 SvmClassifier::SvmClassifier(SvmConfig config) : config_{config} {
   util::require(config_.c > 0.0, "SvmClassifier: C must be > 0");
@@ -19,7 +27,6 @@ std::string_view SvmClassifier::name() const {
 
 double SvmClassifier::kernel(std::span<const double> a,
                              std::span<const double> b) const {
-  util::internal_check(a.size() == b.size(), "SVM kernel: size mismatch");
   if (config_.kernel == KernelKind::kLinear) {
     double acc = 0.0;
     for (std::size_t i = 0; i < a.size(); ++i) {
@@ -40,18 +47,18 @@ SvmClassifier::BinaryMachine SvmClassifier::train_pair(const Dataset& data,
                                                        int class_b,
                                                        util::Rng& rng) const {
   // Collect the two classes; y = +1 for class_a, -1 for class_b.
-  std::vector<std::vector<double>> x;
+  std::vector<std::uint32_t> source;  // training-row index per sample
   std::vector<double> y;
   for (std::size_t i = 0; i < data.size(); ++i) {
     if (data.label(i) == class_a) {
-      x.push_back(data.row(i));
+      source.push_back(static_cast<std::uint32_t>(i));
       y.push_back(1.0);
     } else if (data.label(i) == class_b) {
-      x.push_back(data.row(i));
+      source.push_back(static_cast<std::uint32_t>(i));
       y.push_back(-1.0);
     }
   }
-  const std::size_t n = x.size();
+  const std::size_t n = source.size();
   util::internal_check(n >= 2, "SVM train_pair: need samples of both classes");
 
   // Precompute the kernel matrix (pairwise training sets are small: the
@@ -59,7 +66,7 @@ SvmClassifier::BinaryMachine SvmClassifier::train_pair(const Dataset& data,
   std::vector<std::vector<double>> k(n, std::vector<double>(n, 0.0));
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = i; j < n; ++j) {
-      const double v = kernel(x[i], x[j]);
+      const double v = kernel(data.row(source[i]), data.row(source[j]));
       k[i][j] = v;
       k[j][i] = v;
     }
@@ -143,15 +150,15 @@ SvmClassifier::BinaryMachine SvmClassifier::train_pair(const Dataset& data,
     passes = changed == 0 ? passes + 1 : 0;
   }
 
+  // pool_index holds training-row indices here; fit() remaps them to
+  // pool slots once every machine is trained.
   BinaryMachine m;
   m.class_a = class_a;
   m.class_b = class_b;
   m.bias = bias;
-  m.dim = x.front().size();
   for (std::size_t i = 0; i < n; ++i) {
     if (alpha[i] > 1e-9) {
-      m.support_vectors.insert(m.support_vectors.end(), x[i].begin(),
-                               x[i].end());
+      m.pool_index.push_back(source[i]);
       m.alpha_y.push_back(alpha[i] * y[i]);
     }
   }
@@ -162,8 +169,14 @@ void SvmClassifier::fit(const Dataset& data) {
   util::require(!data.empty(), "SvmClassifier::fit: empty dataset");
   util::require(data.num_classes() >= 2,
                 "SvmClassifier::fit: need at least two classes");
+  util::require(data.dimensions() > 0,
+                "SvmClassifier::fit: zero-dimensional rows");
+  util::require(data.size() < kUnpooled,
+                "SvmClassifier::fit: too many training rows");
   num_classes_ = data.num_classes();
+  dim_ = data.dimensions();
   machines_.clear();
+  pool_.clear();
   util::Rng rng{config_.seed};
   for (int a = 0; a < num_classes_; ++a) {
     for (int b = a + 1; b < num_classes_; ++b) {
@@ -175,19 +188,56 @@ void SvmClassifier::fit(const Dataset& data) {
   }
   util::require(!machines_.empty(),
                 "SvmClassifier::fit: no trainable class pairs");
+
+  // Pool every training row that supports some machine, in row order,
+  // then point each machine's support vectors at their pool slots.
+  std::vector<std::uint32_t> slot(data.size(), kUnpooled);
+  for (const BinaryMachine& m : machines_) {
+    for (const std::uint32_t r : m.pool_index) {
+      slot[r] = 0;
+    }
+  }
+  std::uint32_t pooled = 0;
+  for (std::size_t r = 0; r < data.size(); ++r) {
+    if (slot[r] != kUnpooled) {
+      slot[r] = pooled++;
+      pool_.insert(pool_.end(), data.row(r).begin(), data.row(r).end());
+    }
+  }
+  for (BinaryMachine& m : machines_) {
+    for (std::uint32_t& r : m.pool_index) {
+      r = slot[r];
+    }
+  }
+}
+
+std::span<const double> SvmClassifier::kernel_row(
+    std::span<const double> row) const {
+  // Thread-local, not member, scratch: predict runs concurrently on pool
+  // threads against one trained model. Once grown it never reallocates.
+  thread_local std::vector<double> kernels;
+  const std::size_t pooled = pool_.size() / dim_;
+  kernels.resize(pooled);
+  const std::span<const double> pool{pool_};
+  for (std::size_t s = 0; s < pooled; ++s) {
+    kernels[s] = kernel(pool.subspan(s * dim_, dim_), row);
+  }
+  return {kernels.data(), pooled};
 }
 
 double SvmClassifier::evaluate(const BinaryMachine& m,
-                               std::span<const double> row) const {
+                               std::span<const double> kernels) {
   double acc = m.bias;
-  for (std::size_t i = 0; i < m.count(); ++i) {
-    acc += m.alpha_y[i] * kernel(m.vector(i), row);
+  for (std::size_t i = 0; i < m.alpha_y.size(); ++i) {
+    acc += m.alpha_y[i] * kernels[m.pool_index[i]];
   }
   return acc;
 }
 
 int SvmClassifier::predict(std::span<const double> row) const {
   util::require(trained(), "SvmClassifier::predict: not trained");
+  util::require(row.size() == dim_,
+                "SvmClassifier::predict: dimensionality mismatch");
   // One-vs-one tallies are tiny; keep them off the heap (predict runs
   // once per window on the campaign hot path and must stay thread-safe,
   // so no member scratch either).
@@ -204,8 +254,9 @@ int SvmClassifier::predict(std::span<const double> row) const {
     votes = heap_votes.data();
     margins = heap_margins.data();
   }
+  const std::span<const double> kernels = kernel_row(row);
   for (const BinaryMachine& m : machines_) {
-    const double v = evaluate(m, row);
+    const double v = evaluate(m, kernels);
     const int winner = v >= 0.0 ? m.class_a : m.class_b;
     ++votes[static_cast<std::size_t>(winner)];
     margins[static_cast<std::size_t>(winner)] += std::abs(v);
@@ -225,9 +276,11 @@ int SvmClassifier::predict(std::span<const double> row) const {
 double SvmClassifier::decision_value(int a, int b,
                                      std::span<const double> row) const {
   util::require(a < b, "SvmClassifier::decision_value: requires a < b");
+  util::require(row.size() == dim_,
+                "SvmClassifier::decision_value: dimensionality mismatch");
   for (const BinaryMachine& m : machines_) {
     if (m.class_a == a && m.class_b == b) {
-      return evaluate(m, row);
+      return evaluate(m, kernel_row(row));
     }
   }
   util::require(false, "SvmClassifier::decision_value: pair not trained");
@@ -237,7 +290,7 @@ double SvmClassifier::decision_value(int a, int b,
 std::size_t SvmClassifier::support_vector_count() const {
   std::size_t acc = 0;
   for (const BinaryMachine& m : machines_) {
-    acc += m.count();
+    acc += m.alpha_y.size();
   }
   return acc;
 }

@@ -46,43 +46,48 @@ class SvmClassifier final : public Classifier {
   [[nodiscard]] std::string_view name() const override;
 
   /// Decision value of the binary machine separating classes (a, b);
-  /// positive means "a". Exposed for tests. Requires a trained model and
-  /// a < b.
+  /// positive means "a". Exposed for tests. Requires a trained model,
+  /// a < b and a row of the training dimensionality.
   [[nodiscard]] double decision_value(int a, int b,
                                       std::span<const double> row) const;
 
   [[nodiscard]] bool trained() const { return !machines_.empty(); }
 
-  /// Total support vectors across all pairwise machines.
+  /// Total support vectors across all pairwise machines (a training row
+  /// that supports k machines counts k times).
   [[nodiscard]] std::size_t support_vector_count() const;
 
  private:
+  // LIBSVM's layout (Chang & Lin, ACM TIST 2011): every training row that
+  // supports at least one pairwise machine is stored once in a shared
+  // pool, and each machine refers to its support vectors by pool index.
+  // predict() evaluates the kernel once per pooled vector per window
+  // instead of once per (machine, support vector) copy.
   struct BinaryMachine {
     int class_a = 0;  // positive label
     int class_b = 0;  // negative label
-    // Support vectors flattened row-major (dim doubles each): the predict
-    // hot loop streams every SV of every pairwise machine per window, so
-    // they live contiguously instead of as one heap block per vector.
-    std::size_t dim = 0;
-    std::vector<double> support_vectors;
+    std::vector<std::uint32_t> pool_index;  // per support vector, SV order
     std::vector<double> alpha_y;  // alpha_i * y_i per support vector
     double bias = 0.0;
-
-    [[nodiscard]] std::size_t count() const { return alpha_y.size(); }
-    [[nodiscard]] std::span<const double> vector(std::size_t i) const {
-      return std::span<const double>{support_vectors}.subspan(i * dim, dim);
-    }
   };
 
   [[nodiscard]] double kernel(std::span<const double> a,
                               std::span<const double> b) const;
   [[nodiscard]] BinaryMachine train_pair(const Dataset& data, int class_a,
                                          int class_b, util::Rng& rng) const;
-  [[nodiscard]] double evaluate(const BinaryMachine& m,
-                                std::span<const double> row) const;
+  /// Fills thread-local scratch with kernel(pool vector, row) for every
+  /// pooled vector and returns it (valid until the thread's next call).
+  [[nodiscard]] std::span<const double> kernel_row(
+      std::span<const double> row) const;
+  [[nodiscard]] static double evaluate(const BinaryMachine& m,
+                                       std::span<const double> kernels);
 
   SvmConfig config_;
   int num_classes_ = 0;
+  std::size_t dim_ = 0;
+  // Pooled support vectors flattened row-major (dim_ doubles each), in
+  // training-row order.
+  std::vector<double> pool_;
   std::vector<BinaryMachine> machines_;
 };
 

@@ -14,9 +14,12 @@
 // stations).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "features/features.h"
@@ -63,10 +66,10 @@ std::vector<features::WindowFeatures> reference_windows(
 /// The streaming path: one push per record, boundary emissions collected
 /// in arrival order, finish() flushing the tail window.
 std::vector<features::WindowFeatures> incremental_windows(
-    const traffic::Trace& trace, Duration w, std::size_t min_packets) {
+    traffic::TraceView records, Duration w, std::size_t min_packets) {
   features::IncrementalWindowExtractor extractor{w, min_packets};
   std::vector<features::WindowFeatures> out;
-  for (const traffic::PacketRecord& r : trace.records()) {
+  for (const traffic::PacketRecord& r : records) {
     if (auto f = extractor.push(r)) {
       out.push_back(*f);
     }
@@ -75,6 +78,10 @@ std::vector<features::WindowFeatures> incremental_windows(
     out.push_back(*f);
   }
   return out;
+}
+std::vector<features::WindowFeatures> incremental_windows(
+    const traffic::Trace& trace, Duration w, std::size_t min_packets) {
+  return incremental_windows(trace.records(), w, min_packets);
 }
 
 void expect_bit_identical(const std::vector<features::WindowFeatures>& got,
@@ -147,6 +154,122 @@ TEST(FeaturePathEquivalenceTest, WindowBoundaryRecordsAgree) {
                        "extract_all_windows", "boundary trace");
   expect_bit_identical(incremental_windows(trace, w, 1), want,
                        "IncrementalWindowExtractor", "boundary trace");
+}
+
+// ------------------------------------------ batched window scan edges ---
+// extract_all_windows cuts windows with one division per window and a
+// compare-only scan; the per-record IncrementalWindowExtractor is its
+// oracle. Every case runs at min_packets 0..3.
+
+traffic::Trace trace_at(const std::vector<double>& seconds) {
+  traffic::Trace trace{traffic::AppType::kGaming};
+  for (std::size_t i = 0; i < seconds.size(); ++i) {
+    trace.push_back(TimePoint::from_seconds(seconds[i]),
+                    static_cast<std::uint32_t>(60 + 37 * i % 1400),
+                    i % 3 == 0 ? mac::Direction::kUplink
+                               : mac::Direction::kDownlink);
+  }
+  return trace;
+}
+
+void expect_batched_matches_incremental(traffic::TraceView records,
+                                        Duration w,
+                                        const std::string& context) {
+  for (std::size_t min_packets = 0; min_packets <= 3; ++min_packets) {
+    expect_bit_identical(
+        features::extract_all_windows(records, w, min_packets),
+        incremental_windows(records, w, min_packets), "extract_all_windows",
+        context + " min_packets " + std::to_string(min_packets));
+  }
+}
+
+TEST(BatchedWindowScanTest, GapsSkippingSeveralEmptyWindows) {
+  const traffic::Trace trace =
+      trace_at({0.1, 0.2, 0.9, 3.7, 3.9, 9.0, 9.05, 9.5, 9.999999, 10.0,
+                25.0, 41.3, 41.4});
+  expect_batched_matches_incremental(trace.view(), Duration::seconds(1.0),
+                                     "multi-window gaps");
+  // A window that opens exactly one window length after a skipped run.
+  expect_batched_matches_incremental(trace.view(), Duration::seconds(0.5),
+                                     "half-second windows");
+}
+
+TEST(BatchedWindowScanTest, IdleGapInsideOneWindow) {
+  // A 7 s silence (longer than kIdleGapFilter) inside a 20 s window: the
+  // gap is dropped from the interarrival statistics, not the window.
+  ASSERT_GT(Duration::seconds(7.0), features::kIdleGapFilter);
+  const traffic::Trace trace =
+      trace_at({0.0, 0.4, 1.0, 8.0, 8.2, 8.3, 15.5, 19.9, 20.0, 26.0});
+  expect_batched_matches_incremental(trace.view(), Duration::seconds(20.0),
+                                     "idle gap");
+}
+
+TEST(BatchedWindowScanTest, SingleRecordTrace) {
+  const traffic::Trace trace = trace_at({3.25});
+  expect_batched_matches_incremental(trace.view(), Duration::seconds(5.0),
+                                     "single record");
+  EXPECT_EQ(features::extract_all_windows(trace, Duration::seconds(5.0), 1)
+                .size(),
+            1u);
+  EXPECT_TRUE(
+      features::extract_all_windows(trace, Duration::seconds(5.0), 2)
+          .empty());
+}
+
+TEST(BatchedWindowScanTest, TraceNotStartingAtZero) {
+  // Windows align to the first record, not to t = 0.
+  const traffic::Trace trace =
+      trace_at({1234.567, 1234.9, 1235.566999, 1235.567, 1235.6, 1240.0,
+                1240.1, 1249.567, 1249.568});
+  expect_batched_matches_incremental(trace.view(), Duration::seconds(1.0),
+                                     "offset start");
+  expect_batched_matches_incremental(trace.view(), Duration::seconds(5.0),
+                                     "offset start, W=5");
+}
+
+TEST(BatchedWindowScanTest, EpochSubSlicesOfARandomTrace) {
+  // Bursty trace with duplicate timestamps, records on window boundaries
+  // and long idle stretches; cut into epochs that do not align with the
+  // windows (as the adaptive loop's epoch slices do).
+  util::Rng rng{20111108};
+  traffic::Trace trace{traffic::AppType::kVideo};
+  double t = 17.0;
+  for (int i = 0; i < 4000; ++i) {
+    const double u = rng.uniform01();
+    if (u < 0.05) {
+      t += 0.0;  // duplicate timestamp
+    } else if (u < 0.1) {
+      t = std::floor(t) + 1.0;  // lands on a whole second
+    } else if (u < 0.12) {
+      t += rng.uniform_real(6.0, 40.0);  // idle stretch, skips windows
+    } else {
+      t += rng.uniform_real(0.0, 0.2);
+    }
+    trace.push_back(TimePoint::from_seconds(t),
+                    static_cast<std::uint32_t>(rng.uniform_int(40, 1500)),
+                    rng.bernoulli(0.6) ? mac::Direction::kDownlink
+                                       : mac::Direction::kUplink);
+  }
+  for (const double w : {0.25, 1.0, 5.0, 60.0}) {
+    const Duration window = Duration::seconds(w);
+    const std::string tag = "W=" + std::to_string(w);
+    expect_batched_matches_incremental(trace.view(), window, tag);
+    for (double e0 = 17.0; e0 < t; e0 += 37.3) {
+      const traffic::TraceView epoch = trace.slice(
+          TimePoint::from_seconds(e0), TimePoint::from_seconds(e0 + 37.3));
+      expect_batched_matches_incremental(
+          epoch, window, tag + " epoch at " + std::to_string(e0));
+    }
+    for (std::size_t offset = 0; offset < trace.size(); offset += 613) {
+      expect_batched_matches_incremental(
+          trace.view().subview(offset, std::min<std::size_t>(
+                                           500, trace.size() - offset)),
+          window, tag + " subview at " + std::to_string(offset));
+    }
+    if (::testing::Test::HasFailure()) {
+      return;
+    }
+  }
 }
 
 // --------------------------------------------- add_span equivalence ---

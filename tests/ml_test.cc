@@ -3,7 +3,12 @@
 // separable and noisy problems.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string_view>
 
 #include "ml/dataset.h"
 #include "ml/knn.h"
@@ -264,6 +269,158 @@ TEST(SvmTest, SingleClassFitThrows) {
   EXPECT_THROW(svm.fit(data), std::invalid_argument);
 }
 
+// Shared support-vector pool: every machine reads its kernel values from
+// one per-window kernel row instead of evaluating its own copies. The
+// fixture's expected values are the bit patterns the per-machine layout
+// (each machine holding private support-vector copies) produced, so the
+// pool must reproduce every decision value to the last bit.
+
+/// Self-contained splitmix64 stream: the fixture must not depend on the
+/// standard library's distribution algorithms.
+struct SplitMix {
+  std::uint64_t state;
+  double next01() {
+    std::uint64_t z = (state += 0x9E3779B97F4A7C15ULL);
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+    z ^= z >> 31;
+    return static_cast<double>(z >> 11) * 0x1.0p-53;
+  }
+};
+
+constexpr std::size_t kPoolDims = 14;
+
+std::vector<double> pool_row(SplitMix& g, int label) {
+  std::vector<double> row(kPoolDims);
+  for (std::size_t d = 0; d < kPoolDims; ++d) {
+    row[d] = 0.6 * g.next01() + (d % 2 == 0 ? 0.15 * label : 0.0);
+  }
+  return row;
+}
+
+/// Classes 0, 1 and 3 of four (class 2 is absent, so its pairs are never
+/// trained), overlapping; the first four rows of each class appear twice.
+Dataset pool_fixture() {
+  SplitMix g{20110620};
+  Dataset data;
+  data.set_num_classes(4);
+  for (const int label : {0, 1, 3}) {
+    std::vector<std::vector<double>> rows;
+    for (int k = 0; k < 16; ++k) {
+      rows.push_back(pool_row(g, label));
+    }
+    for (const auto& r : rows) {
+      data.add(r, label);
+    }
+    for (std::size_t k = 0; k < 4; ++k) {
+      data.add(rows[k], label);
+    }
+  }
+  return data;
+}
+
+/// Six fresh rows plus two training rows (first and last).
+std::vector<std::vector<double>> pool_probes(const Dataset& data) {
+  SplitMix g{1107};
+  std::vector<std::vector<double>> probes;
+  for (int k = 0; k < 6; ++k) {
+    probes.push_back(pool_row(g, k % 4));
+  }
+  probes.push_back(data.row(0));
+  probes.push_back(data.row(data.size() - 1));
+  return probes;
+}
+
+struct PairBits {
+  int a;
+  int b;
+  std::array<std::uint64_t, 8> bits;  // decision value per probe
+};
+
+struct PoolGolden {
+  KernelKind kernel;
+  std::size_t support_vectors;  // summed over machines
+  std::array<int, 8> predictions;
+  std::array<PairBits, 3> pairs;
+};
+
+TEST(SvmPoolTest, DecisionValuesMatchPerMachineLayoutBitForBit) {
+  const std::array<PoolGolden, 2> goldens{{
+      {KernelKind::kRbf,
+       91,
+       {0, 1, 3, 3, 0, 1, 0, 3},
+       {{{0, 1, {0x3fe448716b37e7e6ULL, 0xbfdfaf28fbdf4582ULL,
+                 0xbff82c5e20ecb82aULL, 0xbfece0e45b0c99ceULL,
+                 0x3feebc62a0210808ULL, 0xbfe2ce25a85884f0ULL,
+                 0x3ff00016938d5e4eULL, 0xbff2c770f435367aULL}},
+         {0, 3, {0x3ff0ded98ff54523ULL, 0x3fda7e2dcb3cbb3dULL,
+                 0xbfe455a22fc596c6ULL, 0xbfe754708ee14770ULL,
+                 0x3fee53ae01b8f3bdULL, 0x3fcf25a6dc530f82ULL,
+                 0x3ff2a58d47b08130ULL, 0xbff000d5ce4f7d02ULL}},
+         {1, 3, {0x3ff37b5793976a26ULL, 0x3fe711d02b3eae09ULL,
+                 0xbfd66db155222220ULL, 0xbfe4357f80b881c4ULL,
+                 0x3ff3a0600aac4abdULL, 0x3fe8f646cdbaf37aULL,
+                 0x3ff637f5ff20ebf8ULL, 0xbfeffe3ca3006c4eULL}}}}},
+      {KernelKind::kLinear,
+       34,
+       {0, 1, 3, 3, 0, 1, 0, 3},
+       {{{0, 1, {0x3fe0c9126023aca8ULL, 0xbfc88bee911fdf40ULL,
+                 0xc00aab729d66af68ULL, 0xc01baaf9d3a5ded7ULL,
+                 0x3fe435491820b5b0ULL, 0xbff0b811c4a396e0ULL,
+                 0x3ff003d7f2dcef78ULL, 0xc0145dee63e36c9aULL}},
+         {0, 3, {0x3ff73fa267ebc368ULL, 0x3fea112b275f2e40ULL,
+                 0xbff2a6f1809a4653ULL, 0xc001472bae0c7038ULL,
+                 0x3ffaa5318285865fULL, 0x3fc007dd9e0e9f6bULL,
+                 0x3ffa0dec6d1ee113ULL, 0xbff000d88b18e38aULL}},
+         {1, 3, {0x400eaef557f1e6a6ULL, 0x400046b5ba7dd18cULL,
+                 0xbff233061f621c84ULL, 0xbffd7e9ceeda91d8ULL,
+                 0x4010e48aace9fd11ULL, 0x3ff6f1fa8705c368ULL,
+                 0x400ab6de19b863feULL, 0xbfeffca22a8cddb0ULL}}}}},
+  }};
+  const Dataset data = pool_fixture();
+  const std::vector<std::vector<double>> probes = pool_probes(data);
+  for (const PoolGolden& golden : goldens) {
+    SvmConfig cfg;
+    cfg.kernel = golden.kernel;
+    SvmClassifier svm{cfg};
+    svm.fit(data);
+    const std::string_view kind = svm.name();
+    EXPECT_EQ(svm.support_vector_count(), golden.support_vectors) << kind;
+    for (std::size_t p = 0; p < probes.size(); ++p) {
+      EXPECT_EQ(svm.predict(probes[p]), golden.predictions[p])
+          << kind << " probe " << p;
+      for (const PairBits& pair : golden.pairs) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(
+                      svm.decision_value(pair.a, pair.b, probes[p])),
+                  pair.bits[p])
+            << kind << " pair (" << pair.a << "," << pair.b << ") probe "
+            << p;
+      }
+    }
+    // Pairs with the absent class were never trained.
+    EXPECT_THROW((void)svm.decision_value(0, 2, probes[0]),
+                 std::invalid_argument)
+        << kind;
+    EXPECT_THROW((void)svm.decision_value(2, 3, probes[0]),
+                 std::invalid_argument)
+        << kind;
+  }
+}
+
+TEST(SvmPoolTest, WrongDimensionRowIsAnInputError) {
+  const Dataset data = pool_fixture();
+  SvmClassifier svm;
+  svm.fit(data);
+  const std::vector<double> short_row(kPoolDims - 1, 0.5);
+  const std::vector<double> long_row(kPoolDims + 1, 0.5);
+  EXPECT_THROW((void)svm.predict(short_row), std::invalid_argument);
+  EXPECT_THROW((void)svm.predict(long_row), std::invalid_argument);
+  EXPECT_THROW((void)svm.decision_value(0, 1, short_row),
+               std::invalid_argument);
+  EXPECT_THROW((void)svm.decision_value(0, 1, long_row),
+               std::invalid_argument);
+}
+
 // ------------------------------------------------------------- MLP ---
 
 TEST(MlpTest, LossDecreasesToSmallValue) {
@@ -299,6 +456,25 @@ TEST(MlpTest, RejectsInvalidConfig) {
   MlpConfig bad;
   bad.hidden_units = 0;
   EXPECT_THROW(MlpClassifier{bad}, std::invalid_argument);
+}
+
+TEST(MlpTest, PredictIsArgmaxOfProbabilities) {
+  Dataset data = make_blobs(4, 30, 5, 1.0, 0.6, 59);
+  MlpClassifier mlp;
+  mlp.fit(data);
+  util::Rng rng{61};
+  for (int k = 0; k < 200; ++k) {
+    std::vector<double> row(5);
+    for (double& v : row) {
+      v = rng.normal(1.5, 1.5);
+    }
+    const std::vector<double> probs = mlp.predict_proba(row);
+    const auto argmax = static_cast<int>(
+        std::max_element(probs.begin(), probs.end()) - probs.begin());
+    EXPECT_EQ(mlp.predict(row), argmax) << "row " << k;
+    // The scratch-backed predict leaves predict_proba's result intact.
+    EXPECT_EQ(mlp.predict_proba(row), probs) << "row " << k;
+  }
 }
 
 // ------------------------------------------------------------- kNN ---

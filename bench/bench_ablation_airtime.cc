@@ -6,12 +6,12 @@
 // channel cost on small-packet apps (every padded ACK still pays the full
 // serialisation time); reshaping's airtime delta is exactly zero.
 #include <iostream>
+#include <memory>
 
 #include "bench_util.h"
 #include "core/airtime.h"
 #include "core/defense.h"
 #include "core/morphing.h"
-#include "core/padding.h"
 #include "core/scheduler.h"
 #include "traffic/generator.h"
 #include "util/distribution.h"
@@ -36,7 +36,8 @@ int run() {
     const core::AirtimeCost baseline =
         core::defense_airtime(none.apply(trace), kBitrateMbps);
 
-    core::PaddingDefense padding;
+    auto padding = core::ReshapingDefense::shaping(
+        std::make_unique<core::PaddingShaper>());
     const core::AirtimeCost padded =
         core::defense_airtime(padding.apply(trace), kBitrateMbps);
 
@@ -46,9 +47,10 @@ int run() {
       const traffic::Trace profile = traffic::generate_trace(
           *target, util::Duration::seconds(60.0), 0x917,
           traffic::SessionJitter::none());
-      core::MorphingDefense morphing{
-          *target, util::EmpiricalDistribution{profile.sizes()},
-          util::Rng{7}};
+      auto morphing = core::ReshapingDefense::shaping(
+          std::make_unique<core::MorphingDefense>(
+              *target, util::EmpiricalDistribution{profile.sizes()},
+              util::Rng{7}));
       morphed = core::defense_airtime(morphing.apply(trace), kBitrateMbps);
     }
 

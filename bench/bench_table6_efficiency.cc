@@ -9,6 +9,7 @@
 #include <memory>
 
 #include "bench_util.h"
+#include "core/morphing.h"
 #include "core/online/streaming_reshaper.h"
 #include "eval/defense_factory.h"
 #include "traffic/generator.h"
@@ -19,13 +20,11 @@ using namespace reshape;
 
 /// One app's traffic through the online pipeline: the per-packet latency
 /// the live deployment adds on top of the byte overhead Table VI reports.
-core::online::StreamingStats online_stats(
-    const traffic::Trace& trace, std::unique_ptr<core::Scheduler> scheduler,
-    std::unique_ptr<core::online::PacketShaper> shaper) {
+core::online::StreamingStats online_stats(const traffic::Trace& trace,
+                                          core::ReshapingDefense defense) {
   core::online::StreamingConfig config;  // 54 Mbit/s, 20 ms budget
   config.record_streams = false;
-  core::online::StreamingReshaper pipeline{std::move(scheduler),
-                                           std::move(shaper), config};
+  core::online::StreamingReshaper pipeline{std::move(defense), config};
   for (const traffic::PacketRecord& record : trace.records()) {
     (void)pipeline.push(record);
   }
@@ -49,29 +48,29 @@ bool report_online_latency(eval::ExperimentHarness& harness) {
         app, util::Duration::seconds(90.0), 0x0461 + traffic::app_index(app));
 
     const auto padded = online_stats(
-        trace, nullptr,
-        std::make_unique<core::online::PaddingShaper>(mac::kMaxFrameBytes));
+        trace, core::ReshapingDefense::shaping(
+                   std::make_unique<core::PaddingShaper>(mac::kMaxFrameBytes)));
 
     // Morphing, streaming form; the paper leaves downloading/uploading
     // unmorphed, so those rows show no morphing latency at all.
-    std::unique_ptr<core::online::PacketShaper> morph_shaper;
+    std::unique_ptr<core::PacketShaper> morph_shaper;
     if (const auto target = core::paper_morph_target(app)) {
-      morph_shaper = std::make_unique<core::online::MorphingShaper>(
-          core::MorphingDefense{*target, harness.size_profile(*target),
-                                util::Rng{0x1106 + traffic::app_index(app)}});
+      morph_shaper = std::make_unique<core::MorphingDefense>(
+          *target, harness.size_profile(*target),
+          util::Rng{0x1106 + traffic::app_index(app)});
     }
     const bool app_is_morphed = morph_shaper != nullptr;
     const auto morphed =
         app_is_morphed
-            ? online_stats(trace, nullptr, std::move(morph_shaper))
+            ? online_stats(trace, core::ReshapingDefense::shaping(
+                                      std::move(morph_shaper)))
             : core::online::StreamingStats{};
 
     const auto reshaped = online_stats(
-        trace,
-        std::make_unique<core::OrthogonalScheduler>(
-            core::OrthogonalScheduler::identity(
-                core::SizeRanges::paper_default())),
-        nullptr);
+        trace, core::ReshapingDefense{
+                   std::make_unique<core::OrthogonalScheduler>(
+                       core::OrthogonalScheduler::identity(
+                           core::SizeRanges::paper_default()))});
 
     const double miss_pct =
         padded.packets == 0

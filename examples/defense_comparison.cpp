@@ -7,10 +7,10 @@
 //
 //   $ ./examples/defense_comparison
 #include <iostream>
+#include <memory>
 
 #include "core/defense.h"
 #include "core/morphing.h"
-#include "core/padding.h"
 #include "core/scheduler.h"
 #include "traffic/generator.h"
 #include "util/distribution.h"
@@ -26,11 +26,14 @@ int main() {
   const traffic::Trace gaming_profile = traffic::generate_trace(
       traffic::AppType::kGaming, util::Duration::seconds(120.0), 78);
 
-  core::PaddingDefense padding;
-  core::MorphingDefense morphing{traffic::AppType::kGaming,
-                                 util::EmpiricalDistribution{
-                                     gaming_profile.sizes()},
-                                 util::Rng{79}};
+  // Padding and morphing are single-stream shapers; reshaping is a
+  // scheduler with no shapers.
+  auto padding = core::ReshapingDefense::shaping(
+      std::make_unique<core::PaddingShaper>());
+  auto morphing =
+      core::ReshapingDefense::shaping(std::make_unique<core::MorphingDefense>(
+          traffic::AppType::kGaming,
+          util::EmpiricalDistribution{gaming_profile.sizes()}, util::Rng{79}));
   core::ReshapingDefense reshaping{std::make_unique<core::OrthogonalScheduler>(
       core::OrthogonalScheduler::identity(core::SizeRanges::paper_default()))};
 

@@ -1,5 +1,7 @@
 #include "core/defense.h"
 
+#include <utility>
+
 #include "util/check.h"
 
 namespace reshape::core {
@@ -32,23 +34,57 @@ DefenseResult NoDefense::apply(const traffic::Trace& trace) {
   return out;
 }
 
-ReshapingDefense::ReshapingDefense(std::unique_ptr<Scheduler> scheduler)
-    : scheduler_{std::move(scheduler)} {
-  util::require(scheduler_ != nullptr,
-                "ReshapingDefense: scheduler must not be null");
+PaddingShaper::PaddingShaper(std::uint32_t pad_to) : pad_to_{pad_to} {
+  util::require(pad_to > 0, "PaddingShaper: pad target must be > 0");
+}
+
+ReshapingDefense::ReshapingDefense(
+    std::unique_ptr<Scheduler> scheduler,
+    std::vector<std::unique_ptr<PacketShaper>> shapers)
+    : scheduler_{std::move(scheduler)},
+      shapers_{std::move(shapers)},
+      stream_count_{scheduler_ == nullptr ? 1
+                                          : scheduler_->interface_count()} {
+  util::require(stream_count_ >= 1,
+                "ReshapingDefense: scheduler must expose >= 1 interface");
+  util::require(shapers_.size() <= stream_count_,
+                "ReshapingDefense: more shapers than interfaces");
+}
+
+ReshapingDefense ReshapingDefense::shaping(
+    std::unique_ptr<PacketShaper> shaper) {
+  std::vector<std::unique_ptr<PacketShaper>> shapers;
+  shapers.push_back(std::move(shaper));
+  return ReshapingDefense{nullptr, std::move(shapers)};
+}
+
+void ReshapingDefense::reset() {
+  if (scheduler_ != nullptr) {
+    scheduler_->reset();
+  }
 }
 
 DefenseResult ReshapingDefense::apply(const traffic::Trace& trace) {
   DefenseResult out;
   out.original_bytes = trace.total_bytes();
-  out.streams.assign(scheduler_->interface_count(),
-                     traffic::Trace{trace.app()});
-  scheduler_->reset();
-  for (const traffic::PacketRecord& r : trace.records()) {
-    const std::size_t i = scheduler_->select_interface(r);
-    util::internal_check(i < out.streams.size(),
-                         "ReshapingDefense: scheduler returned bad interface");
-    out.streams[i].push_back(r);
+  out.streams.assign(stream_count_, traffic::Trace{trace.app()});
+  if (stream_count_ == 1) {
+    out.streams.front().reserve(trace.size());
+  }
+  reset();
+  traffic::Trace* streams = out.streams.data();
+  for (traffic::PacketRecord r : trace.records()) {
+    const std::size_t i = dispatch(r);
+    streams[i].push_back(r);
+  }
+  if (!shapers_.empty()) {
+    // Shapers never shrink a packet, so the bytes they added are the
+    // streams' total minus the original; one pass after the loop keeps
+    // the per-packet path to dispatch and append.
+    for (const traffic::Trace& stream : out.streams) {
+      out.added_bytes += stream.total_bytes();
+    }
+    out.added_bytes -= out.original_bytes;
   }
   return out;
 }

@@ -45,7 +45,6 @@ class FrequencyHoppingDefense final : public Defense {
   FrequencyHoppingDefense(HoppingConfig config, int monitored_channel);
 
   [[nodiscard]] DefenseResult apply(const traffic::Trace& trace) override;
-  [[nodiscard]] std::string_view name() const override { return "FH"; }
 
   [[nodiscard]] const HoppingSchedule& schedule() const { return schedule_; }
 

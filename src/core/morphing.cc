@@ -33,28 +33,13 @@ MorphingDefense::MorphingDefense(traffic::AppType target,
                                  util::Rng rng)
     : target_{target}, target_sizes_{std::move(target_sizes)}, rng_{rng} {}
 
-std::uint32_t MorphingDefense::morph_size(std::uint32_t size) {
+std::uint32_t MorphingDefense::shape(std::uint32_t size) {
   const double drawn =
       target_sizes_.sample_at_least(rng_, static_cast<double>(size));
   // sample_at_least falls back to the target's maximum when nothing in the
   // target distribution is >= size; never shrink (padding-only morphing).
   const auto t = static_cast<std::uint32_t>(std::lround(drawn));
   return std::max(t, size);
-}
-
-DefenseResult MorphingDefense::apply(const traffic::Trace& trace) {
-  DefenseResult out;
-  out.original_bytes = trace.total_bytes();
-  traffic::Trace morphed{trace.app()};
-  morphed.reserve(trace.size());
-  for (traffic::PacketRecord r : trace.records()) {
-    const std::uint32_t new_size = morph_size(r.size_bytes);
-    out.added_bytes += new_size - r.size_bytes;
-    r.size_bytes = new_size;
-    morphed.push_back(r);
-  }
-  out.streams.push_back(std::move(morphed));
-  return out;
 }
 
 }  // namespace reshape::core

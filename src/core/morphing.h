@@ -31,8 +31,11 @@ namespace reshape::core {
 [[nodiscard]] std::optional<traffic::AppType> paper_morph_target(
     traffic::AppType source);
 
-/// Morphs a flow toward a target application's size distribution.
-class MorphingDefense final : public Defense {
+/// Morphs a flow toward a target application's size distribution: the
+/// morphing PacketShaper. Alone it is the single-stream shaper of a
+/// ReshapingDefense with no scheduler; in the §V-C combined defense it
+/// shapes individual virtual-interface streams after OR dispatch.
+class MorphingDefense final : public PacketShaper {
  public:
   /// `target_sizes` is the empirical on-air size distribution of the
   /// target application (downlink and uplink pooled, as the morpher acts
@@ -40,14 +43,10 @@ class MorphingDefense final : public Defense {
   MorphingDefense(traffic::AppType target,
                   util::EmpiricalDistribution target_sizes, util::Rng rng);
 
-  [[nodiscard]] DefenseResult apply(const traffic::Trace& trace) override;
-  [[nodiscard]] std::string_view name() const override { return "Morphing"; }
+  /// Draws the morphed size for one packet (one RNG draw per packet).
+  [[nodiscard]] std::uint32_t shape(std::uint32_t size) override;
 
   [[nodiscard]] traffic::AppType target() const { return target_; }
-
-  /// Morphs a single packet size (exposed for tests and for the combined
-  /// §V-C defense which morphs per-interface streams).
-  [[nodiscard]] std::uint32_t morph_size(std::uint32_t size);
 
  private:
   traffic::AppType target_;

@@ -8,21 +8,6 @@
 
 namespace reshape::core::online {
 
-PaddingShaper::PaddingShaper(std::uint32_t pad_to) : pad_to_{pad_to} {
-  util::require(pad_to > 0, "PaddingShaper: pad target must be > 0");
-}
-
-std::uint32_t PaddingShaper::shape(std::uint32_t size_bytes) {
-  return std::max(size_bytes, pad_to_);
-}
-
-MorphingShaper::MorphingShaper(MorphingDefense morpher)
-    : morpher_{std::move(morpher)} {}
-
-std::uint32_t MorphingShaper::shape(std::uint32_t size_bytes) {
-  return morpher_.morph_size(size_bytes);
-}
-
 StreamingConfig StreamingConfig::accounting_only() const {
   StreamingConfig config = *this;
   config.record_streams = false;
@@ -59,40 +44,17 @@ void StreamingStats::merge(const StreamingStats& other) {
   max_queue_depth = std::max(max_queue_depth, other.max_queue_depth);
 }
 
-StreamingReshaper::StreamingReshaper(std::unique_ptr<Scheduler> scheduler,
-                                     std::unique_ptr<PacketShaper> shaper,
+StreamingReshaper::StreamingReshaper(ReshapingDefense defense,
                                      StreamingConfig config)
-    : scheduler_{std::move(scheduler)},
-      shaper_{std::move(shaper)},
-      config_{config} {
+    : defense_{std::move(defense)}, config_{config} {
   util::require(config_.bitrate_mbps > 0.0,
                 "StreamingReshaper: bitrate must be positive");
   util::require(config_.latency_budget >= util::Duration{},
                 "StreamingReshaper: latency budget must be non-negative");
-  if (scheduler_ != nullptr) {
-    util::require(scheduler_->interface_count() >= 1,
-                  "StreamingReshaper: scheduler must expose >= 1 interface");
-  }
   inflight_.resize(stream_count());
   if (config_.record_streams) {
     streams_.resize(stream_count());
   }
-}
-
-StreamingReshaper::StreamingReshaper(
-    std::unique_ptr<Scheduler> scheduler,
-    std::vector<std::unique_ptr<PacketShaper>> interface_shapers,
-    StreamingConfig config)
-    : StreamingReshaper{std::move(scheduler), nullptr, config} {
-  util::require(scheduler_ != nullptr,
-                "StreamingReshaper: per-interface shapers need a scheduler");
-  util::require(interface_shapers.size() <= stream_count(),
-                "StreamingReshaper: more interface shapers than interfaces");
-  interface_shapers_ = std::move(interface_shapers);
-}
-
-std::size_t StreamingReshaper::stream_count() const {
-  return scheduler_ == nullptr ? 1 : scheduler_->interface_count();
 }
 
 ShapedPacket StreamingReshaper::push(const traffic::PacketRecord& arrival) {
@@ -103,28 +65,7 @@ ShapedPacket StreamingReshaper::push(const traffic::PacketRecord& arrival) {
 
   ShapedPacket out;
   out.record = arrival;
-  if (shaper_ != nullptr) {
-    out.record.size_bytes = shaper_->shape(arrival.size_bytes);
-    util::internal_check(out.record.size_bytes >= arrival.size_bytes,
-                         "StreamingReshaper: shaper shrank a packet");
-  }
-  if (scheduler_ != nullptr) {
-    // The scheduler sees the shaped record — the size that will actually
-    // be on the air is what determines the size-range dispatch.
-    out.interface_index = scheduler_->select_interface(out.record);
-    util::internal_check(out.interface_index < inflight_.size(),
-                         "StreamingReshaper: scheduler returned bad interface");
-  }
-  if (out.interface_index < interface_shapers_.size() &&
-      interface_shapers_[out.interface_index] != nullptr) {
-    // §V-C composition: the interface's own shaper morphs the packet
-    // *after* dispatch — matching the batch CombinedDefense, which
-    // reshapes on original sizes and then morphs per-interface streams.
-    out.record.size_bytes =
-        interface_shapers_[out.interface_index]->shape(out.record.size_bytes);
-    util::internal_check(out.record.size_bytes >= arrival.size_bytes,
-                         "StreamingReshaper: interface shaper shrank a packet");
-  }
+  out.interface_index = defense_.dispatch(out.record);
 
   // Shared-radio timeline: one physical card serves every virtual
   // interface, FIFO in arrival order.
@@ -211,9 +152,7 @@ DefenseResult StreamingReshaper::result(traffic::AppType app) const {
 }
 
 void StreamingReshaper::reset() {
-  if (scheduler_ != nullptr) {
-    scheduler_->reset();
-  }
+  defense_.reset();
   for (std::deque<util::TimePoint>& queue : inflight_) {
     queue.clear();
   }

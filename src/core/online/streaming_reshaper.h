@@ -6,21 +6,23 @@
 // after the fact and therefore never sees what live operation costs —
 // queueing behind the shared radio, per-packet added latency, airtime.
 // StreamingReshaper is the streaming counterpart: it consumes packets one
-// at a time, drives the existing schedulers (RA/RR/OR/OR-mod) and the
-// per-packet size shapers (padding, morphing) incrementally, and models
-// the single physical radio all virtual interfaces share — packets that
-// arrive while the radio is busy wait in their interface's queue, and the
-// pipeline accounts the resulting queueing delay and airtime against a
-// configurable latency budget.
+// at a time through the same core::ReshapingDefense composition (optional
+// scheduler, then per-interface size shapers) and adds only what live
+// operation has on top — it models the single physical radio all virtual
+// interfaces share (packets that arrive while the radio is busy wait in
+// their interface's queue), accounts the resulting queueing delay and
+// airtime against a configurable latency budget, and feeds the packet
+// trace and windowed series.
 //
-// Equivalence contract: the per-interface streams a StreamingReshaper
-// accumulates (original arrival timestamps, shaped sizes) are
-// byte-identical to what the batch defense produces for the same input —
-// the scheduler and shaper see packets in exactly the order and with
-// exactly the state the batch path gives them. tests/online_test.cc
-// asserts this golden parity for every scheduler-based defense across all
-// registry scenarios; the latency/airtime numbers are *additional*
-// observables of the same transformation, not a different one.
+// Equivalence: the per-interface streams a StreamingReshaper accumulates
+// (original arrival timestamps, shaped sizes) are byte-identical to what
+// ReshapingDefense::apply produces for the same input, because both call
+// ReshapingDefense::dispatch for every packet in arrival order.
+// tests/online_test.cc checks the parity for every composition across
+// all registry scenarios, and tests/defense_golden_test.cc pins the
+// shared output independently; the latency/airtime numbers are
+// *additional* observables of the same transformation, not a different
+// one.
 //
 // Radio model status: the shared-radio timeline here is a *per-pipeline
 // model* — each reshaper believes it owns the physical card and nothing
@@ -36,57 +38,15 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <string_view>
 #include <vector>
 
 #include "core/defense.h"
-#include "core/morphing.h"
-#include "core/scheduler.h"
 #include "obs/packet_trace.h"
 #include "obs/windowed.h"
 #include "traffic/trace.h"
 #include "util/time.h"
 
 namespace reshape::core::online {
-
-/// A per-packet size transform, applied before scheduling. This is the
-/// incremental form of the size-modifying defenses: padding and morphing
-/// both decide each packet's on-air size from that packet alone.
-class PacketShaper {
- public:
-  virtual ~PacketShaper() = default;
-
-  /// The shaped on-air size for a packet of `size_bytes` (never smaller).
-  [[nodiscard]] virtual std::uint32_t shape(std::uint32_t size_bytes) = 0;
-
-  [[nodiscard]] virtual std::string_view name() const = 0;
-};
-
-/// Pad-to-fixed-length, the streaming form of PaddingDefense.
-class PaddingShaper final : public PacketShaper {
- public:
-  explicit PaddingShaper(std::uint32_t pad_to);
-
-  [[nodiscard]] std::uint32_t shape(std::uint32_t size_bytes) override;
-  [[nodiscard]] std::string_view name() const override { return "Padding"; }
-
- private:
-  std::uint32_t pad_to_;
-};
-
-/// Morph-toward-target, the streaming form of MorphingDefense. Wraps the
-/// batch defense's own per-packet sampler so the two paths consume the
-/// RNG identically — the parity guarantee depends on it.
-class MorphingShaper final : public PacketShaper {
- public:
-  explicit MorphingShaper(MorphingDefense morpher);
-
-  [[nodiscard]] std::uint32_t shape(std::uint32_t size_bytes) override;
-  [[nodiscard]] std::string_view name() const override { return "Morphing"; }
-
- private:
-  MorphingDefense morpher_;
-};
 
 /// Knobs of the online pipeline.
 struct StreamingConfig {
@@ -160,33 +120,21 @@ struct StreamingStats {
 /// streams (batch-parity view) and the StreamingStats (live-cost view).
 class StreamingReshaper {
  public:
-  /// `scheduler` may be null (single output stream — the padding/morphing
-  /// shape); `shaper` may be null (sizes pass through — the reshaping
-  /// shape). At least one must be set for the pipeline to do anything,
-  /// but both-null is allowed (identity pipeline, still accounts airtime).
-  StreamingReshaper(std::unique_ptr<Scheduler> scheduler,
-                    std::unique_ptr<PacketShaper> shaper,
-                    StreamingConfig config = {});
-
-  /// The §V-C composition: schedule first (on the *original* size), then
-  /// shape each virtual interface's stream with its own shaper.
-  /// `interface_shapers[i]` (nullable entries allowed; the vector may be
-  /// shorter than the interface count) morphs interface i's packets after
-  /// dispatch — the streaming twin of core::CombinedDefense, golden-parity
-  /// asserted in tests/online_test.cc. Requires a non-null scheduler; the
-  /// pre-scheduling `shaper` slot stays empty so the scheduler sees the
-  /// sizes the batch path dispatches on.
-  StreamingReshaper(
-      std::unique_ptr<Scheduler> scheduler,
-      std::vector<std::unique_ptr<PacketShaper>> interface_shapers,
-      StreamingConfig config = {});
+  /// Runs `defense` packet by packet: a null scheduler gives one output
+  /// stream (padding or morphing alone), no shapers leave sizes untouched
+  /// (reshaping alone), and both empty is the identity pipeline, which
+  /// still accounts airtime.
+  explicit StreamingReshaper(ReshapingDefense defense,
+                             StreamingConfig config = {});
 
   /// Consumes one packet. Arrival times must be non-decreasing across
   /// calls (the simulator clock and Trace invariant both guarantee it).
   ShapedPacket push(const traffic::PacketRecord& arrival);
 
   /// Number of observable output flows (scheduler interfaces, or 1).
-  [[nodiscard]] std::size_t stream_count() const;
+  [[nodiscard]] std::size_t stream_count() const {
+    return defense_.stream_count();
+  }
 
   /// The accumulated per-interface streams (empty when record_streams is
   /// off). Indexed by interface.
@@ -220,11 +168,7 @@ class StreamingReshaper {
   void reset();
 
  private:
-  std::unique_ptr<Scheduler> scheduler_;  // may be null
-  std::unique_ptr<PacketShaper> shaper_;  // may be null
-  // Post-scheduling shapers, indexed by interface (entries may be null);
-  // empty when the pipeline has no per-interface composition.
-  std::vector<std::unique_ptr<PacketShaper>> interface_shapers_;
+  ReshapingDefense defense_;
   StreamingConfig config_;
   std::vector<traffic::Trace> streams_;
   StreamingStats stats_;

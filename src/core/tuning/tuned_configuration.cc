@@ -9,46 +9,6 @@
 
 namespace reshape::core::tuning {
 
-namespace {
-
-/// Batch twin of the padded composition: OR dispatch on original sizes,
-/// then pad each interface's stream to its pad target — byte-identical to
-/// what the streaming pipeline's per-interface PaddingShapers produce.
-class PaddedReshapingDefense final : public Defense {
- public:
-  PaddedReshapingDefense(std::unique_ptr<Scheduler> scheduler,
-                         std::vector<std::uint32_t> pad_to)
-      : reshaping_{std::move(scheduler)}, pad_to_{std::move(pad_to)} {}
-
-  [[nodiscard]] DefenseResult apply(const traffic::Trace& trace) override {
-    DefenseResult result = reshaping_.apply(trace);
-    for (std::size_t i = 0; i < result.streams.size(); ++i) {
-      const std::uint32_t pad = i < pad_to_.size() ? pad_to_[i] : 0;
-      if (pad == 0) {
-        continue;
-      }
-      traffic::Trace padded{result.streams[i].app()};
-      padded.reserve(result.streams[i].size());
-      for (traffic::PacketRecord r : result.streams[i].records()) {
-        const std::uint32_t shaped = std::max(r.size_bytes, pad);
-        result.added_bytes += shaped - r.size_bytes;
-        r.size_bytes = shaped;
-        padded.push_back(r);
-      }
-      result.streams[i] = std::move(padded);
-    }
-    return result;
-  }
-
-  [[nodiscard]] std::string_view name() const override { return "OR+Pad"; }
-
- private:
-  ReshapingDefense reshaping_;
-  std::vector<std::uint32_t> pad_to_;
-};
-
-}  // namespace
-
 TunedConfiguration TunedConfiguration::identity(std::string name,
                                                 SizeRanges ranges) {
   TunedConfiguration config;
@@ -113,32 +73,27 @@ std::unique_ptr<Scheduler> TunedConfiguration::make_scheduler() const {
   return std::make_unique<OrthogonalScheduler>(ranges(), target());
 }
 
-std::vector<std::unique_ptr<online::PacketShaper>>
-TunedConfiguration::make_interface_shapers() const {
+ReshapingDefense TunedConfiguration::make_composition() const {
   validate();
-  if (!padded()) {
-    return {};
+  std::vector<std::unique_ptr<PacketShaper>> shapers;
+  if (padded()) {
+    shapers.reserve(interfaces);
+    for (const std::uint32_t pad : pad_to) {
+      shapers.push_back(pad == 0 ? nullptr
+                                 : std::make_unique<PaddingShaper>(pad));
+    }
   }
-  std::vector<std::unique_ptr<online::PacketShaper>> shapers;
-  shapers.reserve(interfaces);
-  for (const std::uint32_t pad : pad_to) {
-    shapers.push_back(pad == 0 ? nullptr
-                               : std::make_unique<online::PaddingShaper>(pad));
-  }
-  return shapers;
+  return ReshapingDefense{make_scheduler(), std::move(shapers)};
 }
 
 std::unique_ptr<online::StreamingReshaper> TunedConfiguration::make_reshaper(
     online::StreamingConfig config) const {
-  return std::make_unique<online::StreamingReshaper>(
-      make_scheduler(), make_interface_shapers(), config);
+  return std::make_unique<online::StreamingReshaper>(make_composition(),
+                                                     config);
 }
 
 std::unique_ptr<Defense> TunedConfiguration::make_defense() const {
-  if (!padded()) {
-    return std::make_unique<ReshapingDefense>(make_scheduler());
-  }
-  return std::make_unique<PaddedReshapingDefense>(make_scheduler(), pad_to);
+  return std::make_unique<ReshapingDefense>(make_composition());
 }
 
 std::string TunedConfiguration::summary() const {

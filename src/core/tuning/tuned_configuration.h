@@ -63,18 +63,17 @@ struct TunedConfiguration {
   /// The OR scheduler this point configures (deterministic — no seed).
   [[nodiscard]] std::unique_ptr<Scheduler> make_scheduler() const;
 
-  /// Post-scheduling per-interface shapers for the streaming pipeline
-  /// (empty vector when the point is unpadded).
-  [[nodiscard]] std::vector<std::unique_ptr<online::PacketShaper>>
-  make_interface_shapers() const;
+  /// The composition this point configures: OR dispatch on original
+  /// sizes, then each padded interface's PaddingShaper. Both the live
+  /// pipeline (which endpoints rebuild on a config push) and the batch
+  /// defense run it.
+  [[nodiscard]] ReshapingDefense make_composition() const;
 
-  /// The live pipeline: schedule on original sizes, then pad each
-  /// interface's stream — the composition endpoints rebuild on a push.
+  /// The live pipeline over make_composition().
   [[nodiscard]] std::unique_ptr<online::StreamingReshaper> make_reshaper(
       online::StreamingConfig config) const;
 
-  /// The batch twin of make_reshaper(): byte-identical streams for the
-  /// same input (golden parity, asserted in tests/tuning_test.cc).
+  /// The batch defense over make_composition().
   [[nodiscard]] std::unique_ptr<Defense> make_defense() const;
 
   /// "I=3 L=3 bounds=232,1540,1576" (+" pad" when padded) — for tables.

@@ -1,11 +1,9 @@
 #include "eval/defense_factory.h"
 
-#include <unordered_map>
+#include <vector>
 
-#include "core/combined.h"
 #include "core/frequency_hopping.h"
 #include "core/morphing.h"
-#include "core/padding.h"
 
 namespace reshape::eval {
 
@@ -40,7 +38,9 @@ DefenseFactory frequency_hopping_factory(int monitored_channel) {
 
 DefenseFactory padding_factory() {
   return [](traffic::AppType, std::uint64_t) {
-    return std::make_unique<core::PaddingDefense>();
+    return std::make_unique<core::ReshapingDefense>(
+        core::ReshapingDefense::shaping(
+            std::make_unique<core::PaddingShaper>()));
   };
 }
 
@@ -51,8 +51,9 @@ DefenseFactory morphing_factory(ExperimentHarness& harness) {
     if (!target) {
       return std::make_unique<core::NoDefense>();
     }
-    return std::make_unique<core::MorphingDefense>(
-        *target, harness.size_profile(*target), util::Rng{seed});
+    return std::make_unique<core::ReshapingDefense>(
+        core::ReshapingDefense::shaping(std::make_unique<core::MorphingDefense>(
+            *target, harness.size_profile(*target), util::Rng{seed})));
   };
 }
 
@@ -65,18 +66,17 @@ DefenseFactory combined_factory(ExperimentHarness& harness) {
     // are already maximal, morphing cannot change them.
     auto scheduler = std::make_unique<core::OrthogonalScheduler>(
         core::OrthogonalScheduler::identity(core::SizeRanges::paper_default()));
-    std::unordered_map<std::size_t, std::unique_ptr<core::MorphingDefense>>
-        morphers;
-    morphers.emplace(0, std::make_unique<core::MorphingDefense>(
-                            traffic::AppType::kGaming,
-                            harness.size_profile(traffic::AppType::kGaming),
-                            util::Rng{util::splitmix64(seed ^ 0xAAULL)}));
-    morphers.emplace(1, std::make_unique<core::MorphingDefense>(
-                            traffic::AppType::kBrowsing,
-                            harness.size_profile(traffic::AppType::kBrowsing),
-                            util::Rng{util::splitmix64(seed ^ 0xBBULL)}));
-    return std::make_unique<core::CombinedDefense>(std::move(scheduler),
-                                                   std::move(morphers));
+    std::vector<std::unique_ptr<core::PacketShaper>> morphers;
+    morphers.push_back(std::make_unique<core::MorphingDefense>(
+        traffic::AppType::kGaming,
+        harness.size_profile(traffic::AppType::kGaming),
+        util::Rng{util::splitmix64(seed ^ 0xAAULL)}));
+    morphers.push_back(std::make_unique<core::MorphingDefense>(
+        traffic::AppType::kBrowsing,
+        harness.size_profile(traffic::AppType::kBrowsing),
+        util::Rng{util::splitmix64(seed ^ 0xBBULL)}));
+    return std::make_unique<core::ReshapingDefense>(std::move(scheduler),
+                                                    std::move(morphers));
   };
 }
 

@@ -134,18 +134,14 @@ void ExperimentHarness::score_flows(std::span<const traffic::Trace> flows,
   obs::PhaseSample features_sample;
   for (const traffic::Trace& flow : flows) {
     const int truth = static_cast<int>(traffic::app_index(flow.app()));
-    std::vector<std::vector<double>> rows;
+    const std::int64_t wall = profiler != nullptr ? obs::wall_clock_us() : 0;
+    const std::int64_t cpu = profiler != nullptr ? obs::thread_cpu_us() : 0;
+    const std::vector<std::vector<double>> rows = attack::feature_rows_of(
+        flow, attacks_.front().attack->config(), windows);
     if (profiler != nullptr) {
-      const std::int64_t wall = obs::wall_clock_us();
-      const std::int64_t cpu = obs::thread_cpu_us();
-      rows = attack::feature_rows_of(flow, attacks_.front().attack->config(),
-                                     windows);
       features_sample.wall_us += obs::wall_clock_us() - wall;
       features_sample.cpu_us += obs::thread_cpu_us() - cpu;
       ++features_sample.calls;
-    } else {
-      rows = attack::feature_rows_of(flow, attacks_.front().attack->config(),
-                                     windows);
     }
     for (std::size_t a = 0; a < attacks_.size(); ++a) {
       util::internal_check(

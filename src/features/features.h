@@ -7,14 +7,16 @@
 // idle gaps longer than 5 seconds are excluded from interarrival
 // statistics, matching the paper's §IV-B processing.
 //
-// Extraction is single-pass over the struct-of-arrays columns. The batch
+// Extraction is single-pass over the struct-of-arrays columns:
 // extract_all_windows cuts the columns window by window and sweeps each
-// slice per direction; the sniffer/adaptive per-arrival path pushes
-// (time, size, direction) into an IncrementalWindowExtractor, which emits
-// a window the moment its boundary is crossed. Both feed the same
-// per-direction accumulator, so both produce bit-identical doubles to the
-// original slice-per-window implementation (same util::RunningStats add
-// order, same values).
+// slice per direction. IncrementalWindowExtractor is the per-arrival form
+// (push (time, size, direction); a window is emitted the moment its
+// boundary is crossed). Nothing in the library pushes into it; it is the
+// reference oracle tests/hot_path_equivalence_test.cc checks
+// extract_all_windows against. Both feed the same per-direction
+// accumulator, so both produce bit-identical doubles to the original
+// slice-per-window implementation (same util::RunningStats add order,
+// same values).
 #pragma once
 
 #include <array>
@@ -89,15 +91,17 @@ enum class FeatureSet : std::uint8_t {
 /// Number of dimensions project() returns for the subset.
 [[nodiscard]] std::size_t feature_count(FeatureSet set);
 
-/// Streaming per-arrival feature accumulator.
+/// Streaming per-arrival feature accumulator: the record-at-a-time
+/// reference the batch extract_all_windows is checked against
+/// (tests/hot_path_equivalence_test.cc); no library path pushes into it.
 ///
 /// Windows of length `w` are aligned to the first pushed record; each
 /// push() assigns the arrival to its window and returns the completed
 /// window's features when a boundary is crossed (empty windows and
 /// windows below `min_packets` emit nothing, matching the batch path).
 /// finish() flushes the in-progress window; reset() forgets everything
-/// (the next push re-anchors the alignment — the adaptive loop resets
-/// per epoch). Records must arrive time-ordered.
+/// (the next push re-anchors the alignment). Records must arrive
+/// time-ordered.
 class IncrementalWindowExtractor {
  public:
   explicit IncrementalWindowExtractor(util::Duration w,

@@ -5,54 +5,8 @@
 #include <limits>
 
 #include "util/check.h"
-#include "util/stats.h"
 
 namespace reshape::features {
-
-void StandardScaler::fit(std::span<const std::vector<double>> rows) {
-  util::require(!rows.empty(), "StandardScaler::fit: no rows");
-  const std::size_t dims = rows.front().size();
-  util::require(dims > 0, "StandardScaler::fit: zero-dimensional rows");
-
-  std::vector<util::RunningStats> stats(dims);
-  for (const auto& row : rows) {
-    util::require(row.size() == dims,
-                  "StandardScaler::fit: ragged sample matrix");
-    for (std::size_t d = 0; d < dims; ++d) {
-      stats[d].add(row[d]);
-    }
-  }
-
-  means_.assign(dims, 0.0);
-  stds_.assign(dims, 1.0);
-  for (std::size_t d = 0; d < dims; ++d) {
-    means_[d] = stats[d].mean();
-    const double s = stats[d].stddev();
-    stds_[d] = s > 1e-12 ? s : 1.0;  // constant columns map to zero
-  }
-}
-
-std::vector<double> StandardScaler::transform(
-    std::span<const double> row) const {
-  util::require(fitted(), "StandardScaler::transform: not fitted");
-  util::require(row.size() == means_.size(),
-                "StandardScaler::transform: dimensionality mismatch");
-  std::vector<double> out(row.size());
-  for (std::size_t d = 0; d < row.size(); ++d) {
-    out[d] = (row[d] - means_[d]) / stds_[d];
-  }
-  return out;
-}
-
-std::vector<std::vector<double>> StandardScaler::transform_all(
-    std::span<const std::vector<double>> rows) const {
-  std::vector<std::vector<double>> out;
-  out.reserve(rows.size());
-  for (const auto& row : rows) {
-    out.push_back(transform(row));
-  }
-  return out;
-}
 
 void MinMaxScaler::fit(std::span<const std::vector<double>> rows) {
   util::require(!rows.empty(), "MinMaxScaler::fit: no rows");

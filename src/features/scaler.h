@@ -1,4 +1,4 @@
-// Z-score feature standardisation.
+// Feature scaling for the attack classifiers.
 //
 // Both classifiers (SVM with an RBF kernel, MLP) need features on
 // comparable scales; packet counts and interarrival seconds differ by four
@@ -10,36 +10,6 @@
 #include <vector>
 
 namespace reshape::features {
-
-/// Per-dimension standardisation: x' = (x - mean) / std.
-///
-/// Invariant: after fit(), means_ and stds_ have the training
-/// dimensionality and every std is > 0 (constant columns get std 1 so they
-/// map to 0).
-class StandardScaler {
- public:
-  /// Learns per-dimension mean/std. Requires a non-empty, rectangular
-  /// sample matrix.
-  void fit(std::span<const std::vector<double>> rows);
-
-  /// True once fit() has run.
-  [[nodiscard]] bool fitted() const { return !means_.empty(); }
-
-  /// Standardises one row (dimensionality must match fit()).
-  [[nodiscard]] std::vector<double> transform(
-      std::span<const double> row) const;
-
-  /// Standardises many rows.
-  [[nodiscard]] std::vector<std::vector<double>> transform_all(
-      std::span<const std::vector<double>> rows) const;
-
-  [[nodiscard]] std::span<const double> means() const { return means_; }
-  [[nodiscard]] std::span<const double> stds() const { return stds_; }
-
- private:
-  std::vector<double> means_;
-  std::vector<double> stds_;
-};
 
 /// Per-dimension min-max scaling: x' = (x - min) / (max - min).
 ///

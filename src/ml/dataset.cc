@@ -86,14 +86,4 @@ std::pair<Dataset, Dataset> Dataset::stratified_split(double train_fraction,
   return {std::move(train), std::move(test)};
 }
 
-std::vector<int> Classifier::predict_all(
-    std::span<const std::vector<double>> rows) const {
-  std::vector<int> out;
-  out.reserve(rows.size());
-  for (const auto& row : rows) {
-    out.push_back(predict(row));
-  }
-  return out;
-}
-
 }  // namespace reshape::ml

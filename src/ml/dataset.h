@@ -70,10 +70,6 @@ class Classifier {
 
   /// Short identifier for reports ("svm-rbf", "mlp", ...).
   [[nodiscard]] virtual std::string_view name() const = 0;
-
-  /// Predicts every row of a matrix.
-  [[nodiscard]] std::vector<int> predict_all(
-      std::span<const std::vector<double>> rows) const;
 };
 
 }  // namespace reshape::ml

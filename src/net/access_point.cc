@@ -40,7 +40,8 @@ void AccessPoint::associate(const mac::MacAddress& client_physical,
                 "AccessPoint::associate: client already associated");
   pool_.reserve(client_physical);
   auto reshaper = std::make_unique<core::online::StreamingReshaper>(
-      scheduler_factory_(), nullptr, config_.streaming.accounting_only());
+      core::ReshapingDefense{scheduler_factory_()},
+      config_.streaming.accounting_only());
   reshaper->set_packet_trace(trace_);
   clients_.emplace(client_physical,
                    ClientState{key, {}, std::move(reshaper), {}});
@@ -251,9 +252,7 @@ bool AccessPoint::push_tuned_configuration(
   // the client will rebuild its uplink from — both ends of the link run
   // the pushed point (stats restart with the new pipeline).
   client.reshaper =
-      std::make_unique<core::online::StreamingReshaper>(
-          config.make_scheduler(), config.make_interface_shapers(),
-          config_.streaming.accounting_only());
+      config.make_reshaper(config_.streaming.accounting_only());
   client.reshaper->set_packet_trace(trace_);  // tracing survives the rebuild
 
   TunedConfigUpdate update{nonce_gen_.next(), client.virtual_addresses,

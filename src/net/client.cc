@@ -12,8 +12,7 @@ WirelessClient::WirelessClient(
     mac::MacAddress physical_address, mac::MacAddress bssid, int channel,
     mac::SymmetricKey key, util::Rng rng,
     std::unique_ptr<core::Scheduler> uplink_scheduler,
-    core::online::StreamingConfig streaming,
-    std::unique_ptr<core::online::PacketShaper> shaper)
+    core::online::StreamingConfig streaming)
     : simulator_{simulator},
       medium_{medium},
       position_{position},
@@ -24,7 +23,7 @@ WirelessClient::WirelessClient(
       nonce_gen_{rng.next_u64()},
       tpc_{core::TransmitPowerControl::fixed(15.0)},
       streaming_{streaming},
-      reshaper_{checked(std::move(uplink_scheduler)), std::move(shaper),
+      reshaper_{core::ReshapingDefense{checked(std::move(uplink_scheduler))},
                 streaming.accounting_only()} {
   util::require(!physical_address_.is_null(),
                 "WirelessClient: physical address must be set");
@@ -150,8 +149,7 @@ void WirelessClient::handle_tuned_config(const mac::Frame& frame) {
   }
   obs::PacketTrace* trace = reshaper_.packet_trace();
   reshaper_ = core::online::StreamingReshaper{
-      update->config.make_scheduler(), update->config.make_interface_shapers(),
-      streaming_.accounting_only()};
+      update->config.make_composition(), streaming_.accounting_only()};
   reshaper_.set_packet_trace(trace);  // tracing survives the rebuild
   tuned_ = std::move(update->config);
   pending_nonce_.reset();

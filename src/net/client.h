@@ -60,15 +60,13 @@ class WirelessClient : public sim::RadioListener {
   /// Attaches to the medium at `position`, tuned to `channel`, associated
   /// with the AP identified by `bssid` sharing `key`. The uplink scheduler
   /// runs inside a core::online::StreamingReshaper whose release times
-  /// become actual deferred transmissions; `shaper` optionally adds a
-  /// per-packet size transform (live padding/morphing) before scheduling.
+  /// become actual deferred transmissions.
   WirelessClient(sim::Simulator& simulator, sim::Medium& medium,
                  sim::Position position, mac::MacAddress physical_address,
                  mac::MacAddress bssid, int channel, mac::SymmetricKey key,
                  util::Rng rng,
                  std::unique_ptr<core::Scheduler> uplink_scheduler,
-                 core::online::StreamingConfig streaming = {},
-                 std::unique_ptr<core::online::PacketShaper> shaper = nullptr);
+                 core::online::StreamingConfig streaming = {});
 
   ~WirelessClient() override;
   WirelessClient(const WirelessClient&) = delete;

@@ -331,10 +331,11 @@ Scenario live_reshaping(std::size_t stations, util::Duration duration,
           config.bitrate_mbps = bitrate_mbps;
           config.record_streams = false;
           core::online::StreamingReshaper pipeline{
-              std::make_unique<core::OrthogonalScheduler>(
-                  core::OrthogonalScheduler::identity(
-                      core::SizeRanges::paper_default())),
-              nullptr, config};
+              core::ReshapingDefense{
+                  std::make_unique<core::OrthogonalScheduler>(
+                      core::OrthogonalScheduler::identity(
+                          core::SizeRanges::paper_default()))},
+              config};
 
           traffic::Trace live{original.app()};
           live.reserve(original.size());

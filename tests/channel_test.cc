@@ -11,6 +11,7 @@
 #include "attack/sniffer.h"
 #include "core/online/streaming_reshaper.h"
 #include "core/scheduler.h"
+#include "core/tuning/tuned_configuration.h"
 #include "net/access_point.h"
 #include "net/client.h"
 #include "sim/channel/channel_arbiter.h"
@@ -62,9 +63,7 @@ struct ArbitratedCell {
   std::unique_ptr<net::WirelessClient> client;
   attack::Sniffer sniffer{bssid};
 
-  explicit ArbitratedCell(
-      DcfParams params,
-      std::unique_ptr<core::online::PacketShaper> shaper = nullptr)
+  explicit ArbitratedCell(DcfParams params)
       : arbiter{simulator, medium, 1, params, util::Rng{5}} {
     const double bitrate_mbps = params.bitrate_mbps;
     net::ApConfig config;
@@ -76,7 +75,7 @@ struct ArbitratedCell {
     streaming.bitrate_mbps = bitrate_mbps;
     client = std::make_unique<net::WirelessClient>(
         simulator, medium, Position{5, 5}, client_mac, bssid, 1, key,
-        util::Rng{8}, make_or(), streaming, std::move(shaper));
+        util::Rng{8}, make_or(), streaming);
     ap->associate(client_mac, key);
     medium.attach(sniffer, Position{2, -2}, 1);
   }
@@ -244,7 +243,8 @@ TEST(GoldenParityTest, OnAirTimestampsEqualReshaperReleaseTimesExactly) {
   core::online::StreamingConfig config;
   config.bitrate_mbps = kBitrate;
   config.record_streams = false;
-  core::online::StreamingReshaper shadow{make_or(), nullptr, config};
+  core::online::StreamingReshaper shadow{core::ReshapingDefense{make_or()},
+                                         config};
   std::vector<TimePoint> expected;
   for (const traffic::PacketRecord& r : trace.records()) {
     if (r.direction != mac::Direction::kUplink) {
@@ -294,13 +294,17 @@ TEST(GoldenParityTest, SnifferSeesDefendedNotUndefendedTiming) {
   const Duration offset = Duration::milliseconds(50);
 
   const auto observed_times = [&](bool defended) {
-    std::unique_ptr<core::online::PacketShaper> shaper;
-    if (defended) {
-      shaper =
-          std::make_unique<core::online::PaddingShaper>(mac::kMaxFrameBytes);
-    }
-    ArbitratedCell cell{DcfParams::uncontended(kBitrate), std::move(shaper)};
+    ArbitratedCell cell{DcfParams::uncontended(kBitrate)};
     cell.configure_interfaces();
+    if (defended) {
+      // The AP pushes the same OR point with every interface padded to
+      // the maximum frame; the client rebuilds its uplink pipeline on it.
+      auto padded = core::tuning::TunedConfiguration::identity(
+          "padded", core::SizeRanges::paper_default());
+      padded.pad_to.assign(padded.interfaces, mac::kMaxFrameBytes);
+      EXPECT_TRUE(cell.ap->push_tuned_configuration(cell.client_mac, padded));
+      cell.simulator.run();
+    }
     cell.drive_uplink(trace, offset);
     return cell.observed_uplink_times();
   };

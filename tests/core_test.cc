@@ -6,11 +6,9 @@
 #include <cmath>
 #include <set>
 
-#include "core/combined.h"
 #include "core/defense.h"
 #include "core/frequency_hopping.h"
 #include "core/morphing.h"
-#include "core/padding.h"
 #include "core/scheduler.h"
 #include "core/target_distribution.h"
 #include "core/tpc.h"
@@ -247,8 +245,16 @@ TEST(ReshapingDefenseTest, StreamsPreserveLabelAndOrder) {
   }
 }
 
-TEST(ReshapingDefenseTest, NullSchedulerRejected) {
-  EXPECT_THROW(ReshapingDefense{nullptr}, std::invalid_argument);
+TEST(ReshapingDefenseTest, NullSchedulerIsOneUnshapedStream) {
+  const Trace trace = bt_trace(10.0);
+  ReshapingDefense defense{nullptr};
+  const DefenseResult result = defense.apply(trace);
+  ASSERT_EQ(result.streams.size(), 1u);
+  ASSERT_EQ(result.streams[0].size(), trace.size());
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    EXPECT_EQ(result.streams[0][i], trace[i]);
+  }
+  EXPECT_EQ(result.added_bytes, 0u);
 }
 
 TEST(FrequencyHoppingTest, ScheduleCycles) {
@@ -287,7 +293,7 @@ TEST(FrequencyHoppingTest, MonitoredChannelMustBeInHopSet) {
 
 TEST(PaddingTest, PadsEverythingToTarget) {
   const Trace trace = bt_trace(10.0);
-  PaddingDefense defense;
+  auto defense = ReshapingDefense::shaping(std::make_unique<PaddingShaper>());
   const DefenseResult result = defense.apply(trace);
   for (const PacketRecord& r : result.streams[0].records()) {
     EXPECT_EQ(r.size_bytes, mac::kMaxFrameBytes);
@@ -299,7 +305,7 @@ TEST(PaddingTest, OverheadAccountingIsExact) {
   Trace trace{AppType::kChatting};
   trace.push_back(record(0.0, 576));
   trace.push_back(record(1.0, 1576));
-  PaddingDefense defense;
+  auto defense = ReshapingDefense::shaping(std::make_unique<PaddingShaper>());
   const DefenseResult result = defense.apply(trace);
   EXPECT_EQ(result.added_bytes, 1000u);
   EXPECT_EQ(result.original_bytes, 2152u);
@@ -310,7 +316,8 @@ TEST(MorphingTest, NeverShrinksAndFollowsTarget) {
       AppType::kDownloading, Duration::seconds(30), 5,
       traffic::SessionJitter::none());
   util::EmpiricalDistribution target{target_trace.sizes()};
-  MorphingDefense defense{AppType::kDownloading, target, util::Rng{7}};
+  auto defense = ReshapingDefense::shaping(std::make_unique<MorphingDefense>(
+      AppType::kDownloading, target, util::Rng{7}));
   const Trace source = bt_trace(10.0);
   const DefenseResult result = defense.apply(source);
   ASSERT_EQ(result.streams[0].size(), source.size());
@@ -337,10 +344,10 @@ TEST(CombinedDefenseTest, MorphsOnlySelectedInterfaces) {
       traffic::SessionJitter::none());
   util::EmpiricalDistribution profile{profile_trace.sizes()};
 
-  std::unordered_map<std::size_t, std::unique_ptr<MorphingDefense>> morphers;
-  morphers.emplace(0, std::make_unique<MorphingDefense>(
-                          AppType::kGaming, profile, util::Rng{11}));
-  CombinedDefense defense{
+  std::vector<std::unique_ptr<PacketShaper>> morphers;
+  morphers.push_back(std::make_unique<MorphingDefense>(AppType::kGaming,
+                                                      profile, util::Rng{11}));
+  ReshapingDefense defense{
       std::make_unique<OrthogonalScheduler>(
           OrthogonalScheduler::identity(SizeRanges::paper_default())),
       std::move(morphers)};
@@ -356,11 +363,12 @@ TEST(CombinedDefenseTest, MorphsOnlySelectedInterfaces) {
 TEST(CombinedDefenseTest, RejectsBadMorpherKey) {
   const Trace profile_trace = bt_trace(5.0);
   util::EmpiricalDistribution profile{profile_trace.sizes()};
-  std::unordered_map<std::size_t, std::unique_ptr<MorphingDefense>> morphers;
-  morphers.emplace(7, std::make_unique<MorphingDefense>(
-                          AppType::kGaming, profile, util::Rng{1}));
-  EXPECT_THROW(CombinedDefense(std::make_unique<RoundRobinScheduler>(3),
-                               std::move(morphers)),
+  // A morpher in slot 7 of a 3-interface scheduler.
+  std::vector<std::unique_ptr<PacketShaper>> morphers(7);
+  morphers.push_back(std::make_unique<MorphingDefense>(AppType::kGaming,
+                                                      profile, util::Rng{1}));
+  EXPECT_THROW(ReshapingDefense(std::make_unique<RoundRobinScheduler>(3),
+                                std::move(morphers)),
                std::invalid_argument);
 }
 

@@ -4,7 +4,6 @@
 
 #include "core/airtime.h"
 #include "core/defense.h"
-#include "core/padding.h"
 #include "core/scheduler.h"
 #include "ml/decision_tree.h"
 #include "ml/metrics.h"
@@ -144,7 +143,8 @@ TEST(AirtimeTest, PaddingAddsAirtime) {
       traffic::AppType::kChatting, util::Duration::seconds(60), 3,
       traffic::SessionJitter::none());
   core::NoDefense none;
-  core::PaddingDefense padding;
+  auto padding = core::ReshapingDefense::shaping(
+      std::make_unique<core::PaddingShaper>());
   const auto baseline = core::defense_airtime(none.apply(trace), 54.0);
   const auto padded = core::defense_airtime(padding.apply(trace), 54.0);
   EXPECT_GT(padded.overhead_percent(baseline), 50.0);  // chatting is small

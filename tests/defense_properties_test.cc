@@ -9,7 +9,6 @@
 #include "core/defense.h"
 #include "core/frequency_hopping.h"
 #include "core/morphing.h"
-#include "core/padding.h"
 #include "core/scheduler.h"
 #include "core/target_distribution.h"
 #include "traffic/generator.h"
@@ -168,7 +167,7 @@ class OverheadPropertyTest : public ::testing::TestWithParam<AppType> {};
 TEST_P(OverheadPropertyTest, PaddingOverheadIsExactlyComputable) {
   const traffic::Trace trace =
       traffic::generate_trace(GetParam(), Duration::seconds(10), 0x55);
-  PaddingDefense defense;
+  auto defense = ReshapingDefense::shaping(std::make_unique<PaddingShaper>());
   const DefenseResult result = defense.apply(trace);
   std::uint64_t expected = 0;
   for (const traffic::PacketRecord& r : trace.records()) {
@@ -186,7 +185,7 @@ TEST_P(OverheadPropertyTest, PaddingPreservesTiming) {
   // are untouched.
   const traffic::Trace trace =
       traffic::generate_trace(GetParam(), Duration::seconds(10), 0x56);
-  PaddingDefense defense;
+  auto defense = ReshapingDefense::shaping(std::make_unique<PaddingShaper>());
   const DefenseResult result = defense.apply(trace);
   ASSERT_EQ(result.streams[0].size(), trace.size());
   for (std::size_t i = 0; i < trace.size(); ++i) {
@@ -256,7 +255,8 @@ TEST_P(MorphingPropertyTest, MorphedFlowMatchesTargetSupport) {
       *target_app, Duration::seconds(30), 0x99,
       traffic::SessionJitter::none());
   util::EmpiricalDistribution target{target_trace.sizes()};
-  MorphingDefense defense{*target_app, target, util::Rng{3}};
+  auto defense = ReshapingDefense::shaping(
+      std::make_unique<MorphingDefense>(*target_app, target, util::Rng{3}));
   const traffic::Trace source_trace = traffic::generate_trace(
       source, Duration::seconds(10), 0x98, traffic::SessionJitter::none());
   const DefenseResult result = defense.apply(source_trace);

@@ -126,10 +126,22 @@ TEST(DefenseFactoryTest, EveryFactoryProducesWorkingDefense) {
 TEST(DefenseFactoryTest, MorphingSkipsUnmorphedApps) {
   ExperimentHarness harness{tiny_config()};
   const auto factory = morphing_factory(harness);
-  auto defense = factory(traffic::AppType::kDownloading, 1);
-  EXPECT_EQ(defense->name(), "Original");  // NoDefense pass-through
-  auto morph = factory(traffic::AppType::kChatting, 1);
-  EXPECT_EQ(morph->name(), "Morphing");
+  // Downloading is left unmorphed: the flow passes through untouched.
+  const traffic::Trace download = traffic::generate_trace(
+      traffic::AppType::kDownloading, util::Duration::seconds(10.0), 5);
+  const core::DefenseResult passed =
+      factory(traffic::AppType::kDownloading, 1)->apply(download);
+  ASSERT_EQ(passed.streams.size(), 1u);
+  ASSERT_EQ(passed.streams[0].size(), download.size());
+  for (std::size_t i = 0; i < download.size(); ++i) {
+    EXPECT_EQ(passed.streams[0][i], download[i]);
+  }
+  EXPECT_EQ(passed.added_bytes, 0u);
+  // Chatting is morphed toward gaming, which pads its small packets.
+  const traffic::Trace chat = traffic::generate_trace(
+      traffic::AppType::kChatting, util::Duration::seconds(10.0), 6);
+  EXPECT_GT(factory(traffic::AppType::kChatting, 1)->apply(chat).added_bytes,
+            0u);
 }
 
 }  // namespace

@@ -191,29 +191,10 @@ TEST(LogCompressTest, MonotoneInIat) {
             log_compress(b).downlink.iat_mean);
 }
 
-// ------------------------------------------------------ StandardScaler ---
+// -------------------------------------------------------- MinMaxScaler ---
 
-TEST(StandardScalerTest, TransformsToZeroMeanUnitVar) {
-  std::vector<std::vector<double>> rows{{1.0, 10.0}, {3.0, 30.0}, {5.0, 50.0}};
-  StandardScaler scaler;
-  scaler.fit(rows);
-  const auto t = scaler.transform(rows[1]);
-  EXPECT_NEAR(t[0], 0.0, 1e-12);
-  EXPECT_NEAR(t[1], 0.0, 1e-12);
-  const auto lo = scaler.transform(rows[0]);
-  const auto hi = scaler.transform(rows[2]);
-  EXPECT_NEAR(lo[0], -hi[0], 1e-12);
-}
-
-TEST(StandardScalerTest, ConstantColumnMapsToZero) {
-  std::vector<std::vector<double>> rows{{7.0}, {7.0}, {7.0}};
-  StandardScaler scaler;
-  scaler.fit(rows);
-  EXPECT_DOUBLE_EQ(scaler.transform(rows[0])[0], 0.0);
-}
-
-TEST(StandardScalerTest, GuardsMisuse) {
-  StandardScaler scaler;
+TEST(MinMaxScalerTest, GuardsMisuse) {
+  MinMaxScaler scaler;
   EXPECT_THROW((void)scaler.transform(std::vector<double>{1.0}),
                std::invalid_argument);
   std::vector<std::vector<double>> rows{{1.0, 2.0}};
@@ -221,8 +202,6 @@ TEST(StandardScalerTest, GuardsMisuse) {
   EXPECT_THROW((void)scaler.transform(std::vector<double>{1.0}),
                std::invalid_argument);
 }
-
-// -------------------------------------------------------- MinMaxScaler ---
 
 TEST(MinMaxScalerTest, MapsTrainingRangeToUnit) {
   std::vector<std::vector<double>> rows{{0.0, 100.0}, {10.0, 200.0}};

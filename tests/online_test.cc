@@ -1,25 +1,26 @@
 // The streaming pipeline's golden-parity and live-cost guarantees:
 //   * feeding a whole trace through core::online::StreamingReshaper yields
-//     per-interface streams byte-identical to the batch Defense::apply()
-//     path, for every scheduler-based defense, across every registry
+//     per-interface streams byte-identical to the batch
+//     ReshapingDefense::apply() path, for every composition (reshaping,
+//     padding, morphing, OR+morphing, padded OR), across every registry
 //     scenario;
 //   * the queueing/airtime accounting obeys the shared-radio model
 //     (monotone timeline, budget-driven deadline misses, clean reset).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "core/combined.h"
 #include "core/defense.h"
 #include "core/morphing.h"
 #include "core/online/streaming_reshaper.h"
-#include "core/padding.h"
 #include "core/scheduler.h"
 #include "core/target_distribution.h"
+#include "core/tuning/tuned_configuration.h"
 #include "mac/frame.h"
 #include "runtime/scenario.h"
 #include "traffic/generator.h"
@@ -47,42 +48,69 @@ void expect_same_result(const DefenseResult& batch,
   }
 }
 
-/// A batch defense and its streaming twin, built from identical state.
+std::unique_ptr<Scheduler> or_identity() {
+  return std::make_unique<OrthogonalScheduler>(
+      OrthogonalScheduler::identity(SizeRanges::paper_default()));
+}
+
+util::EmpiricalDistribution profile_of(AppType app, std::uint64_t seed) {
+  const traffic::Trace trace = traffic::generate_trace(
+      app, Duration::seconds(30), seed, traffic::SessionJitter::none());
+  return util::EmpiricalDistribution{trace.sizes()};
+}
+
+/// One composition, built twice from identical state: once for the batch
+/// apply(), once inside the streaming pipeline.
 struct ParityCase {
   std::string name;
-  std::unique_ptr<Defense> batch;
-  std::unique_ptr<StreamingReshaper> streaming;
+  std::function<ReshapingDefense()> make;
 };
 
 std::vector<ParityCase> make_parity_cases(std::uint64_t seed) {
-  const auto or_identity = [] {
-    return std::make_unique<OrthogonalScheduler>(
-        OrthogonalScheduler::identity(SizeRanges::paper_default()));
-  };
+  const util::EmpiricalDistribution gaming = profile_of(AppType::kGaming, 0x6A);
+  const util::EmpiricalDistribution browsing =
+      profile_of(AppType::kBrowsing, 0x6B);
   std::vector<ParityCase> cases;
-  cases.push_back({"OR", std::make_unique<ReshapingDefense>(or_identity()),
-                   std::make_unique<StreamingReshaper>(or_identity(),
-                                                       nullptr)});
-  cases.push_back({"OR-mod",
-                   std::make_unique<ReshapingDefense>(
-                       std::make_unique<ModuloScheduler>(3)),
-                   std::make_unique<StreamingReshaper>(
-                       std::make_unique<ModuloScheduler>(3), nullptr)});
-  cases.push_back({"RA",
-                   std::make_unique<ReshapingDefense>(
-                       std::make_unique<RandomScheduler>(3, util::Rng{seed})),
-                   std::make_unique<StreamingReshaper>(
-                       std::make_unique<RandomScheduler>(3, util::Rng{seed}),
-                       nullptr)});
-  cases.push_back({"RR",
-                   std::make_unique<ReshapingDefense>(
-                       std::make_unique<RoundRobinScheduler>(3)),
-                   std::make_unique<StreamingReshaper>(
-                       std::make_unique<RoundRobinScheduler>(3), nullptr)});
-  cases.push_back({"Padding", std::make_unique<PaddingDefense>(),
-                   std::make_unique<StreamingReshaper>(
-                       nullptr,
-                       std::make_unique<PaddingShaper>(mac::kMaxFrameBytes))});
+  cases.push_back({"OR", [] { return ReshapingDefense{or_identity()}; }});
+  cases.push_back({"OR-mod", [] {
+                     return ReshapingDefense{
+                         std::make_unique<ModuloScheduler>(3)};
+                   }});
+  cases.push_back({"RA", [seed] {
+                     return ReshapingDefense{std::make_unique<RandomScheduler>(
+                         3, util::Rng{seed})};
+                   }});
+  cases.push_back({"RR", [] {
+                     return ReshapingDefense{
+                         std::make_unique<RoundRobinScheduler>(3)};
+                   }});
+  cases.push_back({"Padding", [] {
+                     return ReshapingDefense::shaping(
+                         std::make_unique<PaddingShaper>(mac::kMaxFrameBytes));
+                   }});
+  cases.push_back({"Morphing", [seed, browsing] {
+                     return ReshapingDefense::shaping(
+                         std::make_unique<MorphingDefense>(
+                             AppType::kBrowsing, browsing, util::Rng{seed}));
+                   }});
+  // The §V-C layout of eval::combined_factory: interface 0 morphs toward
+  // gaming, interface 1 toward browsing, interface 2 passes through.
+  cases.push_back({"OR+Morphing", [seed, gaming, browsing] {
+                     std::vector<std::unique_ptr<PacketShaper>> morphers;
+                     morphers.push_back(std::make_unique<MorphingDefense>(
+                         AppType::kGaming, gaming, util::Rng{seed ^ 0xAA}));
+                     morphers.push_back(std::make_unique<MorphingDefense>(
+                         AppType::kBrowsing, browsing, util::Rng{seed ^ 0xBB}));
+                     return ReshapingDefense{or_identity(),
+                                             std::move(morphers)};
+                   }});
+  // The tuner's padded composition; both pads cross a range bound.
+  cases.push_back({"OR+Pad", [] {
+                     auto config = tuning::TunedConfiguration::identity(
+                         "parity", SizeRanges::paper_default());
+                     config.pad_to = {600, 1576, 0};
+                     return config.make_composition();
+                   }});
   return cases;
 }
 
@@ -96,12 +124,12 @@ TEST_P(StreamingParityTest, StreamingMatchesBatchForEverySession) {
   util::Rng rng{0xF00D};
   const std::vector<traffic::Trace> sessions = scenario.generate(rng);
   ASSERT_FALSE(sessions.empty());
-  auto cases = make_parity_cases(/*seed=*/0xCAFE);
-  for (ParityCase& pc : cases) {
+  for (const ParityCase& pc : make_parity_cases(/*seed=*/0xCAFE)) {
+    ReshapingDefense batch_defense = pc.make();
+    StreamingReshaper pipeline{pc.make()};
     for (std::size_t s = 0; s < sessions.size(); ++s) {
-      const DefenseResult batch = pc.batch->apply(sessions[s]);
-      const DefenseResult streaming =
-          run_streaming(*pc.streaming, sessions[s]);
+      const DefenseResult batch = batch_defense.apply(sessions[s]);
+      const DefenseResult streaming = run_streaming(pipeline, sessions[s]);
       expect_same_result(batch, streaming,
                          pc.name + " on " + GetParam() + " session " +
                              std::to_string(s));
@@ -122,91 +150,7 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
-// ------------------------------------------- morphing parity, per app ---
-
-TEST(StreamingMorphingParityTest, MatchesBatchForEveryMorphedApp) {
-  for (const AppType app : traffic::kAllApps) {
-    const auto target = paper_morph_target(app);
-    if (!target) {
-      continue;  // paper leaves the app unmorphed
-    }
-    const traffic::Trace target_trace = traffic::generate_trace(
-        *target, Duration::seconds(30), 0x71, traffic::SessionJitter::none());
-    const util::EmpiricalDistribution profile{target_trace.sizes()};
-    MorphingDefense batch{*target, profile, util::Rng{11}};
-    StreamingReshaper streaming{
-        nullptr, std::make_unique<MorphingShaper>(
-                     MorphingDefense{*target, profile, util::Rng{11}})};
-    const traffic::Trace source =
-        traffic::generate_trace(app, Duration::seconds(20), 0x72);
-    expect_same_result(batch.apply(source), run_streaming(streaming, source),
-                       "Morphing " + std::string{traffic::to_string(app)});
-  }
-}
-
-// ------------------------------------- combined §V-C parity, per app ---
-
-/// The paper's combined defense, built twice from identical state: batch
-/// CombinedDefense and its streaming twin (schedule on original sizes,
-/// then per-interface morphing).
-struct CombinedPair {
-  std::unique_ptr<CombinedDefense> batch;
-  std::unique_ptr<StreamingReshaper> streaming;
-};
-
-CombinedPair make_combined_pair(std::uint64_t seed) {
-  const auto or_identity = [] {
-    return std::make_unique<OrthogonalScheduler>(
-        OrthogonalScheduler::identity(SizeRanges::paper_default()));
-  };
-  const auto profile_of = [](AppType app, std::uint64_t profile_seed) {
-    const traffic::Trace trace = traffic::generate_trace(
-        app, Duration::seconds(30), profile_seed,
-        traffic::SessionJitter::none());
-    return util::EmpiricalDistribution{trace.sizes()};
-  };
-  const util::EmpiricalDistribution gaming =
-      profile_of(AppType::kGaming, 0x6A);
-  const util::EmpiricalDistribution browsing =
-      profile_of(AppType::kBrowsing, 0x6B);
-
-  // Interface 0 morphs toward gaming, interface 1 toward browsing,
-  // interface 2 passes through — the §V-C composition of
-  // eval::combined_factory. Seeds per interface match across paths.
-  std::unordered_map<std::size_t, std::unique_ptr<MorphingDefense>> morphers;
-  morphers.emplace(0, std::make_unique<MorphingDefense>(
-                          AppType::kGaming, gaming, util::Rng{seed ^ 0xAA}));
-  morphers.emplace(1, std::make_unique<MorphingDefense>(
-                          AppType::kBrowsing, browsing,
-                          util::Rng{seed ^ 0xBB}));
-
-  std::vector<std::unique_ptr<PacketShaper>> shapers;
-  shapers.push_back(std::make_unique<MorphingShaper>(
-      MorphingDefense{AppType::kGaming, gaming, util::Rng{seed ^ 0xAA}}));
-  shapers.push_back(std::make_unique<MorphingShaper>(
-      MorphingDefense{AppType::kBrowsing, browsing, util::Rng{seed ^ 0xBB}}));
-
-  CombinedPair pair;
-  pair.batch = std::make_unique<CombinedDefense>(or_identity(),
-                                                 std::move(morphers));
-  pair.streaming = std::make_unique<StreamingReshaper>(or_identity(),
-                                                       std::move(shapers));
-  return pair;
-}
-
-TEST(StreamingCombinedParityTest, MatchesBatchCombinedForEveryApp) {
-  // Satellite acceptance (§V-C composition): per-interface morphing after
-  // scheduling on the streaming path is byte-identical to the batch
-  // CombinedDefense — streams, original bytes, and added bytes.
-  CombinedPair pair = make_combined_pair(/*seed=*/0x5C3);
-  for (const AppType app : traffic::kAllApps) {
-    const traffic::Trace source = traffic::generate_trace(
-        app, Duration::seconds(20), 0x90 + traffic::app_index(app));
-    expect_same_result(
-        pair.batch->apply(source), run_streaming(*pair.streaming, source),
-        "Combined " + std::string{traffic::to_string(app)});
-  }
-}
+// ------------------------------------------------ dispatch composition ---
 
 TEST(StreamingCombinedParityTest, SchedulerSeesOriginalSizes) {
   // Dispatch must happen on the *pre-morph* size: a 100-byte packet
@@ -215,9 +159,7 @@ TEST(StreamingCombinedParityTest, SchedulerSeesOriginalSizes) {
   std::vector<std::unique_ptr<PacketShaper>> shapers;
   shapers.push_back(std::make_unique<PaddingShaper>(1500));
   StreamingReshaper pipeline{
-      std::make_unique<OrthogonalScheduler>(
-          OrthogonalScheduler::identity(SizeRanges::paper_default())),
-      std::move(shapers)};
+      ReshapingDefense{or_identity(), std::move(shapers)}};
   traffic::PacketRecord small;
   small.size_bytes = 100;
   const ShapedPacket shaped = pipeline.push(small);
@@ -227,9 +169,11 @@ TEST(StreamingCombinedParityTest, SchedulerSeesOriginalSizes) {
 }
 
 TEST(StreamingCombinedParityTest, RejectsShaperListWithoutScheduler) {
+  // Without a scheduler there is one stream, so only slot 0 may be set.
   std::vector<std::unique_ptr<PacketShaper>> shapers;
   shapers.push_back(std::make_unique<PaddingShaper>(1500));
-  EXPECT_THROW((StreamingReshaper{nullptr, std::move(shapers)}),
+  shapers.push_back(std::make_unique<PaddingShaper>(1500));
+  EXPECT_THROW((ReshapingDefense{nullptr, std::move(shapers)}),
                std::invalid_argument);
 }
 
@@ -238,8 +182,8 @@ TEST(StreamingCombinedParityTest, RejectsMoreShapersThanInterfaces) {
   for (int i = 0; i < 4; ++i) {
     shapers.push_back(std::make_unique<PaddingShaper>(1500));
   }
-  EXPECT_THROW((StreamingReshaper{std::make_unique<ModuloScheduler>(3),
-                                  std::move(shapers)}),
+  EXPECT_THROW((ReshapingDefense{std::make_unique<ModuloScheduler>(3),
+                                 std::move(shapers)}),
                std::invalid_argument);
 }
 
@@ -249,9 +193,8 @@ TEST(StreamingCombinedParityTest, RejectsMoreShapersThanInterfaces) {
 // exactly like Scheduler::reset()).
 TEST(StreamingParityDetailTest, RepeatedRunsTrackBatchRngPhase) {
   ReshapingDefense batch{std::make_unique<RandomScheduler>(3, util::Rng{9})};
-  StreamingReshaper streaming{std::make_unique<RandomScheduler>(
-                                  3, util::Rng{9}),
-                              nullptr};
+  StreamingReshaper streaming{
+      ReshapingDefense{std::make_unique<RandomScheduler>(3, util::Rng{9})}};
   const traffic::Trace trace =
       traffic::generate_trace(AppType::kBrowsing, Duration::seconds(5), 0x31);
   for (int pass = 0; pass < 3; ++pass) {
@@ -272,8 +215,8 @@ traffic::PacketRecord packet_at(std::int64_t us, std::uint32_t size) {
 TEST(StreamingStatsTest, BackToBackArrivalsQueueBehindTheRadio) {
   StreamingConfig config;
   config.bitrate_mbps = 54.0;
-  StreamingReshaper pipeline{std::make_unique<RoundRobinScheduler>(3),
-                             nullptr, config};
+  StreamingReshaper pipeline{
+      ReshapingDefense{std::make_unique<RoundRobinScheduler>(3)}, config};
   const util::Duration on_air = mac::airtime(1500, 54.0);
   // Three packets arrive at the same instant: the radio serializes them.
   const auto first = pipeline.push(packet_at(0, 1500));
@@ -295,8 +238,8 @@ TEST(StreamingStatsTest, BackToBackArrivalsQueueBehindTheRadio) {
 TEST(StreamingStatsTest, LatencyBudgetDrivesDeadlineMisses) {
   StreamingConfig tight;
   tight.latency_budget = util::Duration::microseconds(1);
-  StreamingReshaper pipeline{std::make_unique<RoundRobinScheduler>(1),
-                             nullptr, tight};
+  StreamingReshaper pipeline{
+      ReshapingDefense{std::make_unique<RoundRobinScheduler>(1)}, tight};
   (void)pipeline.push(packet_at(0, 1500));
   const auto queued = pipeline.push(packet_at(0, 1500));
   EXPECT_TRUE(queued.deadline_miss);
@@ -305,8 +248,8 @@ TEST(StreamingStatsTest, LatencyBudgetDrivesDeadlineMisses) {
 }
 
 TEST(StreamingStatsTest, ShapingAccountsAddedBytes) {
-  StreamingReshaper pipeline{nullptr,
-                             std::make_unique<PaddingShaper>(1576)};
+  StreamingReshaper pipeline{
+      ReshapingDefense::shaping(std::make_unique<PaddingShaper>(1576))};
   (void)pipeline.push(packet_at(0, 100));
   (void)pipeline.push(packet_at(10, 1576));
   EXPECT_EQ(pipeline.stats().original_bytes, 1676u);
@@ -316,8 +259,8 @@ TEST(StreamingStatsTest, ShapingAccountsAddedBytes) {
 }
 
 TEST(StreamingStatsTest, ResetClearsTimelineAndStreams) {
-  StreamingReshaper pipeline{std::make_unique<RoundRobinScheduler>(2),
-                             nullptr};
+  StreamingReshaper pipeline{
+      ReshapingDefense{std::make_unique<RoundRobinScheduler>(2)}};
   const traffic::Trace trace =
       traffic::generate_trace(AppType::kChatting, Duration::seconds(5), 0x41);
   const DefenseResult first = run_streaming(pipeline, trace);
@@ -327,8 +270,8 @@ TEST(StreamingStatsTest, ResetClearsTimelineAndStreams) {
 }
 
 TEST(StreamingStatsTest, RejectsOutOfOrderArrivals) {
-  StreamingReshaper pipeline{std::make_unique<RoundRobinScheduler>(2),
-                             nullptr};
+  StreamingReshaper pipeline{
+      ReshapingDefense{std::make_unique<RoundRobinScheduler>(2)}};
   (void)pipeline.push(packet_at(100, 400));
   EXPECT_THROW((void)pipeline.push(packet_at(50, 400)),
                std::invalid_argument);
@@ -337,9 +280,9 @@ TEST(StreamingStatsTest, RejectsOutOfOrderArrivals) {
 TEST(StreamingStatsTest, ValidatesConfig) {
   StreamingConfig bad_bitrate;
   bad_bitrate.bitrate_mbps = 0.0;
-  EXPECT_THROW((StreamingReshaper{nullptr, nullptr, bad_bitrate}),
+  EXPECT_THROW((StreamingReshaper{ReshapingDefense{nullptr}, bad_bitrate}),
                std::invalid_argument);
-  StreamingReshaper no_streams{nullptr, nullptr,
+  StreamingReshaper no_streams{ReshapingDefense{nullptr},
                                StreamingConfig{}.accounting_only()};
   EXPECT_THROW((void)no_streams.result(AppType::kBrowsing),
                std::invalid_argument);

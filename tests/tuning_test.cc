@@ -81,7 +81,7 @@ TEST(TunedConfigurationTest, EqualityIsStructuralAndIgnoresName) {
 
 TEST(TunedConfigurationTest, BatchAndStreamingPathsAgree) {
   // The golden-parity property the tuner's scoring rests on: the batch
-  // twin and the streaming pipeline must produce byte-identical flows —
+  // defense and the streaming pipeline must produce byte-identical flows —
   // including the padded composition.
   const Trace trace = traffic::generate_trace(
       AppType::kBitTorrent, util::Duration::seconds(20.0), 404);

@@ -4,7 +4,8 @@
 //     OR is O(N)");
 //   * the configuration handshake is the only message overhead;
 //   * the supporting pipeline (feature extraction, classifier inference,
-//     address-pool allocation) is fast enough for online use.
+//     address-pool allocation, DCF arbitration of a contended cell) is
+//     fast enough for online use.
 #include <benchmark/benchmark.h>
 
 #include "core/defense.h"
@@ -14,6 +15,7 @@
 #include "ml/mlp.h"
 #include "ml/svm.h"
 #include "net/config_protocol.h"
+#include "runtime/scenario.h"
 #include "traffic/generator.h"
 
 namespace {
@@ -170,6 +172,28 @@ void BM_TraceGeneration(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TraceGeneration);
+
+/// The tuning arena end to end: four stations' 60 s sessions generated
+/// and arbitrated through one DCF cell. Items are on-air frames, so the
+/// per-frame cost of arbitration reads straight off items/s.
+void BM_ArbitrateContendedCell(benchmark::State& state) {
+  const runtime::Scenario arena =
+      runtime::tuned_vs_table5(4, util::Duration::seconds(60.0));
+  std::size_t frames = 0;
+  for (auto _ : state) {
+    util::Rng rng{0xA12B};
+    const std::vector<traffic::Trace> flows = arena.generate(rng);
+    frames = 0;
+    for (const traffic::Trace& flow : flows) {
+      frames += flow.size();
+    }
+    benchmark::DoNotOptimize(flows.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(frames));
+  state.counters["frames"] = static_cast<double>(frames);
+}
+BENCHMARK(BM_ArbitrateContendedCell)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

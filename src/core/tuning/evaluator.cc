@@ -8,6 +8,7 @@
 #include "runtime/adaptive_campaign.h"
 #include "sim/channel/channel_arbiter.h"
 #include "sim/medium.h"
+#include "sim/release_chains.h"
 #include "sim/simulator.h"
 #include "traffic/generator.h"
 #include "util/check.h"
@@ -25,7 +26,7 @@ struct StationIdentity final : sim::RadioListener {
 };
 
 /// Enqueues released frames on the measurement cell: one typed event
-/// (station, record index) per frame instead of one scheduled closure.
+/// (station, record index) per frame, fed through sim::ReleaseChains.
 class ReleaseEvents final : public sim::EventHandler {
  public:
   ReleaseEvents(
@@ -188,11 +189,13 @@ CandidateShardOutcome CandidateEvaluator::evaluate_cell(
     });
 
     ReleaseEvents release{arbiter, released};
+    sim::ReleaseChains chains{simulator, release};
     for (std::size_t s = 0; s < released.size(); ++s) {
       for (std::size_t i = 0; i < released[s].size(); ++i) {
-        simulator.schedule_event(released[s][i].time, release, s, i);
+        chains.add(released[s][i].time, s, i);
       }
     }
+    chains.start();
     simulator.run();
   }
   std::sort(outcome.access_delay_us.begin(), outcome.access_delay_us.end());

@@ -12,6 +12,7 @@
 #include "core/scheduler.h"
 #include "sim/channel/channel_arbiter.h"
 #include "sim/medium.h"
+#include "sim/release_chains.h"
 #include "sim/simulator.h"
 #include "traffic/generator.h"
 #include "util/check.h"
@@ -34,10 +35,11 @@ sim::PathLossModel quiet_path_loss() {
 
 /// Shared scaffolding of the arbitrated-channel scenarios: owns the
 /// simulator/medium/arbiter stack, registers transmitter identities,
-/// schedules per-record enqueues at their original times (one typed
-/// event per record), mirrors the arbiter's per-station FIFO against the
-/// on-air and drop hooks, and collects the observed (restamped) records
-/// per output stream.
+/// releases per-record enqueues at their original times (one typed event
+/// per record, fed through sim::ReleaseChains so the queue holds one
+/// pending release per time-sorted chain, not every record), mirrors the
+/// arbiter's per-station FIFO against the on-air and drop hooks, and
+/// collects the observed (restamped) records per output stream.
 class ArbitratedAir final : public sim::EventHandler {
  public:
   ArbitratedAir(double bitrate_mbps, util::Rng medium_rng,
@@ -75,8 +77,7 @@ class ArbitratedAir final : public sim::EventHandler {
   /// timestamp, observed into `stream`.
   void schedule(std::size_t transmitter, std::size_t stream,
                 const traffic::PacketRecord& record) {
-    simulator_.schedule_event(record.time, *this, transmitter,
-                              scheduled_.size());
+    releases_.add(record.time, transmitter, scheduled_.size());
     scheduled_.emplace_back(stream, record);
   }
 
@@ -91,15 +92,19 @@ class ArbitratedAir final : public sim::EventHandler {
   }
 
   /// Drains the simulator and returns each stream's observed records,
-  /// time-sorted (streams fed by several transmitters interleave).
+  /// time-sorted. A single-transmitter stream is on-air FIFO and already
+  /// sorted; streams fed by several transmitters interleave and sort.
   std::vector<std::vector<traffic::PacketRecord>> run() {
+    releases_.start();
     simulator_.run();
+    const auto earlier = [](const traffic::PacketRecord& a,
+                            const traffic::PacketRecord& b) {
+      return a.time < b.time;
+    };
     for (std::vector<traffic::PacketRecord>& stream : collected_) {
-      std::stable_sort(stream.begin(), stream.end(),
-                       [](const traffic::PacketRecord& a,
-                          const traffic::PacketRecord& b) {
-                         return a.time < b.time;
-                       });
+      if (!std::is_sorted(stream.begin(), stream.end(), earlier)) {
+        std::stable_sort(stream.begin(), stream.end(), earlier);
+      }
     }
     return std::move(collected_);
   }
@@ -132,6 +137,7 @@ class ArbitratedAir final : public sim::EventHandler {
   sim::Simulator simulator_;
   sim::Medium medium_;
   sim::channel::ChannelArbiter arbiter_;
+  sim::ReleaseChains releases_{simulator_, *this};
   std::deque<Transmitter> transmitters_;  // deque: stable identity addresses
   std::unordered_map<const sim::RadioListener*, std::size_t> index_;
   // Every scheduled record with its output stream, in scheduling order.

@@ -182,24 +182,24 @@ void ChannelArbiter::decide(std::uint64_t generation) {
   // losers keep their remainder (coordinate - offset) frozen on the heap.
   const std::int64_t expiry =
       std::max(offset_, countdown_heap_.front().first);
-  std::vector<std::size_t> winners;
+  winners_.clear();
   while (!countdown_heap_.empty() && countdown_heap_.front().first <= expiry) {
     std::pop_heap(countdown_heap_.begin(), countdown_heap_.end(),
                   CoordinateLater{});
     const std::uint32_t index = countdown_heap_.back().second;
     countdown_heap_.pop_back();
     stations_[index].drawn = false;
-    winners.push_back(index);
+    winners_.push_back(index);
   }
   offset_ = expiry;
-  util::internal_check(!winners.empty(),
+  util::internal_check(!winners_.empty(),
                        "ChannelArbiter::decide: countdown without winner");
   // Registration order: stats, hooks, and drop notifications fire in a
   // station-stable order regardless of heap pop order on ties.
-  std::sort(winners.begin(), winners.end());
+  std::sort(winners_.begin(), winners_.end());
 
-  if (winners.size() == 1) {
-    transmit_head(winners.front());
+  if (winners_.size() == 1) {
+    transmit_head(winners_.front());
     return;
   }
 
@@ -208,21 +208,22 @@ void ChannelArbiter::decide(std::uint64_t generation) {
   // limit is dropped.
   const util::TimePoint now = simulator_.now();
   util::Duration occupancy;
-  for (const std::size_t i : winners) {
+  for (const std::size_t i : winners_) {
     occupancy =
         std::max(occupancy, occupancy_of(stations_[i].queue.front().frame));
   }
   busy_until_ = now + occupancy + params_.sifs;
   busy_accum_ += occupancy;
 
-  std::vector<std::pair<mac::Frame, const RadioListener*>> dropped;
-  for (const std::size_t i : winners) {
+  dropped_.clear();
+  for (const std::size_t i : winners_) {
     Station& station = stations_[i];
     ++station.stats.collisions;
     ++station.retries;
     if (station.retries > params_.retry_limit) {
       ++station.stats.frames_dropped;
-      dropped.emplace_back(std::move(station.queue.front().frame), station.id);
+      dropped_.emplace_back(std::move(station.queue.front().frame),
+                            station.id);
       station.queue.pop_front();
       station.retries = 0;
       station.cw = params_.cw_min;
@@ -235,17 +236,17 @@ void ChannelArbiter::decide(std::uint64_t generation) {
     }
   }
   if (trace_ != nullptr) {
-    for (const auto& [frame, id] : dropped) {
+    for (const auto& [frame, id] : dropped_) {
       trace_->record(frame.trace_id, obs::Hop::kDropped, now);
     }
   }
   if (windowed_.dropped != nullptr) {
-    for (std::size_t d = 0; d < dropped.size(); ++d) {
+    for (std::size_t d = 0; d < dropped_.size(); ++d) {
       windowed_.dropped->observe(now, 1.0);
     }
   }
   if (drop_hook_) {
-    for (const auto& [frame, id] : dropped) {
+    for (const auto& [frame, id] : dropped_) {
       drop_hook_(frame, id);
     }
   }

@@ -34,9 +34,13 @@
 // station's draw becomes an absolute coordinate (offset at draw + slots),
 // crediting elapsed idle slots to all stations is one offset bump, and
 // the next winner is the min of a binary heap of coordinates. Station
-// lookup is a dense hash index, and decision events dispatch through the
-// typed (allocation-free) sim::EventHandler path. A 10k-station cell is
-// a registry scenario, not a hang.
+// lookup is a dense hash index, decision events dispatch through the
+// typed (allocation-free) sim::EventHandler path, and a decision reuses
+// member scratch buffers instead of allocating its winner list.
+// Callers feed their frames through sim::ReleaseChains, so the event
+// queue holds one pending release per time-sorted chain plus the live
+// decisions — not every frame of the run. A 10k-station cell is a
+// registry scenario, not a hang.
 #pragma once
 
 #include <cstdint>
@@ -227,6 +231,11 @@ class ChannelArbiter : private EventHandler {
   // never go stale.
   std::vector<std::pair<std::int64_t, std::uint32_t>> countdown_heap_;
   std::vector<std::uint32_t> undrawn_;  // pending stations needing a draw
+  // decide()'s scratch buffers, kept across decisions so a decision does
+  // not allocate (decide() never re-enters itself: hooks may only
+  // enqueue, which schedules a later decision).
+  std::vector<std::size_t> winners_;
+  std::vector<std::pair<mac::Frame, const RadioListener*>> dropped_;
   std::int64_t offset_ = 0;        // elapsed idle slots since the epoch
   std::uint64_t generation_ = 0;   // cancels superseded decision events
   bool counting_ = false;          // an idle countdown is in progress

@@ -28,6 +28,26 @@ void EventQueue::push_event(util::TimePoint when, EventHandler& handler,
   std::push_heap(heap_.begin(), heap_.end(), Later{});
 }
 
+std::uint64_t EventQueue::reserve_sequences(std::size_t count) {
+  const std::uint64_t first = next_sequence_;
+  next_sequence_ += count;
+  reserved_.emplace_back(first, next_sequence_);
+  return first;
+}
+
+void EventQueue::push_event(util::TimePoint when, std::uint64_t sequence,
+                            EventHandler& handler, std::uint64_t a,
+                            std::uint64_t b) {
+  util::require(std::any_of(reserved_.begin(), reserved_.end(),
+                            [sequence](const auto& range) {
+                              return sequence >= range.first &&
+                                     sequence < range.second;
+                            }),
+                "EventQueue::push_event: sequence was not reserved");
+  heap_.push_back(Entry{when.count_us(), sequence, &handler, a, b});
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
+}
+
 util::TimePoint EventQueue::next_time() const {
   util::require(!heap_.empty(), "EventQueue::next_time: queue is empty");
   return util::TimePoint::from_microseconds(heap_.front().when_us);

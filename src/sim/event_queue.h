@@ -4,6 +4,16 @@
 // increasing sequence number), so identical runs replay identically —
 // a requirement for the reproducibility of every table in the paper.
 //
+// Reserved sequences: reserve_sequences(n) hands out the n numbers that n
+// plain pushes at that point would have taken, and the sequenced
+// push_event overload files an event under one of them later. Events are
+// ordered by (when, sequence) whatever the push order, so a reserved
+// event pushed late dispatches exactly where it would have had it been
+// pushed at reservation time — provided it is pushed before any event
+// that orders after it is dispatched. That is what lets a caller feed a
+// long pre-numbered release list one time-sorted chain link at a time
+// (sim::ReleaseChains) instead of preloading every entry into the heap.
+//
 // Layout is built for dense cells (10k contending stations): the heap is
 // a flat vector of 40-byte POD entries, so sift operations never move
 // closures. An event is either *typed* — an EventHandler pointer plus two
@@ -133,6 +143,17 @@ class EventQueue {
   void push_event(util::TimePoint when, EventHandler& handler,
                   std::uint64_t a = 0, std::uint64_t b = 0);
 
+  /// Reserves `count` consecutive sequence numbers and returns the first;
+  /// later pushes number after them.
+  std::uint64_t reserve_sequences(std::size_t count);
+
+  /// Enqueues a typed event under a sequence number handed out by
+  /// reserve_sequences (throws std::invalid_argument for any other).
+  /// Each reserved number is meant to be pushed at most once.
+  void push_event(util::TimePoint when, std::uint64_t sequence,
+                  EventHandler& handler, std::uint64_t a = 0,
+                  std::uint64_t b = 0);
+
   [[nodiscard]] bool empty() const { return heap_.empty(); }
   [[nodiscard]] std::size_t size() const { return heap_.size(); }
 
@@ -172,6 +193,8 @@ class EventQueue {
   std::deque<InplaceTask> slots_;        // slab arena; deque = stable chunks
   std::vector<std::uint32_t> free_slots_;
   std::uint64_t next_sequence_ = 0;
+  // Reserved [first, end) sequence ranges, in reservation order.
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> reserved_;
 };
 
 }  // namespace reshape::sim

@@ -34,6 +34,16 @@ class Simulator {
   void schedule_event(util::TimePoint when, EventHandler& handler,
                       std::uint64_t a = 0, std::uint64_t b = 0);
 
+  /// Reserves `count` consecutive event sequence numbers (see
+  /// EventQueue::reserve_sequences) and returns the first.
+  std::uint64_t reserve_sequences(std::size_t count);
+
+  /// Schedules a typed event under a reserved sequence number: it fires
+  /// where it would have had it been scheduled at reservation time.
+  void schedule_event(util::TimePoint when, std::uint64_t sequence,
+                      EventHandler& handler, std::uint64_t a = 0,
+                      std::uint64_t b = 0);
+
   /// Runs events until the queue drains.
   void run();
 
@@ -45,6 +55,9 @@ class Simulator {
   [[nodiscard]] std::size_t events_processed() const { return processed_; }
 
   [[nodiscard]] bool idle() const { return queue_.empty(); }
+
+  /// Events currently queued.
+  [[nodiscard]] std::size_t pending() const { return queue_.size(); }
 
  private:
   EventQueue queue_;

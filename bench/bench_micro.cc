@@ -4,19 +4,23 @@
 //     OR is O(N)");
 //   * the configuration handshake is the only message overhead;
 //   * the supporting pipeline (feature extraction, classifier inference,
-//     address-pool allocation, DCF arbitration of a contended cell) is
-//     fast enough for online use.
+//     address-pool allocation, DCF arbitration of a contended cell, the
+//     tuner's access-delay pass) is fast enough for online use.
 #include <benchmark/benchmark.h>
 
 #include "core/defense.h"
 #include "core/scheduler.h"
+#include "core/tuning/evaluator.h"
+#include "core/tuning/tuned_configuration.h"
 #include "features/features.h"
 #include "mac/address_pool.h"
 #include "ml/mlp.h"
 #include "ml/svm.h"
 #include "net/config_protocol.h"
 #include "runtime/scenario.h"
+#include "sim/channel/arbitrated_cell.h"
 #include "traffic/generator.h"
+#include "util/stats.h"
 
 namespace {
 
@@ -194,6 +198,59 @@ void BM_ArbitrateContendedCell(benchmark::State& state) {
   state.counters["frames"] = static_cast<double>(frames);
 }
 BENCHMARK(BM_ArbitrateContendedCell)->Unit(benchmark::kMillisecond);
+
+/// CandidateEvaluator::evaluate_cell's arbitration pass on the tuning
+/// arena: the Table V identity point's released frames (generated and
+/// reshaped once, outside the timing) replayed through one DCF cell at
+/// the tuner's 12 Mbit/s, access delays collected and sorted. Items are
+/// released frames.
+void BM_TunerArbitrationPass(benchmark::State& state) {
+  struct Release {
+    std::size_t station;
+    util::TimePoint when;
+    std::uint32_t size_bytes;
+  };
+  static const std::vector<Release> releases = [] {
+    util::Rng rng{0xA12B};
+    const std::vector<traffic::Trace> sessions =
+        core::tuning::default_arena().generate(rng);
+    const core::tuning::TunedConfiguration table5 =
+        core::tuning::TunedConfiguration::identity(
+            "table5", core::SizeRanges::paper_default());
+    std::vector<Release> out;
+    for (std::size_t s = 0; s < sessions.size(); ++s) {
+      const auto reshaper =
+          table5.make_reshaper(core::tuning::default_streaming());
+      for (const traffic::PacketRecord& record : sessions[s].records()) {
+        const core::online::ShapedPacket shaped = reshaper->push(record);
+        out.push_back({s, shaped.tx_start, shaped.record.size_bytes});
+      }
+    }
+    return out;
+  }();
+  const core::tuning::TunerSpec spec;
+  for (auto _ : state) {
+    sim::channel::DcfParams params;
+    params.bitrate_mbps = spec.arbitration_bitrate_mbps;
+    sim::channel::ArbitratedCell cell{params, util::Rng{0xC0FFEE}};
+    for (const Release& r : releases) {
+      cell.release(r.station, r.when, r.size_bytes);
+    }
+    std::vector<std::uint64_t> delays_us;
+    delays_us.reserve(cell.releases());
+    cell.run([&delays_us](std::size_t, const mac::Frame&,
+                          util::Duration delay) {
+      delays_us.push_back(static_cast<std::uint64_t>(delay.count_us()));
+    });
+    util::radix_sort(delays_us);
+    const std::vector<double> samples(delays_us.begin(), delays_us.end());
+    benchmark::DoNotOptimize(samples.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(releases.size()));
+  state.counters["frames"] = static_cast<double>(releases.size());
+}
+BENCHMARK(BM_TunerArbitrationPass)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -10,6 +10,9 @@
 #                                  # benches; flags combine
 #   ./scripts/check.sh --tsan      # ThreadSanitizer build; runs only the
 #                                  # ctest-labeled "concurrency" suites
+#   ./scripts/check.sh --native    # -march=native build (FMA where the
+#                                  # host has it); runs only the
+#                                  # byte-identity suites
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -18,6 +21,7 @@ CMAKE_ARGS=()
 CTEST_ARGS=()
 EXCLUDE_LABELS=()
 TSAN=0
+NATIVE=0
 for arg in "$@"; do
   case "$arg" in
     --sanitize)
@@ -43,6 +47,18 @@ for arg in "$@"; do
       )
       CTEST_ARGS+=(-L concurrency)
       ;;
+    --native)
+      # The byte-identity suites (goldens, hot-path equivalence, ml,
+      # telemetry, shard server) on a build for this host's ISA: with
+      # -ffp-contract=off an FMA-capable target must reproduce every bit
+      # of the default build.
+      NATIVE=1
+      BUILD_DIR=build-native
+      CMAKE_ARGS+=(
+        -DCMAKE_BUILD_TYPE=RelWithDebInfo
+        "-DCMAKE_CXX_FLAGS=-march=native"
+      )
+      ;;
     --quick)
       # -LE slow keeps the fast suites, which include telemetry_test —
       # the telemetry-on/off and cross-thread determinism guarantees run
@@ -50,7 +66,8 @@ for arg in "$@"; do
       EXCLUDE_LABELS+=(slow paper)
       ;;
     *)
-      echo "unknown argument: $arg (supported: --sanitize --tsan --quick)" >&2
+      echo "unknown argument: $arg (supported: --sanitize --tsan --native" \
+           "--quick)" >&2
       exit 2
       ;;
   esac
@@ -66,6 +83,17 @@ fi
 # error.
 cmake -B "$BUILD_DIR" -S . ${CMAKE_ARGS[@]+"${CMAKE_ARGS[@]}"}
 cmake --build "$BUILD_DIR" -j
+
+# The native leg runs the byte-identity suites only, and no smokes.
+if [ "$NATIVE" = 1 ]; then
+  for suite in defense_golden_test arbitration_golden_test \
+               hot_path_equivalence_test ml_test telemetry_test \
+               shard_server_test; do
+    "./$BUILD_DIR/$suite" --gtest_brief=1
+  done
+  exit 0
+fi
+
 # CTEST_ARGS must precede the valueless -j, which greedily consumes a
 # following argument.
 (cd "$BUILD_DIR" && ctest --output-on-failure \

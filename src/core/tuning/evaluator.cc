@@ -6,50 +6,15 @@
 #include <utility>
 
 #include "runtime/adaptive_campaign.h"
-#include "sim/channel/channel_arbiter.h"
-#include "sim/medium.h"
-#include "sim/release_chains.h"
-#include "sim/simulator.h"
+#include "sim/channel/arbitrated_cell.h"
 #include "traffic/generator.h"
 #include "util/check.h"
 #include "util/rng.h"
+#include "util/stats.h"
 
 namespace reshape::core::tuning {
 
 namespace {
-
-constexpr int kChannel = 1;
-
-/// Inert transmitter identity for the access-delay measurement cell.
-struct StationIdentity final : sim::RadioListener {
-  void on_frame(const mac::Frame&, double) override {}
-};
-
-/// Enqueues released frames on the measurement cell: one typed event
-/// (station, record index) per frame, fed through sim::ReleaseChains.
-class ReleaseEvents final : public sim::EventHandler {
- public:
-  ReleaseEvents(
-      sim::channel::ChannelArbiter& arbiter,
-      const std::vector<std::vector<traffic::PacketRecord>>& released)
-      : arbiter_{arbiter}, released_{released}, stations_(released.size()) {}
-  ReleaseEvents(const ReleaseEvents&) = delete;  // the simulator holds it
-  ReleaseEvents& operator=(const ReleaseEvents&) = delete;
-
-  void on_event(std::uint64_t station, std::uint64_t index) override {
-    mac::Frame frame;
-    frame.size_bytes = released_[station][index].size_bytes;
-    frame.channel = kChannel;
-    arbiter_.enqueue(std::move(frame),
-                     sim::Position{static_cast<double>(station), 0.0},
-                     &stations_[station]);
-  }
-
- private:
-  sim::channel::ChannelArbiter& arbiter_;
-  const std::vector<std::vector<traffic::PacketRecord>>& released_;
-  std::vector<StationIdentity> stations_;  // sized once: stable addresses
-};
 
 /// Nearest-rank percentile of an ascending-sorted sample vector.
 double percentile(std::span<const double> sorted, double q) {
@@ -125,8 +90,13 @@ CandidateShardOutcome CandidateEvaluator::evaluate_cell(
   // Live pass: one streaming pipeline per station. The recorded streams
   // are the adversary's flow-isolation view (batch golden parity); the
   // stats and release times are the live cost the batch path never sees.
+  // Each released frame becomes a release of the station's transmitter in
+  // the measurement cell.
   online::StreamingConfig config = spec_.streaming;
   config.record_streams = true;
+  sim::channel::ArbitratedCell cell{
+      sim::channel::DcfParams{.bitrate_mbps = spec_.arbitration_bitrate_mbps},
+      streams.channel.fork(2)};
 
   // One phase-timer lap per pass (emplace ends the previous lap); host
   // timings only, the simulation below never reads the profiler.
@@ -135,18 +105,12 @@ CandidateShardOutcome CandidateEvaluator::evaluate_cell(
 
   std::vector<eval::DefendedSession> defended;
   defended.reserve(sessions.size());
-  std::vector<std::vector<traffic::PacketRecord>> released(sessions.size());
   for (std::size_t s = 0; s < sessions.size(); ++s) {
     const auto reshaper = candidate.make_reshaper(config);
-    if (windows != nullptr) {
-      reshaper->set_windowed(windows, window_labels);
-    }
-    released[s].reserve(sessions[s].size());
+    reshaper->set_windowed(windows, window_labels);  // nullptr: off
     for (const traffic::PacketRecord& record : sessions[s].records()) {
       const online::ShapedPacket shaped = reshaper->push(record);
-      traffic::PacketRecord on_air = shaped.record;
-      on_air.time = shaped.tx_start;
-      released[s].push_back(on_air);
+      cell.release(s, shaped.tx_start, shaped.record.size_bytes);
     }
     eval::DefendedSession session;
     session.app = sessions[s].app();
@@ -163,42 +127,20 @@ CandidateShardOutcome CandidateEvaluator::evaluate_cell(
 
   // Observed pass: every released frame contends for one arbitrated DCF
   // cell; the per-frame enqueue -> on-air delay is the access-delay
-  // sample distribution the latency budgets are checked against.
+  // sample distribution the latency budgets are checked against. Delays
+  // are whole microseconds, so an exact integer sort orders them; every
+  // release without one was dropped.
   phase.emplace(profiler_, "arbitration");
-  {
-    sim::Simulator simulator;
-    sim::PathLossModel quiet;
-    quiet.shadowing_sigma_db = 0.0;
-    sim::Medium medium{quiet, streams.channel.fork(1)};
-    sim::channel::DcfParams params;
-    params.bitrate_mbps = spec_.arbitration_bitrate_mbps;
-    sim::channel::ChannelArbiter arbiter{simulator, medium, kChannel, params,
-                                         streams.channel.fork(2)};
-    if (windows != nullptr) {
-      arbiter.set_windowed(windows, window_labels);
-    }
-    arbiter.set_on_air_hook([&outcome](const mac::Frame&,
-                                       util::Duration access_delay,
-                                       const sim::RadioListener*) {
-      outcome.access_delay_us.push_back(
-          static_cast<double>(access_delay.count_us()));
-    });
-    arbiter.set_drop_hook([&outcome](const mac::Frame&,
-                                     const sim::RadioListener*) {
-      ++outcome.frames_dropped;
-    });
-
-    ReleaseEvents release{arbiter, released};
-    sim::ReleaseChains chains{simulator, release};
-    for (std::size_t s = 0; s < released.size(); ++s) {
-      for (std::size_t i = 0; i < released[s].size(); ++i) {
-        chains.add(released[s][i].time, s, i);
-      }
-    }
-    chains.start();
-    simulator.run();
-  }
-  std::sort(outcome.access_delay_us.begin(), outcome.access_delay_us.end());
+  cell.arbiter().set_windowed(windows, window_labels);
+  std::vector<std::uint64_t> delays_us;
+  delays_us.reserve(cell.releases());
+  cell.run([&delays_us](std::size_t, const mac::Frame&,
+                        util::Duration access_delay) {
+    delays_us.push_back(static_cast<std::uint64_t>(access_delay.count_us()));
+  });
+  outcome.frames_dropped = cell.releases() - delays_us.size();
+  util::radix_sort(delays_us);
+  outcome.access_delay_us.assign(delays_us.begin(), delays_us.end());
 
   // Adaptive pass: identical scoring to AdaptiveCampaignEngine, via the
   // shared backend (consumes the defended flow traces).

@@ -2,18 +2,12 @@
 
 #include <algorithm>
 #include <array>
-#include <deque>
-#include <iterator>
 #include <stdexcept>
-#include <unordered_map>
 #include <utility>
 
 #include "core/online/streaming_reshaper.h"
 #include "core/scheduler.h"
-#include "sim/channel/channel_arbiter.h"
-#include "sim/medium.h"
-#include "sim/release_chains.h"
-#include "sim/simulator.h"
+#include "sim/channel/arbitrated_cell.h"
 #include "traffic/generator.h"
 #include "util/check.h"
 
@@ -21,146 +15,67 @@ namespace reshape::runtime {
 
 namespace {
 
-/// Inert transmitter identity for driving a ChannelArbiter directly —
-/// contention scenarios need station identities, not full protocol stacks.
-struct StationIdentity final : sim::RadioListener {
-  void on_frame(const mac::Frame&, double) override {}
-};
-
-sim::PathLossModel quiet_path_loss() {
-  sim::PathLossModel model;
-  model.shadowing_sigma_db = 0.0;
-  return model;
-}
-
-/// Shared scaffolding of the arbitrated-channel scenarios: owns the
-/// simulator/medium/arbiter stack, registers transmitter identities,
-/// releases per-record enqueues at their original times (one typed event
-/// per record, fed through sim::ReleaseChains so the queue holds one
-/// pending release per time-sorted chain, not every record), mirrors the
-/// arbiter's per-station FIFO against the on-air and drop hooks, and
-/// collects the observed (restamped) records per output stream.
-class ArbitratedAir final : public sim::EventHandler {
+/// The contended-cell scenarios' hook on sim::channel::ArbitratedCell:
+/// every scheduled record is observed, restamped to its on-air instant,
+/// into the flow of its output stream; dropped records are never observed.
+class ArbitratedAir {
  public:
-  ArbitratedAir(double bitrate_mbps, util::Rng medium_rng,
-                util::Rng arbiter_rng, std::size_t output_streams)
-      : medium_{quiet_path_loss(), medium_rng},
-        arbiter_{simulator_, medium_, kChannel,
-                 contended_params(bitrate_mbps), arbiter_rng},
-        collected_(output_streams) {
-    // Per-station FIFO order is preserved by the arbiter, so the k-th
-    // on-air (or dropped) frame of a transmitter is its k-th scheduled
-    // record.
-    arbiter_.set_on_air_hook([this](const mac::Frame& frame, util::Duration,
-                                    const sim::RadioListener* tx) {
-      Transmitter& t = transmitter_of(tx);
-      const auto& [stream, original] = scheduled_[t.fifo.front()];
-      t.fifo.pop_front();
-      collected_[stream].push_back(
-          {frame.timestamp, frame.size_bytes, original.direction});
-    });
-    arbiter_.set_drop_hook(
-        [this](const mac::Frame&, const sim::RadioListener* tx) {
-          transmitter_of(tx).fifo.pop_front();  // never reached the air
-        });
+  /// One output flow per trace of `originals`, labeled like it. Each is
+  /// reserved for its original's records up front: allocated in stream
+  /// order rather than grown frame by frame, the flows of a 10k-station
+  /// cell stay contiguous for the passes that read them.
+  ArbitratedAir(double bitrate_mbps, util::Rng arbiter_rng,
+                const std::vector<traffic::Trace>& originals)
+      : cell_{sim::channel::DcfParams{.bitrate_mbps = bitrate_mbps},
+              arbiter_rng} {
+    for (const traffic::Trace& original : originals) {
+      flows_.emplace_back(original.app()).reserve(original.size());
+    }
   }
 
-  /// Registers a transmitter at `position`; returns its handle.
-  std::size_t add_transmitter(sim::Position position) {
-    transmitters_.push_back(Transmitter{{}, position, {}});
-    index_.emplace(&transmitters_.back().identity, transmitters_.size() - 1);
-    return transmitters_.size() - 1;
-  }
-
-  /// Schedules `record` (copied — trace views hand out per-iteration
-  /// temporaries) for transmission by `transmitter` at its original
-  /// timestamp, observed into `stream`.
+  /// Schedules `record` for transmission by station `transmitter` at its
+  /// original timestamp, observed into `stream`.
   void schedule(std::size_t transmitter, std::size_t stream,
                 const traffic::PacketRecord& record) {
-    releases_.add(record.time, transmitter, scheduled_.size());
-    scheduled_.emplace_back(stream, record);
+    cell_.release(transmitter, record.time, record.size_bytes);
+    observed_.emplace_back(stream, record.direction);
   }
 
-  /// Fires a scheduled record: enqueues its frame on the arbiter.
-  void on_event(std::uint64_t transmitter, std::uint64_t index) override {
-    Transmitter& t = transmitters_[transmitter];
-    t.fifo.push_back(index);
-    mac::Frame frame;
-    frame.size_bytes = scheduled_[index].second.size_bytes;
-    frame.channel = kChannel;
-    arbiter_.enqueue(std::move(frame), t.position, &t.identity);
-  }
-
-  /// Drains the simulator and returns each stream's observed records,
-  /// time-sorted. A single-transmitter stream is on-air FIFO and already
-  /// sorted; streams fed by several transmitters interleave and sort.
-  std::vector<std::vector<traffic::PacketRecord>> run() {
-    releases_.start();
-    simulator_.run();
-    const auto earlier = [](const traffic::PacketRecord& a,
-                            const traffic::PacketRecord& b) {
-      return a.time < b.time;
-    };
-    for (std::vector<traffic::PacketRecord>& stream : collected_) {
-      if (!std::is_sorted(stream.begin(), stream.end(), earlier)) {
-        std::stable_sort(stream.begin(), stream.end(), earlier);
-      }
-    }
-    return std::move(collected_);
+  /// Runs the cell and returns the observed flows. Frames go on the air in
+  /// simulated-time order, so every flow is time-sorted, however many
+  /// transmitters feed it.
+  std::vector<traffic::Trace> run() {
+    cell_.run([this](std::size_t release, const mac::Frame& frame,
+                     util::Duration) {
+      const auto [stream, direction] = observed_[release];
+      flows_[stream].push_back(frame.timestamp, frame.size_bytes, direction);
+    });
+    return std::move(flows_);
   }
 
  private:
-  struct Transmitter {
-    StationIdentity identity;
-    sim::Position position;
-    std::deque<std::size_t> fifo;  // indices into scheduled_
-  };
-
-  [[nodiscard]] Transmitter& transmitter_of(const sim::RadioListener* id) {
-    // Hook-path lookup: O(1) via the identity index — a linear scan here
-    // is O(frames x stations) and dominates 10k-station cells.
-    const auto it = index_.find(id);
-    if (it == index_.end()) {
-      throw std::logic_error{"ArbitratedAir: unknown transmitter identity"};
-    }
-    return transmitters_[it->second];
-  }
-
-  [[nodiscard]] static sim::channel::DcfParams contended_params(
-      double bitrate_mbps) {
-    sim::channel::DcfParams params;
-    params.bitrate_mbps = bitrate_mbps;
-    return params;
-  }
-
-  static constexpr int kChannel = 1;
-  sim::Simulator simulator_;
-  sim::Medium medium_;
-  sim::channel::ChannelArbiter arbiter_;
-  sim::ReleaseChains releases_{simulator_, *this};
-  std::deque<Transmitter> transmitters_;  // deque: stable identity addresses
-  std::unordered_map<const sim::RadioListener*, std::size_t> index_;
-  // Every scheduled record with its output stream, in scheduling order.
-  std::vector<std::pair<std::size_t, traffic::PacketRecord>> scheduled_;
-  std::vector<std::vector<traffic::PacketRecord>> collected_;
+  sim::channel::ArbitratedCell cell_;
+  // Output stream and direction of every release, in release order.
+  std::vector<std::pair<std::size_t, mac::Direction>> observed_;
+  std::vector<traffic::Trace> flows_;
 };
 
-/// Packages observed per-stream records as traces labeled like
-/// `originals` (index-aligned).
-std::vector<traffic::Trace> label_streams(
-    std::vector<std::vector<traffic::PacketRecord>> collected,
-    const std::vector<traffic::Trace>& originals) {
-  std::vector<traffic::Trace> observed;
-  observed.reserve(collected.size());
-  for (std::size_t i = 0; i < collected.size(); ++i) {
-    traffic::Trace flow{originals[i].app()};
-    flow.reserve(collected[i].size());
-    for (const traffic::PacketRecord& r : collected[i]) {
-      flow.push_back(r);
-    }
-    observed.push_back(std::move(flow));
+/// Per-station source traces from keyed substreams, each with a uniformly
+/// random application (dense_wlan style: independent of station count and
+/// call interleaving).
+std::vector<traffic::Trace> random_app_sessions(std::size_t stations,
+                                                util::Duration duration,
+                                                util::Rng& rng) {
+  std::vector<traffic::Trace> originals;
+  originals.reserve(stations);
+  for (std::size_t s = 0; s < stations; ++s) {
+    util::Rng station_rng = rng.fork(s);
+    const auto pick = static_cast<std::size_t>(station_rng.uniform_int(
+        0, static_cast<std::int64_t>(traffic::kAppCount) - 1));
+    originals.push_back(traffic::generate_trace(traffic::app_from_index(pick),
+                                                duration, station_rng));
   }
-  return observed;
+  return originals;
 }
 
 }  // namespace
@@ -323,16 +238,9 @@ Scenario live_reshaping(std::size_t stations, util::Duration duration,
       "stations re-timestamped by the online reshaping pipeline (OR behind "
       "one shared radio) — the air as captured when the defense runs live",
       [=](util::Rng& rng) {
-        std::vector<traffic::Trace> sessions;
-        sessions.reserve(stations);
-        for (std::size_t s = 0; s < stations; ++s) {
-          util::Rng station_rng = rng.fork(s);
-          const auto pick = static_cast<std::size_t>(
-              station_rng.uniform_int(
-                  0, static_cast<std::int64_t>(traffic::kAppCount) - 1));
-          const traffic::Trace original = traffic::generate_trace(
-              traffic::app_from_index(pick), duration, station_rng);
-
+        std::vector<traffic::Trace> sessions =
+            random_app_sessions(stations, duration, rng);
+        for (traffic::Trace& original : sessions) {
           core::online::StreamingConfig config;
           config.bitrate_mbps = bitrate_mbps;
           config.record_streams = false;
@@ -350,7 +258,7 @@ Scenario live_reshaping(std::size_t stations, util::Duration duration,
             shaped.record.time = shaped.tx_start;  // queueing delay applied
             live.push_back(shaped.record);
           }
-          sessions.push_back(std::move(live));
+          original = std::move(live);
         }
         return sessions;
       }};
@@ -358,39 +266,18 @@ Scenario live_reshaping(std::size_t stations, util::Duration duration,
 
 namespace {
 
-/// Per-station source traces from keyed substreams, each with a uniformly
-/// random application (dense_wlan style: independent of station count and
-/// call interleaving).
-std::vector<traffic::Trace> random_app_sessions(std::size_t stations,
-                                                util::Duration duration,
-                                                util::Rng& rng) {
-  std::vector<traffic::Trace> originals;
-  originals.reserve(stations);
-  for (std::size_t s = 0; s < stations; ++s) {
-    util::Rng station_rng = rng.fork(s);
-    const auto pick = static_cast<std::size_t>(station_rng.uniform_int(
-        0, static_cast<std::int64_t>(traffic::kAppCount) - 1));
-    originals.push_back(traffic::generate_trace(traffic::app_from_index(pick),
-                                                duration, station_rng));
-  }
-  return originals;
-}
-
 /// Pushes every session through one arbitrated cell (one transmitter per
 /// station) and returns the on-air-restamped flows.
 std::vector<traffic::Trace> arbitrate_one_cell(
     const std::vector<traffic::Trace>& originals, double bitrate_mbps,
     util::Rng& rng) {
-  ArbitratedAir air{bitrate_mbps, rng.fork(0xA12B17E5ULL),
-                    rng.fork(0xDCFDCFULL), originals.size()};
+  ArbitratedAir air{bitrate_mbps, rng.fork(0xDCFDCFULL), originals};
   for (std::size_t s = 0; s < originals.size(); ++s) {
-    const std::size_t tx =
-        air.add_transmitter(sim::Position{static_cast<double>(s), 0.0});
     for (const traffic::PacketRecord& r : originals[s].records()) {
-      air.schedule(tx, s, r);
+      air.schedule(s, s, r);
     }
   }
-  return label_streams(air.run(), originals);
+  return air.run();
 }
 
 /// The one contended-cell generator behind contended_cell,
@@ -506,46 +393,36 @@ Scenario adaptive_roaming_retrain(std::size_t stations,
                            2.0 * duration.to_seconds() / 3.0));
         }
 
-        util::Rng cell_a_medium = rng.fork(0xCE11AAULL);
-        util::Rng cell_a_arbiter = rng.fork(0xCE11A1ULL);
-        util::Rng cell_b_medium = rng.fork(0xCE11BBULL);
-        util::Rng cell_b_arbiter = rng.fork(0xCE11B1ULL);
-        ArbitratedAir cell_a{bitrate_mbps, cell_a_medium, cell_a_arbiter,
-                             stations};
-        ArbitratedAir cell_b{bitrate_mbps, cell_b_medium, cell_b_arbiter,
-                             stations};
+        ArbitratedAir cell_a{bitrate_mbps, rng.fork(0xCE11A1ULL), originals};
+        ArbitratedAir cell_b{bitrate_mbps, rng.fork(0xCE11B1ULL), originals};
         for (std::size_t s = 0; s < stations; ++s) {
-          const sim::Position pos{static_cast<double>(s), 0.0};
-          const std::size_t tx_a = cell_a.add_transmitter(pos);
-          const std::size_t tx_b = cell_b.add_transmitter(pos);
           const bool home_is_a = s % 2 == 0;
           for (const traffic::PacketRecord& r : originals[s].records()) {
             const bool in_home = r.time < roam_at[s];
             const bool in_a = in_home == home_is_a;
-            if (in_a) {
-              cell_a.schedule(tx_a, s, r);
-            } else {
-              cell_b.schedule(tx_b, s, r);
-            }
+            (in_a ? cell_a : cell_b).schedule(s, s, r);
           }
         }
 
         // Each station's observable flow is the time-merge of what it put
         // on the air in either cell (the roam is seamless to the flow key:
         // same virtual MACs, new cell).
-        std::vector<std::vector<traffic::PacketRecord>> in_a = cell_a.run();
-        std::vector<std::vector<traffic::PacketRecord>> in_b = cell_b.run();
-        std::vector<std::vector<traffic::PacketRecord>> merged(stations);
+        // On equal times cell A's record goes first.
+        std::vector<traffic::Trace> in_a = cell_a.run();
+        const std::vector<traffic::Trace> in_b = cell_b.run();
         for (std::size_t s = 0; s < stations; ++s) {
-          merged[s].reserve(in_a[s].size() + in_b[s].size());
-          std::merge(in_a[s].begin(), in_a[s].end(), in_b[s].begin(),
-                     in_b[s].end(), std::back_inserter(merged[s]),
-                     [](const traffic::PacketRecord& x,
-                        const traffic::PacketRecord& y) {
-                       return x.time < y.time;
-                     });
+          const traffic::Trace& a = in_a[s];
+          const traffic::Trace& b = in_b[s];
+          traffic::Trace flow{a.app()};
+          flow.reserve(a.size() + b.size());
+          for (std::size_t i = 0, j = 0; i < a.size() || j < b.size();) {
+            const bool take_a =
+                j == b.size() || (i < a.size() && !(b[j].time < a[i].time));
+            flow.push_back(take_a ? a[i++] : b[j++]);
+          }
+          in_a[s] = std::move(flow);
         }
-        return label_streams(std::move(merged), originals);
+        return in_a;
       }};
 }
 
@@ -630,18 +507,15 @@ Scenario saturated_ap_downlink(std::size_t clients, util::Duration duration,
         // One AP transmitter serializes every downlink record; each
         // client contends for its own uplink. Both halves of a client's
         // flow observe into the same stream.
-        ArbitratedAir air{bitrate_mbps, rng.fork(0x5A7DBEEFULL),
-                          rng.fork(0xA9D1ULL), clients};
-        const std::size_t ap = air.add_transmitter(sim::Position{0.0, 0.0});
+        ArbitratedAir air{bitrate_mbps, rng.fork(0xA9D1ULL), originals};
+        // Station 0 is the AP, station c + 1 client c's uplink.
         for (std::size_t c = 0; c < clients; ++c) {
-          const std::size_t uplink = air.add_transmitter(
-              sim::Position{static_cast<double>(c + 1), 0.0});
           for (const traffic::PacketRecord& r : originals[c].records()) {
-            air.schedule(
-                r.direction == mac::Direction::kDownlink ? ap : uplink, c, r);
+            air.schedule(r.direction == mac::Direction::kDownlink ? 0 : c + 1,
+                         c, r);
           }
         }
-        return label_streams(air.run(), originals);
+        return air.run();
       }};
 }
 

@@ -7,14 +7,6 @@
 
 namespace reshape::sim::channel {
 
-double ChannelStats::mean_access_delay_us() const {
-  if (frames_sent == 0) {
-    return 0.0;
-  }
-  return static_cast<double>(total_access_delay.count_us()) /
-         static_cast<double>(frames_sent);
-}
-
 void ChannelStats::merge(const ChannelStats& other) {
   frames_sent += other.frames_sent;
   frames_dropped += other.frames_dropped;
@@ -27,14 +19,8 @@ void ChannelStats::merge(const ChannelStats& other) {
 }
 
 DcfParams DcfParams::uncontended(double bitrate_mbps) {
-  DcfParams params;
-  params.slot = util::Duration{};
-  params.difs = util::Duration{};
-  params.sifs = util::Duration{};
-  params.cw_min = 0;
-  params.cw_max = 0;
-  params.bitrate_mbps = bitrate_mbps;
-  return params;
+  return DcfParams{.slot = {}, .difs = {}, .sifs = {}, .cw_min = 0,
+                   .cw_max = 0, .bitrate_mbps = bitrate_mbps};
 }
 
 namespace {
@@ -53,7 +39,8 @@ ChannelArbiter::ChannelArbiter(Simulator& simulator, Medium& medium,
       medium_{medium},
       channel_{channel},
       params_{params},
-      rng_{rng} {
+      rng_{rng},
+      decision_{simulator.add_timer(*this)} {
   util::require(params_.bitrate_mbps > 0.0,
                 "ChannelArbiter: bitrate must be positive");
   util::require(params_.cw_min <= params_.cw_max,
@@ -62,25 +49,38 @@ ChannelArbiter::ChannelArbiter(Simulator& simulator, Medium& medium,
                     params_.difs >= util::Duration{} &&
                     params_.sifs >= util::Duration{},
                 "ChannelArbiter: negative DCF timing");
+  for (std::uint32_t size = 0; size <= mac::kMaxFrameBytes; ++size) {
+    airtime_.push_back(mac::airtime(size, params_.bitrate_mbps));
+  }
   medium_.install_arbiter(*this);
 }
 
-ChannelArbiter::~ChannelArbiter() { medium_.uninstall_arbiter(*this); }
+ChannelArbiter::~ChannelArbiter() {
+  simulator_.disarm_timer(decision_);
+  medium_.uninstall_arbiter(*this);
+}
 
-std::size_t ChannelArbiter::station_index_of(const RadioListener* id) {
-  const auto [it, inserted] = station_index_.try_emplace(id, stations_.size());
+std::size_t ChannelArbiter::station_of(const RadioListener* transmitter) {
+  util::require(transmitter != nullptr,
+                "ChannelArbiter::enqueue: transmitter identity required "
+                "(anonymous frames cannot contend)");
+  const auto [it, inserted] =
+      station_index_.try_emplace(transmitter, stations_.size());
   if (inserted) {
     // Keyed substream per registration index: the station's backoff draws
     // depend only on the arbiter seed and its first-transmission order,
     // never on how other stations interleave.
-    stations_.push_back(Station{id, {}, 0, false, false, params_.cw_min, 0,
+    stations_.push_back(Station{transmitter, {}, 0, false, false,
+                                params_.cw_min, 0,
                                 rng_.fork(stations_.size()), {}});
   }
   return it->second;
 }
 
 util::Duration ChannelArbiter::occupancy_of(const mac::Frame& frame) const {
-  return mac::airtime(frame.size_bytes, params_.bitrate_mbps);
+  return frame.size_bytes < airtime_.size()
+             ? airtime_[frame.size_bytes]
+             : mac::airtime(frame.size_bytes, params_.bitrate_mbps);
 }
 
 void ChannelArbiter::mark_undrawn(std::size_t station_index) {
@@ -96,9 +96,13 @@ void ChannelArbiter::enqueue(mac::Frame frame, Position tx_position,
                              const RadioListener* transmitter) {
   util::require(frame.channel == channel_,
                 "ChannelArbiter::enqueue: frame tuned to another channel");
-  util::require(transmitter != nullptr,
-                "ChannelArbiter::enqueue: transmitter identity required "
-                "(anonymous frames cannot contend)");
+  enqueue(station_of(transmitter), std::move(frame), tx_position);
+}
+
+void ChannelArbiter::enqueue(std::size_t index, mac::Frame&& frame,
+                             Position tx_position) {
+  util::require(frame.channel == channel_,
+                "ChannelArbiter::enqueue: frame tuned to another channel");
   const util::TimePoint now = simulator_.now();
   if (!saw_activity_) {
     first_activity_ = now;
@@ -107,9 +111,8 @@ void ChannelArbiter::enqueue(mac::Frame frame, Position tx_position,
   if (trace_ != nullptr) {
     trace_->record(frame.trace_id, obs::Hop::kChannelEnqueue, now);
   }
-  const std::size_t index = station_index_of(transmitter);
-  Station& station = stations_[index];
-  station.queue.push_back(Pending{std::move(frame), tx_position, now});
+  Station& station = stations_.at(index);
+  station.queue.emplace_back(std::move(frame), tx_position, now);
   station.stats.max_queue_depth =
       std::max(station.stats.max_queue_depth, station.queue.size());
   mark_undrawn(index);
@@ -117,7 +120,6 @@ void ChannelArbiter::enqueue(mac::Frame frame, Position tx_position,
 }
 
 void ChannelArbiter::schedule_decision() {
-  ++generation_;  // supersede any outstanding decision event
   const util::TimePoint now = simulator_.now();
   util::TimePoint start = std::max(now, busy_until_ + params_.difs);
   if (counting_) {
@@ -156,7 +158,8 @@ void ChannelArbiter::schedule_decision() {
   undrawn_.clear();
 
   if (countdown_heap_.empty()) {
-    return;  // nothing pending
+    simulator_.disarm_timer(decision_);  // nothing pending
+    return;
   }
 
   const std::int64_t min_slots =
@@ -166,14 +169,11 @@ void ChannelArbiter::schedule_decision() {
   // The resumed origin may sit up to one slot in the past; a station
   // whose countdown already expired (or a zero-backoff newcomer on an
   // idle channel) transmits now, never in the simulated past.
-  simulator_.schedule_event(std::max(start + params_.slot * min_slots, now),
-                            *this, generation_);
+  simulator_.arm_timer(decision_,
+                       std::max(start + params_.slot * min_slots, now));
 }
 
-void ChannelArbiter::decide(std::uint64_t generation) {
-  if (generation != generation_) {
-    return;  // state changed since this decision was scheduled
-  }
+void ChannelArbiter::decide() {
   counting_ = false;
 
   util::internal_check(!countdown_heap_.empty() && undrawn_.empty(),
@@ -207,6 +207,7 @@ void ChannelArbiter::decide(std::uint64_t generation) {
   // colliders double their window and redraw; a frame past the retry
   // limit is dropped.
   const util::TimePoint now = simulator_.now();
+  ++collision_events_;
   util::Duration occupancy;
   for (const std::size_t i : winners_) {
     occupancy =
@@ -235,18 +236,14 @@ void ChannelArbiter::decide(std::uint64_t generation) {
       mark_undrawn(i);  // redraw at the next countdown
     }
   }
-  if (trace_ != nullptr) {
-    for (const auto& [frame, id] : dropped_) {
+  for (const auto& [frame, id] : dropped_) {
+    if (trace_ != nullptr) {
       trace_->record(frame.trace_id, obs::Hop::kDropped, now);
     }
-  }
-  if (windowed_.dropped != nullptr) {
-    for (std::size_t d = 0; d < dropped_.size(); ++d) {
+    if (windowed_.dropped != nullptr) {
       windowed_.dropped->observe(now, 1.0);
     }
-  }
-  if (drop_hook_) {
-    for (const auto& [frame, id] : dropped_) {
+    if (drop_hook_) {
       drop_hook_(frame, id);
     }
   }

@@ -33,14 +33,17 @@
 // O(stations). Backoff countdowns live on a global *slot offset* — a
 // station's draw becomes an absolute coordinate (offset at draw + slots),
 // crediting elapsed idle slots to all stations is one offset bump, and
-// the next winner is the min of a binary heap of coordinates. Station
-// lookup is a dense hash index, decision events dispatch through the
-// typed (allocation-free) sim::EventHandler path, and a decision reuses
-// member scratch buffers instead of allocating its winner list.
-// Callers feed their frames through sim::ReleaseChains, so the event
-// queue holds one pending release per time-sorted chain plus the live
-// decisions — not every frame of the run. A 10k-station cell is a
-// registry scenario, not a hang.
+// the next winner is the min of a binary heap of coordinates. The pending
+// decision is one re-armable simulator timer: every state change re-arms
+// it, so no superseded decision is ever queued or dispatched, and each
+// decision event that fires transmits or collides. A decision reuses
+// member scratch buffers instead of allocating its winner list, and a
+// frame's occupancy is read from a size -> airtime table. Callers that
+// know their releases up front drive a cell through ArbitratedCell
+// (arbitrated_cell.h): stations enqueue by index, with no per-frame
+// identity lookup, and the event queue holds one pending release per
+// time-sorted chain plus the decision — not every frame of the run. A
+// 10k-station cell is a registry scenario, not a hang.
 #pragma once
 
 #include <cstdint>
@@ -133,6 +136,15 @@ class ChannelArbiter : private EventHandler {
   void enqueue(mac::Frame frame, Position tx_position,
                const RadioListener* transmitter);
 
+  /// The station index of `transmitter` (non-null), registering it on
+  /// first use: registration order keys the backoff substreams, so call
+  /// this when the station first transmits.
+  [[nodiscard]] std::size_t station_of(const RadioListener* transmitter);
+
+  /// enqueue() by station index (from station_of), with no identity
+  /// lookup; the frame is moved once, into the station's queue.
+  void enqueue(std::size_t station, mac::Frame&& frame, Position tx_position);
+
   [[nodiscard]] int channel() const { return channel_; }
   [[nodiscard]] const DcfParams& params() const { return params_; }
 
@@ -151,6 +163,11 @@ class ChannelArbiter : private EventHandler {
 
   /// Frames put on the air so far (collided attempts excluded).
   [[nodiscard]] std::uint64_t frames_on_air() const { return frames_on_air_; }
+
+  /// Decisions that ended in a collision (one per wasted busy period).
+  [[nodiscard]] std::uint64_t collision_events() const {
+    return collision_events_;
+  }
 
   /// Accumulated channel-busy time (successful frames + collisions).
   [[nodiscard]] util::Duration busy_time() const { return busy_accum_; }
@@ -195,25 +212,21 @@ class ChannelArbiter : private EventHandler {
     ChannelStats stats;
   };
 
-  /// Index of the station for `id`, registering it on first use.
-  [[nodiscard]] std::size_t station_index_of(const RadioListener* id);
   [[nodiscard]] util::Duration occupancy_of(const mac::Frame& frame) const;
 
   /// Marks a station as needing a backoff draw at the next decision.
   void mark_undrawn(std::size_t station_index);
 
-  /// Recomputes the next channel-access decision and (re)schedules it,
-  /// superseding any outstanding decision event.
+  /// Recomputes the next channel-access decision and re-arms the
+  /// decision timer for it (disarms it when nothing is pending).
   void schedule_decision();
 
   /// Fires at countdown expiry: transmits the winner or resolves a
-  /// collision. Stale generations (state changed since scheduling) no-op.
-  void decide(std::uint64_t generation);
+  /// collision.
+  void decide();
 
-  /// Typed decision-event dispatch (sim::EventHandler).
-  void on_event(std::uint64_t generation, std::uint64_t) override {
-    decide(generation);
-  }
+  /// Decision-timer dispatch (sim::EventHandler).
+  void on_event(std::uint64_t, std::uint64_t) override { decide(); }
 
   void transmit_head(std::size_t station_index);
 
@@ -222,6 +235,9 @@ class ChannelArbiter : private EventHandler {
   int channel_;
   DcfParams params_;
   util::Rng rng_;
+  EventQueue::TimerId decision_;
+  // mac::airtime of every size up to kMaxFrameBytes at params_.bitrate_mbps.
+  std::vector<util::Duration> airtime_;
   // Ordered by first transmission; deque so stats_of() pointers stay
   // valid while later stations register.
   std::deque<Station> stations_;
@@ -233,11 +249,10 @@ class ChannelArbiter : private EventHandler {
   std::vector<std::uint32_t> undrawn_;  // pending stations needing a draw
   // decide()'s scratch buffers, kept across decisions so a decision does
   // not allocate (decide() never re-enters itself: hooks may only
-  // enqueue, which schedules a later decision).
+  // enqueue, which re-arms the decision timer).
   std::vector<std::size_t> winners_;
   std::vector<std::pair<mac::Frame, const RadioListener*>> dropped_;
   std::int64_t offset_ = 0;        // elapsed idle slots since the epoch
-  std::uint64_t generation_ = 0;   // cancels superseded decision events
   bool counting_ = false;          // an idle countdown is in progress
   util::TimePoint countdown_origin_;
   util::TimePoint busy_until_;
@@ -245,6 +260,7 @@ class ChannelArbiter : private EventHandler {
   util::TimePoint first_activity_;
   bool saw_activity_ = false;
   std::uint64_t frames_on_air_ = 0;
+  std::uint64_t collision_events_ = 0;
   OnAirHook on_air_hook_;
   DropHook drop_hook_;
   obs::PacketTrace* trace_ = nullptr;  // not owned; nullptr = untraced

@@ -28,9 +28,6 @@ struct ChannelStats {
   util::Duration airtime;             // channel time this station occupied
   std::size_t max_queue_depth = 0;    // deepest the station's queue got
 
-  /// Mean per-frame channel-access delay in microseconds.
-  [[nodiscard]] double mean_access_delay_us() const;
-
   /// Accumulates another station's (or shard's) stats into this one.
   void merge(const ChannelStats& other);
 };

@@ -1,6 +1,7 @@
 #include "sim/event_queue.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/check.h"
 
@@ -48,12 +49,48 @@ void EventQueue::push_event(util::TimePoint when, std::uint64_t sequence,
   std::push_heap(heap_.begin(), heap_.end(), Later{});
 }
 
+EventQueue::TimerId EventQueue::add_timer(EventHandler& handler) {
+  timers_.push_back(Entry{0, kUnarmed, &handler, 0, 0});
+  return timers_.size() - 1;
+}
+
+void EventQueue::arm(TimerId timer, util::TimePoint when, std::uint64_t a,
+                     std::uint64_t b) {
+  disarm(timer);
+  timers_[timer] = Entry{when.count_us(), next_sequence_++,
+                         timers_[timer].handler, a, b};
+  ++armed_;
+}
+
+void EventQueue::disarm(TimerId timer) {
+  armed_ -= std::exchange(timers_.at(timer).sequence, kUnarmed) != kUnarmed;
+}
+
+const EventQueue::Entry* EventQueue::due_timer() const {
+  const Entry* next = heap_.empty() ? nullptr : &heap_.front();
+  const Entry* due = nullptr;
+  for (std::size_t i = 0; armed_ != 0 && i < timers_.size(); ++i) {
+    if (timers_[i].sequence != kUnarmed &&
+        (next == nullptr || Later{}(*next, timers_[i]))) {
+      next = due = &timers_[i];
+    }
+  }
+  return due;
+}
+
 util::TimePoint EventQueue::next_time() const {
-  util::require(!heap_.empty(), "EventQueue::next_time: queue is empty");
-  return util::TimePoint::from_microseconds(heap_.front().when_us);
+  util::require(!empty(), "EventQueue::next_time: queue is empty");
+  const Entry* due = due_timer();
+  return util::TimePoint::from_microseconds(
+      (due != nullptr ? *due : heap_.front()).when_us);
 }
 
 EventQueue::Entry EventQueue::pop_entry() {
+  if (const Entry* due = due_timer()) {
+    const Entry entry = *due;
+    disarm(static_cast<TimerId>(due - timers_.data()));
+    return entry;
+  }
   std::pop_heap(heap_.begin(), heap_.end(), Later{});
   Entry entry = heap_.back();
   heap_.pop_back();
@@ -69,7 +106,7 @@ EventQueue::Callback EventQueue::take_slot(std::uint64_t slot) {
 }
 
 void EventQueue::dispatch_next() {
-  util::require(!heap_.empty(), "EventQueue::dispatch_next: queue is empty");
+  util::require(!empty(), "EventQueue::dispatch_next: queue is empty");
   const Entry entry = pop_entry();
   if (entry.handler != nullptr) {
     entry.handler->on_event(entry.arg_a, entry.arg_b);
@@ -80,7 +117,7 @@ void EventQueue::dispatch_next() {
 }
 
 EventQueue::Callback EventQueue::pop() {
-  util::require(!heap_.empty(), "EventQueue::pop: queue is empty");
+  util::require(!empty(), "EventQueue::pop: queue is empty");
   const Entry entry = pop_entry();
   if (entry.handler != nullptr) {
     return Callback{[handler = entry.handler, a = entry.arg_a,

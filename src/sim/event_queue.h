@@ -14,10 +14,20 @@
 // long pre-numbered release list one time-sorted chain link at a time
 // (sim::ReleaseChains) instead of preloading every entry into the heap.
 //
+// Timers: a re-armable typed event for a caller that keeps at most one
+// pending firing and moves it often (the ChannelArbiter's channel-access
+// decision). arm() takes a fresh sequence number exactly as push_event
+// would and replaces the pending firing, so the firing orders against
+// every other event as the equivalent push does, and the firings a
+// re-arm replaces are never dispatched at all — where generation-stamped
+// pushes would fire each as a no-op. Armed timers live beside the heap
+// and count in size()/empty(); while any is armed, each dispatch scans
+// the registered timers, which suits a handful (one per arbiter).
+//
 // Layout is built for dense cells (10k contending stations): the heap is
 // a flat vector of 40-byte POD entries, so sift operations never move
 // closures. An event is either *typed* — an EventHandler pointer plus two
-// integer arguments, zero allocation (the ChannelArbiter's decision path)
+// integer arguments, zero allocation (sim::ReleaseChains' release path)
 // — or a *callback* parked in a slab arena of fixed-capacity inline tasks
 // with free-list reuse, so steady-state scheduling stops allocating per
 // frame. Oversized callables spill to the heap transparently.
@@ -154,8 +164,24 @@ class EventQueue {
                   EventHandler& handler, std::uint64_t a = 0,
                   std::uint64_t b = 0);
 
-  [[nodiscard]] bool empty() const { return heap_.empty(); }
-  [[nodiscard]] std::size_t size() const { return heap_.size(); }
+  /// Handle of a re-armable timer; valid for the queue's lifetime.
+  using TimerId = std::size_t;
+
+  /// Registers an unarmed timer whose firing calls `handler.on_event`.
+  [[nodiscard]] TimerId add_timer(EventHandler& handler);
+
+  /// Arms `timer` to fire `handler.on_event(a, b)` at `when`, under a
+  /// fresh sequence number (exactly as push_event), replacing any pending
+  /// firing. A timer is unarmed again once it fires.
+  void arm(TimerId timer, util::TimePoint when, std::uint64_t a = 0,
+           std::uint64_t b = 0);
+
+  /// Cancels the pending firing of `timer`, if any.
+  void disarm(TimerId timer);
+
+  [[nodiscard]] bool empty() const { return size() == 0; }
+  /// Pending events: heap entries plus armed timers.
+  [[nodiscard]] std::size_t size() const { return heap_.size() + armed_; }
 
   /// Timestamp of the earliest pending event. Requires !empty().
   [[nodiscard]] util::TimePoint next_time() const;
@@ -186,6 +212,11 @@ class EventQueue {
     }
   };
 
+  /// Marks an unarmed timer's entry.
+  static constexpr std::uint64_t kUnarmed = static_cast<std::uint64_t>(-1);
+
+  /// The armed timer that fires before every heap entry, or nullptr.
+  [[nodiscard]] const Entry* due_timer() const;
   [[nodiscard]] Entry pop_entry();
   [[nodiscard]] Callback take_slot(std::uint64_t slot);
 
@@ -195,6 +226,8 @@ class EventQueue {
   std::uint64_t next_sequence_ = 0;
   // Reserved [first, end) sequence ranges, in reservation order.
   std::vector<std::pair<std::uint64_t, std::uint64_t>> reserved_;
+  std::vector<Entry> timers_;  // one per timer; sequence kUnarmed if unarmed
+  std::size_t armed_ = 0;      // armed timers
 };
 
 }  // namespace reshape::sim

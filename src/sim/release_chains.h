@@ -2,7 +2,9 @@
 //
 // Arbitration callers know every frame release of a run up front (a
 // station's records at their original times, a reshaper's on-air
-// starts). Preloading them all into the simulator makes every pop and
+// starts). The one such caller in src/ is sim::channel::ArbitratedCell,
+// which drives the contended-cell scenarios and the tuner's access-delay
+// pass. Preloading every release into the simulator makes every pop and
 // push sift a heap of O(frames) entries. ReleaseChains fires the same
 // list in exactly the preload's order while holding only one pending
 // entry per *chain*: a maximal run of consecutive releases whose times do

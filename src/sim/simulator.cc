@@ -36,6 +36,12 @@ void Simulator::schedule_event(util::TimePoint when, std::uint64_t sequence,
   queue_.push_event(when, sequence, handler, a, b);
 }
 
+void Simulator::arm_timer(EventQueue::TimerId timer, util::TimePoint when,
+                          std::uint64_t a, std::uint64_t b) {
+  util::require(when >= now_, "Simulator::arm_timer: time is in the past");
+  queue_.arm(timer, when, a, b);
+}
+
 void Simulator::run() {
   while (!queue_.empty()) {
     now_ = queue_.next_time();

@@ -44,6 +44,18 @@ class Simulator {
                       EventHandler& handler, std::uint64_t a = 0,
                       std::uint64_t b = 0);
 
+  /// Registers a re-armable timer (see EventQueue::add_timer).
+  [[nodiscard]] EventQueue::TimerId add_timer(EventHandler& handler) {
+    return queue_.add_timer(handler);
+  }
+
+  /// (Re)arms a timer at `when`, which must not be in the simulated past;
+  /// same ordering as schedule_event at this point (EventQueue::arm).
+  void arm_timer(EventQueue::TimerId timer, util::TimePoint when,
+                 std::uint64_t a = 0, std::uint64_t b = 0);
+
+  void disarm_timer(EventQueue::TimerId timer) { queue_.disarm(timer); }
+
   /// Runs events until the queue drains.
   void run();
 
@@ -51,12 +63,13 @@ class Simulator {
   /// deadline.
   void run_until(util::TimePoint deadline);
 
-  /// Total callbacks executed so far.
+  /// Events dispatched so far. A timer firing that a re-arm replaced was
+  /// never queued and does not count (no no-op decision events).
   [[nodiscard]] std::size_t events_processed() const { return processed_; }
 
   [[nodiscard]] bool idle() const { return queue_.empty(); }
 
-  /// Events currently queued.
+  /// Events currently queued, armed timers included.
   [[nodiscard]] std::size_t pending() const { return queue_.size(); }
 
  private:

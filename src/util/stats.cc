@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "util/check.h"
 
@@ -239,6 +240,27 @@ double dot(std::span<const double> a, std::span<const double> b) {
     acc += a[i] * b[i];
   }
   return acc;
+}
+
+void radix_sort(std::vector<std::uint64_t>& keys) {
+  constexpr unsigned kDigitBits = 11;
+  constexpr std::uint64_t kMask = (std::uint64_t{1} << kDigitBits) - 1;
+  const std::uint64_t largest =
+      keys.empty() ? 0 : *std::max_element(keys.begin(), keys.end());
+  std::vector<std::uint64_t> sorted(keys.size());
+  for (unsigned shift = 0; shift < 64 && (largest >> shift) != 0;
+       shift += kDigitBits) {
+    // start[d + 1] counts digit d; its prefix sum is where digit d begins.
+    std::vector<std::size_t> start(kMask + 2);
+    for (const std::uint64_t key : keys) {
+      ++start[((key >> shift) & kMask) + 1];
+    }
+    std::partial_sum(start.begin(), start.end(), start.begin());
+    for (const std::uint64_t key : keys) {
+      sorted[start[(key >> shift) & kMask]++] = key;
+    }
+    keys.swap(sorted);
+  }
 }
 
 }  // namespace reshape::util

@@ -134,4 +134,9 @@ class Histogram {
 /// check of Eq. (2) in the paper).
 [[nodiscard]] double dot(std::span<const double> a, std::span<const double> b);
 
+/// Sorts `keys` ascending with an LSD radix sort over 11-bit digits,
+/// taking only as many passes as the largest key has digits. Exact: the
+/// result equals std::sort's.
+void radix_sort(std::vector<std::uint64_t>& keys);
+
 }  // namespace reshape::util

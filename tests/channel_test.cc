@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
 #include <memory>
+#include <tuple>
 #include <vector>
 
 #include "attack/sniffer.h"
@@ -14,10 +16,12 @@
 #include "core/tuning/tuned_configuration.h"
 #include "net/access_point.h"
 #include "net/client.h"
+#include "sim/channel/arbitrated_cell.h"
 #include "sim/channel/channel_arbiter.h"
 #include "sim/medium.h"
 #include "sim/simulator.h"
 #include "traffic/generator.h"
+#include "util/rng.h"
 
 namespace reshape::sim::channel {
 namespace {
@@ -52,7 +56,7 @@ mac::Frame data_frame(std::uint32_t size_bytes, int channel = 1) {
 /// An arbitrated AP + reshaping-client cell; the streaming pipeline and
 /// the arbiter run at the same (configurable) bitrate so the modeled and
 /// arbitrated radio timelines are directly comparable.
-struct ArbitratedCell {
+struct NetStackCell {
   sim::Simulator simulator;
   sim::Medium medium{quiet_model(), util::Rng{1}};
   ChannelArbiter arbiter;
@@ -63,7 +67,7 @@ struct ArbitratedCell {
   std::unique_ptr<net::WirelessClient> client;
   attack::Sniffer sniffer{bssid};
 
-  explicit ArbitratedCell(DcfParams params)
+  explicit NetStackCell(DcfParams params)
       : arbiter{simulator, medium, 1, params, util::Rng{5}} {
     const double bitrate_mbps = params.bitrate_mbps;
     net::ApConfig config;
@@ -79,7 +83,7 @@ struct ArbitratedCell {
     ap->associate(client_mac, key);
     medium.attach(sniffer, Position{2, -2}, 1);
   }
-  ~ArbitratedCell() { medium.detach(sniffer); }
+  ~NetStackCell() { medium.detach(sniffer); }
 
   void configure_interfaces() {
     client->request_virtual_interfaces(3);
@@ -229,7 +233,7 @@ TEST(GoldenParityTest, OnAirTimestampsEqualReshaperReleaseTimesExactly) {
   // 2 Mbit/s makes the radio a real bottleneck so the release times are
   // genuinely deferred, not just the arrival times echoed back.
   constexpr double kBitrate = 2.0;
-  ArbitratedCell cell{DcfParams::uncontended(kBitrate)};
+  NetStackCell cell{DcfParams::uncontended(kBitrate)};
   cell.configure_interfaces();
 
   const traffic::Trace trace = traffic::generate_trace(
@@ -294,7 +298,7 @@ TEST(GoldenParityTest, SnifferSeesDefendedNotUndefendedTiming) {
   const Duration offset = Duration::milliseconds(50);
 
   const auto observed_times = [&](bool defended) {
-    ArbitratedCell cell{DcfParams::uncontended(kBitrate)};
+    NetStackCell cell{DcfParams::uncontended(kBitrate)};
     cell.configure_interfaces();
     if (defended) {
       // The AP pushes the same OR point with every interface padded to
@@ -454,8 +458,110 @@ TEST(ContentionTest, SubSlotArrivalsDoNotStarveTheCountdown) {
 
 // ----------------------------------------- observed vs modeled accessors ---
 
+TEST(ArbitratedCellTest, MatchesAPreloadedArbiterReleaseForRelease) {
+  // Station 0 plays an AP: its releases step back in time, as when one
+  // transmitter serves several clients' records. A tight window and a
+  // low retry limit force collisions and drops. The cell must report
+  // every release that reaches the air exactly once, at the instant and
+  // delay an arbiter fed by preloaded per-release events gives it.
+  DcfParams params;
+  params.bitrate_mbps = 6.0;
+  params.cw_min = 1;
+  params.cw_max = 3;
+  params.retry_limit = 1;
+  constexpr std::size_t kStations = 6;
+  util::Rng rng{0xCE11};
+  std::vector<std::tuple<std::size_t, std::int64_t, std::uint32_t>> releases;
+  for (std::size_t s = 0; s < kStations; ++s) {
+    std::int64_t t = s == 0 ? 0 : rng.uniform_int(0, 2000);
+    for (int i = 0; i < 300; ++i) {
+      t = s == 0 && i % 50 == 0 ? rng.uniform_int(0, 1000) : t;
+      t += rng.uniform_int(0, 3) * 400;
+      releases.emplace_back(
+          s, t, static_cast<std::uint32_t>(rng.uniform_int(60, 1576)));
+    }
+  }
+  using Fate = std::tuple<std::size_t, std::int64_t, std::int64_t>;
+  constexpr std::int64_t kDropped = -1;
+
+  std::vector<Fate> expected;
+  {
+    Simulator sim;
+    Medium medium{quiet_model(), util::Rng{0}};
+    ChannelArbiter arbiter{sim, medium, 1, params, util::Rng{99}};
+    std::vector<Identity> ids(kStations);
+    std::vector<std::deque<std::size_t>> fifo(kStations);
+    const auto station_of = [&ids](const RadioListener* tx) {
+      return static_cast<std::size_t>(static_cast<const Identity*>(tx) -
+                                      ids.data());
+    };
+    arbiter.set_on_air_hook([&](const mac::Frame& frame, Duration delay,
+                                const RadioListener* tx) {
+      auto& queue = fifo[station_of(tx)];
+      expected.emplace_back(queue.front(), frame.timestamp.count_us(),
+                            delay.count_us());
+      queue.pop_front();
+    });
+    arbiter.set_drop_hook([&](const mac::Frame&, const RadioListener* tx) {
+      auto& queue = fifo[station_of(tx)];
+      expected.emplace_back(queue.front(), kDropped, kDropped);
+      queue.pop_front();
+    });
+    struct Feed final : EventHandler {
+      void on_event(std::uint64_t index, std::uint64_t) override {
+        const auto& [s, t, size] = (*releases)[index];
+        (*fifo)[s].push_back(index);
+        mac::Frame frame;
+        frame.size_bytes = size;
+        arbiter->enqueue(std::move(frame), Position{}, &(*ids)[s]);
+      }
+      const std::vector<std::tuple<std::size_t, std::int64_t, std::uint32_t>>*
+          releases;
+      std::vector<std::deque<std::size_t>>* fifo;
+      ChannelArbiter* arbiter;
+      std::vector<Identity>* ids;
+    } feed;
+    feed.releases = &releases;
+    feed.fifo = &fifo;
+    feed.arbiter = &arbiter;
+    feed.ids = &ids;
+    for (std::size_t i = 0; i < releases.size(); ++i) {
+      sim.schedule_event(TimePoint::from_microseconds(std::get<1>(releases[i])),
+                         feed, i);
+    }
+    sim.run();
+  }
+
+  ArbitratedCell cell{params, util::Rng{99}};
+  for (std::size_t i = 0; i < releases.size(); ++i) {
+    const auto& [s, t, size] = releases[i];
+    EXPECT_EQ(cell.release(s, TimePoint::from_microseconds(t), size), i);
+  }
+  EXPECT_EQ(cell.releases(), releases.size());
+  std::vector<Fate> actual;
+  cell.run([&](std::size_t release, const mac::Frame& frame, Duration delay) {
+    EXPECT_EQ(frame.size_bytes, std::get<2>(releases[release]));
+    actual.emplace_back(release, frame.timestamp.count_us(), delay.count_us());
+  });
+
+  // The cell reports exactly the frames that reached the air; the rest
+  // were dropped.
+  std::vector<Fate> on_air;
+  for (const Fate& fate : expected) {
+    if (std::get<1>(fate) != kDropped) {
+      on_air.push_back(fate);
+    }
+  }
+  EXPECT_LT(on_air.size(), expected.size());  // some were dropped
+  EXPECT_TRUE(actual == on_air);
+  const ChannelStats totals = cell.arbiter().totals();
+  EXPECT_EQ(totals.frames_sent, actual.size());
+  EXPECT_EQ(totals.frames_sent + totals.frames_dropped, releases.size());
+  EXPECT_THROW(cell.release(0, TimePoint{}, 100), std::invalid_argument);
+}
+
 TEST(ObservedStatsTest, ClientAndApExposeChannelStatsUnderArbitration) {
-  ArbitratedCell cell{DcfParams{}};  // contended defaults at 54 Mbit/s
+  NetStackCell cell{DcfParams{}};  // contended defaults at 54 Mbit/s
   cell.configure_interfaces();
   for (const std::uint32_t payload : {50u, 800u, 1500u}) {
     cell.client->send_packet(payload);

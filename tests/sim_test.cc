@@ -117,6 +117,202 @@ TEST(EventQueueTest, RejectsNullCallback) {
                std::invalid_argument);
 }
 
+// --------------------------------------------------------------- Timer ---
+
+/// Records every typed event it receives as (a, time) into a shared log.
+class LogHandler final : public EventHandler {
+ public:
+  LogHandler(const Simulator& sim,
+             std::vector<std::pair<std::uint64_t, std::int64_t>>& log)
+      : sim_{sim}, log_{log} {}
+  void on_event(std::uint64_t a, std::uint64_t) override {
+    log_.emplace_back(a, sim_.now().count_us());
+  }
+
+ private:
+  const Simulator& sim_;
+  std::vector<std::pair<std::uint64_t, std::int64_t>>& log_;
+};
+
+TEST(TimerTest, RearmReplacesThePendingFiring) {
+  Simulator sim;
+  std::vector<std::pair<std::uint64_t, std::int64_t>> log;
+  LogHandler handler{sim, log};
+  const EventQueue::TimerId timer = sim.add_timer(handler);
+  sim.arm_timer(timer, TimePoint::from_microseconds(50), 1);
+  sim.arm_timer(timer, TimePoint::from_microseconds(20), 2);  // earlier
+  sim.arm_timer(timer, TimePoint::from_microseconds(80), 3);  // later
+  EXPECT_EQ(sim.pending(), 1u);
+  sim.run();
+  ASSERT_EQ(log.size(), 1u);  // only the last arming fires
+  EXPECT_EQ(log.front(), (std::pair<std::uint64_t, std::int64_t>{3, 80}));
+  EXPECT_EQ(sim.events_processed(), 1u);
+  EXPECT_EQ(sim.now(), TimePoint::from_microseconds(80));
+  EXPECT_TRUE(sim.idle());  // a fired timer is unarmed
+  EXPECT_THROW(sim.arm_timer(timer, TimePoint::from_microseconds(79)),
+               std::invalid_argument);  // not in the simulated past
+}
+
+TEST(TimerTest, TiesWithHeapEntriesBreakBySequenceLikeAPush) {
+  // Arming takes a sequence number exactly where a push would: the timer
+  // fires after the equal-time events pushed before its last arming and
+  // before those pushed after it.
+  Simulator sim;
+  std::vector<std::pair<std::uint64_t, std::int64_t>> log;
+  LogHandler handler{sim, log};
+  const EventQueue::TimerId timer = sim.add_timer(handler);
+  const TimePoint t = TimePoint::from_microseconds(10);
+  sim.arm_timer(timer, t, 100);        // replaced below
+  sim.schedule_event(t, handler, 1);
+  sim.arm_timer(timer, t, 101);
+  sim.schedule_event(t, handler, 2);
+  sim.run();
+  const std::vector<std::pair<std::uint64_t, std::int64_t>> expected{
+      {1, 10}, {101, 10}, {2, 10}};
+  EXPECT_EQ(log, expected);
+
+  // The same through a bare queue's pop(), with a callback in the mix.
+  EventQueue q;
+  std::vector<int> order;
+  struct Mark final : EventHandler {
+    explicit Mark(std::vector<int>& order) : order{order} {}
+    void on_event(std::uint64_t a, std::uint64_t) override {
+      order.push_back(static_cast<int>(a));
+    }
+    std::vector<int>& order;
+  } mark{order};
+  const EventQueue::TimerId qt = q.add_timer(mark);
+  q.push(t, [&order] { order.push_back(0); });
+  q.arm(qt, t, 1);
+  q.push_event(t, mark, 2);
+  EXPECT_EQ(q.next_time(), t);
+  while (!q.empty()) {
+    q.pop()();
+  }
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+}
+
+TEST(TimerTest, DisarmCancelsAndPendingCountsArmedTimers) {
+  Simulator sim;
+  std::vector<std::pair<std::uint64_t, std::int64_t>> log;
+  LogHandler handler{sim, log};
+  const EventQueue::TimerId first = sim.add_timer(handler);
+  const EventQueue::TimerId second = sim.add_timer(handler);
+  EXPECT_TRUE(sim.idle());
+  EXPECT_EQ(sim.pending(), 0u);
+  sim.arm_timer(first, TimePoint::from_microseconds(30), 1);
+  EXPECT_FALSE(sim.idle());
+  EXPECT_EQ(sim.pending(), 1u);
+  sim.arm_timer(second, TimePoint::from_microseconds(20), 2);
+  sim.schedule_event(TimePoint::from_microseconds(40), handler, 3);
+  EXPECT_EQ(sim.pending(), 3u);
+  sim.disarm_timer(second);
+  sim.disarm_timer(second);  // disarming an unarmed timer is a no-op
+  EXPECT_EQ(sim.pending(), 2u);
+  sim.run();
+  const std::vector<std::pair<std::uint64_t, std::int64_t>> expected{
+      {1, 30}, {3, 40}};
+  EXPECT_EQ(log, expected);
+  EXPECT_EQ(sim.events_processed(), 2u);
+
+  sim.arm_timer(first, TimePoint::from_microseconds(50), 4);
+  sim.disarm_timer(first);
+  EXPECT_TRUE(sim.idle());
+}
+
+/// Drives one seeded random script of plain pushes, re-schedules and
+/// cancellations of a single "decision" either through a re-armable timer
+/// or, as the reference, through generation-stamped pushes whose stale
+/// firings return without acting.
+class DecisionProbe final : public EventHandler {
+ public:
+  DecisionProbe(Simulator& sim, bool use_timer, std::uint64_t seed)
+      : sim_{sim}, rng_{seed}, use_timer_{use_timer} {
+    if (use_timer_) {
+      timer_ = sim_.add_timer(*this);
+    }
+  }
+
+  /// Plain events carry kPlain + id; decisions carry their generation.
+  void on_event(std::uint64_t a, std::uint64_t) override {
+    if (a < kPlain && a != generation_) {
+      ++stale;  // superseded: the reference's no-op dispatch
+      return;
+    }
+    fired.emplace_back(a, sim_.now().count_us());
+    react();
+  }
+
+  void react() {
+    if (++steps_ > 400) {
+      return;
+    }
+    const auto actions = rng_.uniform_int(0, 3);
+    for (std::int64_t i = 0; i < actions; ++i) {
+      const TimePoint when =
+          sim_.now() + Duration::microseconds(rng_.uniform_int(0, 3) * 10);
+      switch (rng_.uniform_int(0, 3)) {
+        case 0:
+        case 1:
+          sim_.schedule_event(when, *this, kPlain + next_id_++);
+          break;
+        case 2:
+          ++generation_;  // (re)schedule the decision
+          if (use_timer_) {
+            sim_.arm_timer(timer_, when, generation_);
+          } else {
+            sim_.schedule_event(when, *this, generation_);
+          }
+          break;
+        default:
+          ++generation_;  // cancel the decision
+          if (use_timer_) {
+            sim_.disarm_timer(timer_);
+          }
+          break;
+      }
+    }
+  }
+
+  static constexpr std::uint64_t kPlain = 1'000'000;
+  std::vector<std::pair<std::uint64_t, std::int64_t>> fired;
+  std::size_t stale = 0;
+
+ private:
+  Simulator& sim_;
+  util::Rng rng_;
+  bool use_timer_;
+  EventQueue::TimerId timer_ = 0;
+  std::uint64_t generation_ = 0;
+  std::uint64_t next_id_ = 0;
+  int steps_ = 0;
+};
+
+TEST(TimerTest, RearmingFiresWhatGenerationStampedPushesDo) {
+  std::size_t superseded = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    Simulator reference_sim;
+    DecisionProbe reference{reference_sim, false, seed};
+    Simulator timer_sim;
+    DecisionProbe timer{timer_sim, true, seed};
+    for (DecisionProbe* probe : {&reference, &timer}) {
+      probe->react();
+    }
+    reference_sim.run();
+    timer_sim.run();
+    EXPECT_EQ(timer.fired, reference.fired) << "seed " << seed;
+    EXPECT_EQ(timer.stale, 0u);
+    EXPECT_EQ(timer_sim.events_processed(),
+              reference_sim.events_processed() - reference.stale);
+    EXPECT_EQ(timer_sim.now(), timer.fired.empty()
+                                   ? TimePoint{}
+                                   : TimePoint::from_microseconds(
+                                         timer.fired.back().second));
+    superseded += reference.stale;
+  }
+  EXPECT_GT(superseded, 0u);  // the scripts do re-schedule and cancel
+}
+
 // ----------------------------------------------------------- Simulator ---
 
 TEST(SimulatorTest, ClockAdvancesToEventTime) {
@@ -530,6 +726,15 @@ TEST(ReleaseChainsTest, ArbitratedCellKeepsTheQueueSmall) {
             preload.arbiter.totals().collisions);
   EXPECT_GT(preload.peak_pending, kStations * kFramesPerStation / 2);
   EXPECT_LT(lazy.peak_pending, kStations + 8);
+
+  // The decision is a re-armable timer: every decision event dispatched
+  // transmitted or collided, none was a superseded no-op.
+  for (const Cell* cell : {&preload, &lazy}) {
+    EXPECT_EQ(cell->sim.events_processed(),
+              kStations * kFramesPerStation + cell->arbiter.frames_on_air() +
+                  cell->arbiter.collision_events());
+  }
+  EXPECT_GT(lazy.arbiter.collision_events(), 0u);
 }
 
 TEST(ReleaseChainsTest, SequencedPushesAreChecked) {

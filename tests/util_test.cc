@@ -2,7 +2,10 @@
 // empirical distributions, time arithmetic, and the table printer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <numeric>
 #include <sstream>
 #include <vector>
@@ -438,6 +441,46 @@ TEST(StatsFreeFunctionTest, DotProduct) {
 }
 
 // -------------------------------------------------------- distribution ---
+
+TEST(RadixSortTest, EqualsStdSort) {
+  // Random keys of every width, all-equal, zero-heavy, and keys above
+  // 2^32 (µs delays past 71 minutes) whose top digits decide the order.
+  Rng rng{0x5AD1};
+  std::vector<std::vector<std::uint64_t>> inputs;
+  inputs.emplace_back();  // empty
+  inputs.push_back({42});
+  for (const int bits : {8, 17, 31, 63}) {
+    std::vector<std::uint64_t> keys(5000);
+    for (std::uint64_t& key : keys) {
+      key = static_cast<std::uint64_t>(rng.uniform_int(
+          0, (std::int64_t{1} << bits) - 1));
+    }
+    inputs.push_back(std::move(keys));
+  }
+  inputs.emplace_back(3000, std::uint64_t{777});
+  inputs.emplace_back(3000, std::uint64_t{0});
+  std::vector<std::uint64_t> zero_heavy(4000, 0);
+  for (std::size_t i = 0; i < zero_heavy.size(); i += 7) {
+    zero_heavy[i] = static_cast<std::uint64_t>(rng.uniform_int(1, 900));
+  }
+  inputs.push_back(std::move(zero_heavy));
+  std::vector<std::uint64_t> wide(4000);
+  for (std::uint64_t& key : wide) {
+    // Equal low 32 bits in runs, so only the top digits separate keys.
+    key = (static_cast<std::uint64_t>(rng.uniform_int(1, 5000)) << 32) |
+          static_cast<std::uint64_t>(rng.uniform_int(0, 3));
+  }
+  inputs.push_back(std::move(wide));
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  inputs.push_back({kMax, 0, std::uint64_t{1} << 63, kMax - 1, 7, kMax});
+
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    std::vector<std::uint64_t> expected = inputs[i];
+    std::sort(expected.begin(), expected.end());
+    radix_sort(inputs[i]);
+    EXPECT_EQ(inputs[i], expected) << "input " << i;
+  }
+}
 
 TEST(EmpiricalDistributionTest, RejectsEmpty) {
   EXPECT_THROW(EmpiricalDistribution{std::vector<double>{}},

@@ -292,11 +292,9 @@ int main() {
   // channel back to the capture. The attacker proxy shares the adaptive
   // adversary's clean profile corpus but never sees a label afterwards.
   if (telemetry.privacy) {
-    const ml::Dataset profile_rows =
-        attack::adaptive::AdaptiveAttacker::profile(clean_profile,
-                                                    adaptive_config);
-    const attack::audit::NearestCentroidProbe probe{profile_rows,
-                                                    adaptive_config.attack};
+    const attack::audit::NearestCentroidProbe probe{
+        attack::profile_rows(clean_profile, adaptive_config.attack),
+        adaptive_config.attack};
     auditor.set_probe(&probe);
 
     obs::WindowedRegistry windows{audit_config.window};

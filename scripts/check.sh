@@ -49,9 +49,9 @@ for arg in "$@"; do
       ;;
     --native)
       # The byte-identity suites (goldens, hot-path equivalence, ml,
-      # telemetry, shard server) on a build for this host's ISA: with
-      # -ffp-contract=off an FMA-capable target must reproduce every bit
-      # of the default build.
+      # attack row order, telemetry, shard server) on a build for this
+      # host's ISA: with -ffp-contract=off an FMA-capable target must
+      # reproduce every bit of the default build.
       NATIVE=1
       BUILD_DIR=build-native
       CMAKE_ARGS+=(
@@ -87,8 +87,8 @@ cmake --build "$BUILD_DIR" -j
 # The native leg runs the byte-identity suites only, and no smokes.
 if [ "$NATIVE" = 1 ]; then
   for suite in defense_golden_test arbitration_golden_test \
-               hot_path_equivalence_test ml_test telemetry_test \
-               shard_server_test; do
+               hot_path_equivalence_test ml_test attack_test \
+               telemetry_test shard_server_test; do
     "./$BUILD_DIR/$suite" --gtest_brief=1
   done
   exit 0

@@ -68,26 +68,8 @@ AdaptiveAttacker::AdaptiveAttacker(AdaptiveConfig config,
                 "AdaptiveAttacker: RSSI threshold must be >= 0");
 }
 
-ml::Dataset AdaptiveAttacker::profile(
-    std::span<const traffic::Trace> clean_traces,
-    const AdaptiveConfig& config) {
-  util::require(!clean_traces.empty(), "AdaptiveAttacker::profile: no traces");
-  std::vector<std::vector<double>> rows;
-  std::vector<int> labels;
-  for (const traffic::Trace& t : clean_traces) {
-    const int label = static_cast<int>(traffic::app_index(t.app()));
-    for (auto& row : feature_rows_of(t, config.attack)) {
-      rows.push_back(std::move(row));
-      labels.push_back(label);
-    }
-  }
-  util::require(!rows.empty(),
-                "AdaptiveAttacker::profile: traces yielded no windows");
-  return ml::Dataset{std::move(rows), std::move(labels), kClasses};
-}
-
 void AdaptiveAttacker::bootstrap(std::span<const traffic::Trace> clean_traces) {
-  bootstrap(profile(clean_traces, config_));
+  bootstrap(profile_rows(clean_traces, config_.attack));
 }
 
 void AdaptiveAttacker::bootstrap(ml::Dataset base) {
@@ -162,6 +144,7 @@ std::vector<EpochScore> AdaptiveAttacker::run_session(
 
   std::vector<EpochScore> out;
   out.reserve(static_cast<std::size_t>(epochs));
+  std::vector<features::WindowFeatures> windows;  // reused for every slice
   for (std::int64_t e = 0; e < epochs; ++e) {
     EpochScore score;
     score.epoch = static_cast<std::size_t>(e);
@@ -189,7 +172,7 @@ std::vector<EpochScore> AdaptiveAttacker::run_session(
       }
       FlowRows fr;
       fr.flow_index = i;
-      fr.rows = feature_rows_of(sub, config_.attack);
+      feature_rows_into(fr.rows, sub, config_.attack, windows);
       if (fr.rows.empty()) {
         continue;
       }

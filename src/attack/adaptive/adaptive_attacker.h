@@ -64,7 +64,9 @@ enum class Labeling : std::uint8_t {
 /// Knobs of the adaptive loop.
 struct AdaptiveConfig {
   /// Feature processing — identical to the static attack pipeline so the
-  /// two adversaries are directly comparable.
+  /// two adversaries are directly comparable. The bootstrap profile
+  /// honours augment_direction_masks (attack::profile_rows); the default
+  /// leaves it off, and the captured epochs are never augmented.
   AttackConfig attack = adaptive_attack_defaults();
 
   /// Re-training cadence: one refit per epoch of this length.
@@ -142,18 +144,13 @@ class AdaptiveAttacker {
   explicit AdaptiveAttacker(AdaptiveConfig config,
                             ClassifierFactory make_classifier = nullptr);
 
-  /// Extracts the labeled bootstrap rows of a clean profile corpus under
-  /// `config` — the base dataset every refit keeps pinned. Deterministic;
-  /// campaigns compute it once and share it across cells.
-  [[nodiscard]] static ml::Dataset profile(
-      std::span<const traffic::Trace> clean_traces,
-      const AdaptiveConfig& config);
-
-  /// Bootstraps from clean traces (profile() + fit).
+  /// Bootstraps from clean traces: profile_rows(clean_traces,
+  /// config().attack), then fit.
   void bootstrap(std::span<const traffic::Trace> clean_traces);
 
-  /// Bootstraps from pre-extracted profile rows (the campaign fast path;
-  /// rows must be raw/unscaled, as profile() returns them).
+  /// Bootstraps from pre-extracted profile rows — the base dataset every
+  /// refit keeps pinned (the campaign fast path; rows must be
+  /// raw/unscaled, as profile_rows returns them).
   void bootstrap(ml::Dataset base);
 
   /// Runs the prequential loop over one captured session: slices the

@@ -80,7 +80,7 @@ struct AuditConfig {
 
 /// The cheap attacker stand-in: per-class nearest-centroid over
 /// standardized attack feature rows. Built once from a clean profile
-/// dataset (raw rows, as AdaptiveAttacker::profile returns them); never
+/// dataset (raw rows, as attack::profile_rows returns them); never
 /// refit. The margin (d2-d1)/(d1+d2) between the two nearest centroids is
 /// the label-free confidence: ~1 when a row sits on one class's centroid
 /// (fingerprintable), ~0 when reshaping blends classes together.

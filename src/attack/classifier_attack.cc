@@ -16,31 +16,6 @@ ClassifierAttack::ClassifierAttack(AttackConfig config,
                 "ClassifierAttack: window must be positive");
 }
 
-std::vector<std::vector<double>> feature_rows_of(const traffic::Trace& flow,
-                                                 const AttackConfig& config) {
-  return feature_rows_of(flow.records(), config);
-}
-
-std::vector<std::vector<double>> feature_rows_of(
-    const traffic::Trace& flow, const AttackConfig& config,
-    std::vector<features::WindowFeatures>& windows_scratch) {
-  return feature_rows_of(flow.records(), config, windows_scratch);
-}
-
-std::vector<std::vector<double>> feature_rows_of(traffic::TraceView flow,
-                                                 const AttackConfig& config) {
-  std::vector<features::WindowFeatures> windows;
-  return feature_rows_of(flow, config, windows);
-}
-
-std::vector<std::vector<double>> feature_rows_of(
-    traffic::TraceView flow, const AttackConfig& config,
-    std::vector<features::WindowFeatures>& windows_scratch) {
-  std::vector<std::vector<double>> rows;
-  feature_rows_into(rows, flow, config, windows_scratch);
-  return rows;
-}
-
 void feature_rows_into(std::vector<std::vector<double>>& rows,
                        traffic::TraceView flow, const AttackConfig& config,
                        std::vector<features::WindowFeatures>& windows_scratch) {
@@ -55,9 +30,12 @@ void feature_rows_into(std::vector<std::vector<double>>& rows,
   }
 }
 
-std::vector<std::vector<double>> ClassifierAttack::feature_rows(
-    const traffic::Trace& trace) const {
-  return feature_rows_of(trace, config_);
+std::vector<std::vector<double>> feature_rows_of(
+    const traffic::Trace& flow, const AttackConfig& config,
+    std::vector<features::WindowFeatures>& windows_scratch) {
+  std::vector<std::vector<double>> rows;
+  feature_rows_into(rows, flow.records(), config, windows_scratch);
+  return rows;
 }
 
 namespace {
@@ -100,24 +78,28 @@ bool has_direction(const std::vector<double>& row, bool downlink) {
 
 }  // namespace
 
-void ClassifierAttack::train(std::span<const traffic::Trace> clean_traces) {
-  util::require(!clean_traces.empty(), "ClassifierAttack::train: no traces");
+ml::Dataset profile_rows(std::span<const traffic::Trace> corpus,
+                         const AttackConfig& config) {
+  util::require(!corpus.empty(), "profile_rows: no traces");
   std::vector<std::vector<double>> rows;
   std::vector<int> labels;
-  const bool augment = config_.augment_direction_masks &&
-                       config_.feature_set == features::FeatureSet::kAll;
-  for (const traffic::Trace& t : clean_traces) {
+  const bool augment = config.augment_direction_masks &&
+                       config.feature_set == features::FeatureSet::kAll;
+  std::vector<std::vector<double>> trace_rows;
+  std::vector<features::WindowFeatures> windows;
+  for (const traffic::Trace& t : corpus) {
     const int label = static_cast<int>(traffic::app_index(t.app()));
-    for (auto& row : feature_rows(t)) {
+    feature_rows_into(trace_rows, t.records(), config, windows);
+    for (std::vector<double>& row : trace_rows) {
       if (augment) {
         if (has_direction(row, true)) {
           rows.push_back(
-              mask_direction(row, /*keep_downlink=*/true, config_.log_compress));
+              mask_direction(row, /*keep_downlink=*/true, config.log_compress));
           labels.push_back(label);
         }
         if (has_direction(row, false)) {
           rows.push_back(mask_direction(row, /*keep_downlink=*/false,
-                                        config_.log_compress));
+                                        config.log_compress));
           labels.push_back(label);
         }
       }
@@ -126,18 +108,29 @@ void ClassifierAttack::train(std::span<const traffic::Trace> clean_traces) {
     }
   }
   util::require(!rows.empty(),
-                "ClassifierAttack::train: traces yielded no usable windows");
-  scaler_.fit(rows);
-  ml::Dataset data{scaler_.transform_all(rows), std::move(labels),
-                   static_cast<int>(traffic::kAppCount)};
-  classifier_->fit(data);
+                "profile_rows: traces yielded no usable windows");
+  return ml::Dataset{std::move(rows), std::move(labels),
+                     static_cast<int>(traffic::kAppCount)};
+}
+
+void ClassifierAttack::fit(const ml::Dataset& rows) {
+  util::require(!rows.empty(), "ClassifierAttack::fit: no rows");
+  scaler_.fit(rows.rows());
+  const std::span<const int> labels = rows.labels();
+  classifier_->fit(ml::Dataset{scaler_.transform_all(rows.rows()),
+                               {labels.begin(), labels.end()},
+                               rows.num_classes()});
   trained_ = true;
+}
+
+void ClassifierAttack::train(std::span<const traffic::Trace> clean_traces) {
+  fit(profile_rows(clean_traces, config_));
 }
 
 std::vector<int> ClassifierAttack::classify_flow(
     const traffic::Trace& flow) const {
-  const auto rows = feature_rows(flow);
-  return classify_rows(rows);
+  std::vector<features::WindowFeatures> windows;
+  return classify_rows(feature_rows_of(flow, config_, windows));
 }
 
 std::vector<int> ClassifierAttack::classify_rows(

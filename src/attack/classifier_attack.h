@@ -9,6 +9,12 @@
 // like an independent station, so every virtual interface's flow is
 // classified separately; the ground truth of each is the original
 // application.
+//
+// Rows come from one place. feature_rows_into is the only row function;
+// feature_rows_of is its returning adapter for whole traces. The labeled
+// clean-profile rows every adversary trains on come from profile_rows,
+// and ClassifierAttack::fit takes those rows, so callers fitting several
+// attackers on one corpus extract it once.
 #pragma once
 
 #include <memory>
@@ -44,33 +50,31 @@ struct AttackConfig {
   friend bool operator==(const AttackConfig&, const AttackConfig&) = default;
 };
 
-/// The per-window feature rows of one flow under the configured
-/// processing: W-windowing, optional log compression, feature-set
-/// projection. Shared by the static ClassifierAttack and the adaptive
-/// attacker so both adversaries see byte-identical inputs.
-[[nodiscard]] std::vector<std::vector<double>> feature_rows_of(
-    const traffic::Trace& flow, const AttackConfig& config);
+/// The one row function: the per-window feature rows of one flow under
+/// the configured processing — W-windowing, optional log compression,
+/// feature-set projection — written into a caller-owned row buffer
+/// (cleared per call) through a caller-owned window buffer. Every
+/// adversary (static, adaptive, the audit probe) extracts through it, so
+/// all of them see byte-identical inputs, and callers that reuse both
+/// buffers across flows amortize their allocation.
+void feature_rows_into(std::vector<std::vector<double>>& rows,
+                       traffic::TraceView flow, const AttackConfig& config,
+                       std::vector<features::WindowFeatures>& windows_scratch);
 
-/// Same, extracting through a caller-owned window buffer (cleared per
-/// call) so per-worker arenas amortize the allocation across flows.
+/// Returning adapter over feature_rows_into for a whole trace.
 [[nodiscard]] std::vector<std::vector<double>> feature_rows_of(
     const traffic::Trace& flow, const AttackConfig& config,
     std::vector<features::WindowFeatures>& windows_scratch);
 
-/// Same, over a borrowed column view — epoch and window slices feed the
-/// extractor without ever materialising a sub-trace.
-[[nodiscard]] std::vector<std::vector<double>> feature_rows_of(
-    traffic::TraceView flow, const AttackConfig& config);
-[[nodiscard]] std::vector<std::vector<double>> feature_rows_of(
-    traffic::TraceView flow, const AttackConfig& config,
-    std::vector<features::WindowFeatures>& windows_scratch);
-
-/// Same, appending into a caller-owned row buffer (cleared per call) —
-/// the leakage auditor extracts rows per (station, window) slice and
-/// reuses one buffer across every slice of a cell.
-void feature_rows_into(std::vector<std::vector<double>>& rows,
-                       traffic::TraceView flow, const AttackConfig& config,
-                       std::vector<features::WindowFeatures>& windows_scratch);
+/// The labeled training rows of a clean profile corpus (one trace per
+/// session, labeled by Trace::app()): every trace's feature_rows_into
+/// rows, in corpus order. With augment_direction_masks (FeatureSet::kAll
+/// only), each window contributes its downlink-kept masked row (when the
+/// window has downlink packets), then its uplink-kept masked row (when it
+/// has uplink packets), then the full row. Raw, unscaled rows; throws
+/// when the corpus is empty or yields no usable window.
+[[nodiscard]] ml::Dataset profile_rows(std::span<const traffic::Trace> corpus,
+                                       const AttackConfig& config);
 
 /// A trained attacker: scaler + classifier behind one interface.
 class ClassifierAttack {
@@ -79,8 +83,12 @@ class ClassifierAttack {
   ClassifierAttack(AttackConfig config,
                    std::unique_ptr<ml::Classifier> classifier);
 
-  /// Builds the training matrix from labelled clean traces (one per
-  /// session) and fits scaler + classifier.
+  /// Fits scaler + classifier on raw labeled rows (profile_rows output
+  /// under this attack's config). Callers fitting several attackers on
+  /// one corpus extract its rows once and fit each from them.
+  void fit(const ml::Dataset& rows);
+
+  /// fit(profile_rows(clean_traces, config())).
   void train(std::span<const traffic::Trace> clean_traces);
 
   /// Classifies every W-window of a flow; returns one predicted label per
@@ -89,7 +97,7 @@ class ClassifierAttack {
       const traffic::Trace& flow) const;
 
   /// Classifies precomputed (unscaled) feature rows — the output of
-  /// feature_rows_of under this attack's config. Lets callers scoring the
+  /// feature_rows_into under this attack's config. Lets callers scoring the
   /// same flows with several attackers extract each flow's windows once.
   [[nodiscard]] std::vector<int> classify_rows(
       std::span<const std::vector<double>> rows) const;
@@ -106,9 +114,6 @@ class ClassifierAttack {
   }
 
  private:
-  [[nodiscard]] std::vector<std::vector<double>> feature_rows(
-      const traffic::Trace& trace) const;
-
   AttackConfig config_;
   std::unique_ptr<ml::Classifier> classifier_;
   features::MinMaxScaler scaler_;

@@ -146,7 +146,8 @@ CandidateShardOutcome CandidateEvaluator::evaluate_cell(
   // shared backend (consumes the defended flow traces).
   phase.emplace(profiler_, "adaptive");
   const std::vector<attack::adaptive::ObservedFlow> flows =
-      runtime::rssi_tagged_flows(defended, streams.rssi, spec_.rssi);
+      runtime::rssi_tagged_flows(defended, streams.rssi,
+                                 runtime::RssiModel{});
   outcome.flows = flows.size();
   if (windows != nullptr && audit_privacy) {
     attack::audit::AuditConfig audit;

@@ -76,8 +76,6 @@ struct TunerSpec {
   /// PHY rate of the arbitrated access-delay measurement cell.
   double arbitration_bitrate_mbps = 12.0;
 
-  runtime::RssiModel rssi{};
-
   /// Independent workload replicas per candidate.
   std::size_t shards = 1;
 };

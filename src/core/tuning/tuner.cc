@@ -5,15 +5,15 @@
 #include <utility>
 
 #include "obs/stat_views.h"
-#include "runtime/report_json.h"
 #include "util/check.h"
+#include "util/json.h"
 
 namespace reshape::core::tuning {
 
 namespace {
 
-using runtime::detail::json_escape;
-using runtime::detail::json_number;
+using util::json_escape;
+using util::json_number;
 
 void append_metrics(std::ostringstream& os, const CandidateMetrics& m) {
   os << "\"epochs_total\":" << m.epochs_total

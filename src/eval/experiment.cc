@@ -32,26 +32,31 @@ std::uint64_t ExperimentHarness::session_stream_seed(
   return x;
 }
 
-std::uint64_t ExperimentHarness::session_seed(traffic::AppType app,
-                                              std::size_t session,
-                                              bool training) const {
-  return session_stream_seed(config_.seed, app, session, training);
+std::vector<traffic::Trace> clean_corpus(const ExperimentConfig& config,
+                                         bool training,
+                                         std::uint64_t seed_salt) {
+  const std::size_t per_app = training ? config.train_sessions_per_app
+                                       : config.test_sessions_per_app;
+  const util::Duration duration = training ? config.train_session_duration
+                                           : config.test_session_duration;
+  std::vector<traffic::Trace> corpus;
+  corpus.reserve(traffic::kAppCount * per_app);
+  for (const traffic::AppType app : traffic::kAllApps) {
+    for (std::size_t s = 0; s < per_app; ++s) {
+      corpus.push_back(traffic::generate_trace(
+          app, duration,
+          ExperimentHarness::session_stream_seed(config.seed, app, s,
+                                                 training) ^
+              seed_salt,
+          config.session_jitter));
+    }
+  }
+  return corpus;
 }
 
 void ExperimentHarness::train() {
   if (trained()) {
     return;
-  }
-
-  // Training corpus: clean sessions of every app.
-  std::vector<traffic::Trace> corpus;
-  corpus.reserve(traffic::kAppCount * config_.train_sessions_per_app);
-  for (const traffic::AppType app : traffic::kAllApps) {
-    for (std::size_t s = 0; s < config_.train_sessions_per_app; ++s) {
-      corpus.push_back(traffic::generate_trace(
-          app, config_.train_session_duration, session_seed(app, s, true),
-          config_.session_jitter));
-    }
   }
 
   const attack::AttackConfig attack_config{config_.window,
@@ -76,23 +81,19 @@ void ExperimentHarness::train() {
     attacks_.push_back(std::move(named));
   }
 
+  // Training rows of the clean corpus, extracted once for both attackers.
+  const ml::Dataset training_rows = attack::profile_rows(
+      clean_corpus(config_, /*training=*/true), attack_config);
   for (NamedAttack& named : attacks_) {
-    named.attack->train(corpus);
+    named.attack->fit(training_rows);
   }
 
   // Pick the stronger attacker on clean held-out traffic ("the highest
   // classification accuracy", paper §IV-C).
-  std::vector<traffic::Trace> clean_test;
-  for (const traffic::AppType app : traffic::kAllApps) {
-    for (std::size_t s = 0; s < config_.test_sessions_per_app; ++s) {
-      clean_test.push_back(traffic::generate_trace(
-          app, config_.test_session_duration,
-          session_seed(app, s, false) ^ 0xC1EA0ULL, config_.session_jitter));
-    }
-  }
-  for (NamedAttack& named : attacks_) {
-    named.clean_mean_accuracy =
-        named.attack->evaluate(clean_test).mean_accuracy();
+  const std::vector<ml::ConfusionMatrix> held_out = attack_confusions(
+      clean_corpus(config_, /*training=*/false, 0xC1EA0ULL), nullptr);
+  for (std::size_t i = 0; i < attacks_.size(); ++i) {
+    attacks_[i].clean_mean_accuracy = held_out[i].mean_accuracy();
   }
   best_attack_ = 0;
   for (std::size_t i = 1; i < attacks_.size(); ++i) {
@@ -110,20 +111,13 @@ void ExperimentHarness::train() {
   }
 }
 
-void ExperimentHarness::score_flows(std::span<const traffic::Trace> flows,
-                                    DefenseEvaluation& out,
-                                    EvalScratch* scratch) const {
+std::vector<ml::ConfusionMatrix> ExperimentHarness::attack_confusions(
+    std::span<const traffic::Trace> flows, EvalScratch* scratch) const {
   std::vector<features::WindowFeatures> local_windows;
   std::vector<features::WindowFeatures>& windows =
       scratch != nullptr ? scratch->windows : local_windows;
   obs::PhaseProfiler* profiler =
       scratch != nullptr ? scratch->profiler : nullptr;
-  // The paper reports "the highest classification accuracy" its attack
-  // system (SVM + NN) achieves — the defender's worst case. Run every
-  // attacker over the defended flows and keep the strongest. All
-  // attackers share one AttackConfig (train() builds them that way), so
-  // each flow's W-windowing + feature extraction — the dominant scoring
-  // cost — runs once and the rows are shared.
   std::vector<ml::ConfusionMatrix> confusions(
       attacks_.size(),
       ml::ConfusionMatrix{static_cast<int>(traffic::kAppCount)});
@@ -146,7 +140,7 @@ void ExperimentHarness::score_flows(std::span<const traffic::Trace> flows,
     for (std::size_t a = 0; a < attacks_.size(); ++a) {
       util::internal_check(
           attacks_[a].attack->config() == attacks_.front().attack->config(),
-          "ExperimentHarness::score_flows: attackers disagree on windowing");
+          "ExperimentHarness: attackers disagree on windowing");
       for (const int predicted : attacks_[a].attack->classify_rows(rows)) {
         confusions[a].add(truth, predicted);
       }
@@ -155,6 +149,17 @@ void ExperimentHarness::score_flows(std::span<const traffic::Trace> flows,
   if (profiler != nullptr && features_sample.calls > 0) {
     profiler->add("features", features_sample);
   }
+  return confusions;
+}
+
+void ExperimentHarness::score_flows(std::span<const traffic::Trace> flows,
+                                    DefenseEvaluation& out,
+                                    EvalScratch* scratch) const {
+  // The paper reports "the highest classification accuracy" its attack
+  // system (SVM + NN) achieves — the defender's worst case. Run every
+  // attacker over the defended flows and keep the strongest.
+  const std::vector<ml::ConfusionMatrix> confusions =
+      attack_confusions(flows, scratch);
   bool first = true;
   for (std::size_t a = 0; a < attacks_.size(); ++a) {
     const ml::ConfusionMatrix& confusion = confusions[a];
@@ -181,15 +186,8 @@ DefenseEvaluation ExperimentHarness::evaluate(const DefenseFactory& factory,
   train();
 
   // The paper's test corpus: fresh sessions of every app, app-major.
-  std::vector<traffic::Trace> sessions;
-  sessions.reserve(traffic::kAppCount * config_.test_sessions_per_app);
-  for (const traffic::AppType app : traffic::kAllApps) {
-    for (std::size_t s = 0; s < config_.test_sessions_per_app; ++s) {
-      sessions.push_back(traffic::generate_trace(
-          app, config_.test_session_duration, session_seed(app, s, false),
-          config_.session_jitter));
-    }
-  }
+  const std::vector<traffic::Trace> sessions =
+      clean_corpus(config_, /*training=*/false);
   return evaluate_sessions(factory, std::move(defense_name), sessions,
                            util::splitmix64(config_.seed ^ 0xDEFULL));
 }

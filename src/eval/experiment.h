@@ -48,6 +48,17 @@ struct ExperimentConfig {
   traffic::SessionJitter session_jitter{};
 };
 
+/// The §IV clean corpus, app-major: for every application, the
+/// configured number of sessions of the role's length (train_* fields
+/// when `training`, test_* otherwise), each generated from
+/// ExperimentHarness::session_stream_seed(seed, app, s, training) ^
+/// `seed_salt`. The one builder of the training corpus, the held-out
+/// selection set and evaluate()'s test set, so every adversary that
+/// profiles the same config profiles byte-identical sessions.
+[[nodiscard]] std::vector<traffic::Trace> clean_corpus(
+    const ExperimentConfig& config, bool training,
+    std::uint64_t seed_salt = 0);
+
 /// Reusable scratch one evaluation worker threads through repeated
 /// evaluate_sessions() calls: the window-feature buffer grows to the
 /// largest flow once and is reused for every later extraction instead of
@@ -116,10 +127,8 @@ class ExperimentHarness {
   [[nodiscard]] const ExperimentConfig& config() const { return config_; }
   [[nodiscard]] bool trained() const { return !attacks_.empty(); }
 
-  /// The stable per-(experiment seed, app, session, role) stream seed the
-  /// harness derives its corpus from. Public and static so other corpus
-  /// builders (the adaptive campaign's bootstrap profiling) can generate
-  /// byte-identical training sessions without duplicating the derivation.
+  /// The stable per-(experiment seed, app, session, role) stream seed
+  /// clean_corpus derives every session from.
   [[nodiscard]] static std::uint64_t session_stream_seed(
       std::uint64_t experiment_seed, traffic::AppType app,
       std::size_t session, bool training);
@@ -137,12 +146,16 @@ class ExperimentHarness {
     double clean_mean_accuracy = 0.0;
   };
 
-  [[nodiscard]] std::uint64_t session_seed(traffic::AppType app,
-                                           std::size_t session,
-                                           bool training) const;
+  /// Every trained attacker's confusion over the flows, in attacks_
+  /// order. All attackers share one AttackConfig (train() builds them
+  /// that way), so each flow's W-windowing + feature extraction — the
+  /// dominant scoring cost — runs once and every attacker scores the
+  /// shared rows.
+  [[nodiscard]] std::vector<ml::ConfusionMatrix> attack_confusions(
+      std::span<const traffic::Trace> flows, EvalScratch* scratch) const;
 
-  /// Runs every trained attacker over the flows and fills the confusion /
-  /// accuracy / FP fields of `out` with the strongest one's numbers.
+  /// Fills the confusion / accuracy / FP fields of `out` with the
+  /// strongest attacker's numbers over the flows.
   void score_flows(std::span<const traffic::Trace> flows,
                    DefenseEvaluation& out, EvalScratch* scratch) const;
 

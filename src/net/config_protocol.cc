@@ -90,7 +90,10 @@ std::optional<ConfigResponse> decode_response(
   ConfigResponse resp;
   resp.nonce = mac::get_u64(*body, 1);
   const std::uint64_t count = mac::get_u64(*body, 9);
-  if (body->size() != 1 + 16 + count * 8) {
+  // Bound count by the bytes present before multiplying: 17 + count * 8
+  // wraps for count >= 2^61.
+  const std::size_t addresses_bytes = body->size() - (1 + 16);
+  if (addresses_bytes % 8 != 0 || count != addresses_bytes / 8) {
     return std::nullopt;
   }
   for (std::uint64_t i = 0; i < count; ++i) {

@@ -5,16 +5,16 @@
 
 #include "obs/stat_views.h"
 #include "runtime/evaluation_backend.h"
-#include "runtime/report_json.h"
 #include "util/check.h"
+#include "util/json.h"
 
 namespace reshape::runtime {
 
 namespace {
 
 using detail::cell_labels;
-using detail::json_escape;
-using detail::json_number;
+using util::json_escape;
+using util::json_number;
 
 constexpr int kClasses = static_cast<int>(traffic::kAppCount);
 
@@ -96,8 +96,6 @@ std::string AdaptiveCampaignReport::to_json() const {
 AdaptiveCampaignEngine::AdaptiveCampaignEngine(AdaptiveCampaignSpec spec)
     : spec_{std::move(spec)} {
   detail::require_defense_grid(spec_, "AdaptiveCampaignEngine");
-  util::require(spec_.rssi_min_dbm <= spec_.rssi_max_dbm,
-                "AdaptiveCampaignEngine: bad RSSI range");
 }
 
 void AdaptiveCampaignEngine::train() {
@@ -132,10 +130,8 @@ AdaptiveCellResult AdaptiveCampaignEngine::run_cell(
 
   std::vector<eval::DefendedSession> defended =
       eval::apply_defense(defense.factory, sessions, streams.defense_seed);
-  const RssiModel rssi{spec_.rssi_min_dbm, spec_.rssi_max_dbm,
-                       spec_.rssi_flow_jitter_db};
   const std::vector<attack::adaptive::ObservedFlow> flows =
-      rssi_tagged_flows(defended, streams.rssi, rssi);
+      rssi_tagged_flows(defended, streams.rssi, RssiModel{});
   result.flow_count = flows.size();
   if (windows != nullptr && telemetry_.config.privacy) {
     // The label-free audit sees exactly the flows the oracle-labeled

@@ -56,14 +56,6 @@ struct AdaptiveCampaignSpec {
   std::vector<DefenseSpec> defenses;
   std::vector<Scenario> scenarios;
   std::size_t shards = 1;
-
-  /// Synthetic power signatures for the cell's physical stations: each
-  /// session's mean RSSI is drawn uniformly from this range, and every
-  /// flow (virtual MAC) of the session observes it +- a small jitter —
-  /// the §V-A model kRssiCluster linkage runs on.
-  double rssi_min_dbm = -70.0;
-  double rssi_max_dbm = -45.0;
-  double rssi_flow_jitter_db = 0.3;
 };
 
 /// One scored cell: the epoch curve of one (defense, scenario, shard).

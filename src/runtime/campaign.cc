@@ -4,15 +4,15 @@
 #include <utility>
 
 #include "runtime/evaluation_backend.h"
-#include "runtime/report_json.h"
+#include "util/json.h"
 
 namespace reshape::runtime {
 
 namespace {
 
 using detail::cell_labels;
-using detail::json_escape;
-using detail::json_number;
+using util::json_escape;
+using util::json_number;
 
 void append_evaluation_fields(std::ostringstream& os,
                               const eval::DefenseEvaluation& e) {

@@ -5,7 +5,6 @@
 #include <mutex>
 #include <thread>
 
-#include "traffic/generator.h"
 #include "util/check.h"
 
 namespace reshape::runtime {
@@ -90,18 +89,8 @@ void run_cells(std::size_t cells, std::size_t threads,
 
 ml::Dataset bootstrap_profile(const eval::ExperimentConfig& bootstrap,
                               const attack::adaptive::AdaptiveConfig& attacker) {
-  std::vector<traffic::Trace> corpus;
-  corpus.reserve(traffic::kAppCount * bootstrap.train_sessions_per_app);
-  for (const traffic::AppType app : traffic::kAllApps) {
-    for (std::size_t s = 0; s < bootstrap.train_sessions_per_app; ++s) {
-      corpus.push_back(traffic::generate_trace(
-          app, bootstrap.train_session_duration,
-          eval::ExperimentHarness::session_stream_seed(bootstrap.seed, app, s,
-                                                       /*training=*/true),
-          bootstrap.session_jitter));
-    }
-  }
-  return attack::adaptive::AdaptiveAttacker::profile(corpus, attacker);
+  return attack::profile_rows(
+      eval::clean_corpus(bootstrap, /*training=*/true), attacker.attack);
 }
 
 std::vector<attack::adaptive::ObservedFlow> rssi_tagged_flows(

@@ -137,11 +137,10 @@ void run_cells(std::size_t cells, std::size_t threads,
                const std::function<void(std::size_t, WorkerArena&)>& run_one,
                obs::PhaseProfiler* profiler = nullptr);
 
-/// The clean bootstrap corpus an adaptive adversary profiles before the
-/// session starts — generated with the static harness's stream seeds, so
-/// an AdaptiveAttacker and an ExperimentHarness on the same bootstrap
-/// config profile byte-identical sessions. Only the seed and train_*
-/// fields of `bootstrap` are used.
+/// The labeled rows of the clean bootstrap corpus an adaptive adversary
+/// profiles before the session starts: attack::profile_rows over
+/// eval::clean_corpus's training form, the corpus the static harness
+/// trains on. Only the seed and train_* fields of `bootstrap` are used.
 [[nodiscard]] ml::Dataset bootstrap_profile(
     const eval::ExperimentConfig& bootstrap,
     const attack::adaptive::AdaptiveConfig& attacker);

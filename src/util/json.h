@@ -3,8 +3,7 @@
 // The campaign engines, the tuner, and the obs:: telemetry exporters all
 // promise "equal reports serialize to equal strings", which hangs on
 // exactly one number format and one escaping rule — keep them here so no
-// two exporters can drift apart. (runtime/report_json.h re-exports these
-// under its historical names for the engine-side code.)
+// two exporters can drift apart.
 #pragma once
 
 #include <cstdio>

@@ -176,6 +176,98 @@ TEST(ClassifierAttackTest, EmptyFlowYieldsNoVotes) {
   EXPECT_TRUE(attack.classify_flow(traffic::Trace{}).empty());
 }
 
+// --------------------------------------------------------- profile_rows ---
+
+std::vector<traffic::Trace> two_app_corpus() {
+  return {traffic::generate_trace(AppType::kBrowsing, Duration::seconds(40), 5),
+          traffic::generate_trace(AppType::kVideo, Duration::seconds(40), 6)};
+}
+
+TEST(ProfileRowsTest, AugmentedWindowsGiveDownlinkUplinkThenFullRow) {
+  AttackConfig config;  // kAll, log-compressed, augmentation on
+  ASSERT_TRUE(config.augment_direction_masks);
+  const std::vector<traffic::Trace> corpus = two_app_corpus();
+  const ml::Dataset data = profile_rows(corpus, config);
+
+  // A masked row keeps one direction's block and writes the
+  // empty-direction signature over the other.
+  constexpr std::size_t kHalf = features::DirectionFeatures::kCount;
+  const auto blank_array =
+      features::log_compress(features::WindowFeatures{}).downlink.to_array();
+  const std::vector<double> blank(blank_array.begin(), blank_array.end());
+  const auto block = [](const std::vector<double>& row, bool downlink) {
+    const auto begin = row.begin() + (downlink ? 0 : kHalf);
+    return std::vector<double>(begin, begin + kHalf);
+  };
+
+  std::vector<std::vector<double>> full_rows;
+  std::vector<features::WindowFeatures> windows;
+  std::size_t next = 0;
+  std::size_t two_sided = 0;
+  for (const traffic::Trace& t : corpus) {
+    const int label = static_cast<int>(traffic::app_index(t.app()));
+    feature_rows_into(full_rows, t.records(), config, windows);
+    ASSERT_FALSE(full_rows.empty());
+    for (const std::vector<double>& full : full_rows) {
+      const bool downlink = full[0] > 0.0;  // packet_count leads each block
+      const bool uplink = full[kHalf] > 0.0;
+      two_sided += downlink && uplink ? 1 : 0;
+      if (downlink) {
+        ASSERT_LT(next, data.size());
+        EXPECT_EQ(block(data.row(next), true), block(full, true));
+        EXPECT_EQ(block(data.row(next), false), blank);
+        EXPECT_EQ(data.label(next), label);
+        ++next;
+      }
+      if (uplink) {
+        ASSERT_LT(next, data.size());
+        EXPECT_EQ(block(data.row(next), true), blank);
+        EXPECT_EQ(block(data.row(next), false), block(full, false));
+        EXPECT_EQ(data.label(next), label);
+        ++next;
+      }
+      ASSERT_LT(next, data.size());
+      EXPECT_EQ(data.row(next), full);
+      EXPECT_EQ(data.label(next), label);
+      ++next;
+    }
+  }
+  EXPECT_EQ(next, data.size());
+  EXPECT_GT(two_sided, 0u);  // the three-row order is really exercised
+  EXPECT_EQ(data.num_classes(), static_cast<int>(traffic::kAppCount));
+}
+
+TEST(ProfileRowsTest, WithoutAugmentationEqualsConcatenatedFeatureRows) {
+  AttackConfig config;
+  config.augment_direction_masks = false;
+  const std::vector<traffic::Trace> corpus = two_app_corpus();
+  const ml::Dataset data = profile_rows(corpus, config);
+
+  std::vector<std::vector<double>> expected;
+  std::vector<int> labels;
+  std::vector<std::vector<double>> rows;
+  std::vector<features::WindowFeatures> windows;
+  for (const traffic::Trace& t : corpus) {
+    feature_rows_into(rows, t.records(), config, windows);
+    for (std::vector<double>& row : rows) {
+      expected.push_back(std::move(row));
+      labels.push_back(static_cast<int>(traffic::app_index(t.app())));
+    }
+  }
+  ASSERT_EQ(data.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(data.row(i), expected[i]) << "row " << i;
+    EXPECT_EQ(data.label(i), labels[i]) << "row " << i;
+  }
+}
+
+TEST(ProfileRowsTest, RejectsCorpusWithoutUsableWindows) {
+  AttackConfig config;
+  EXPECT_THROW((void)profile_rows({}, config), std::invalid_argument);
+  const std::vector<traffic::Trace> empty_flows(2);
+  EXPECT_THROW((void)profile_rows(empty_flows, config), std::invalid_argument);
+}
+
 // ----------------------------------------------------------- RssiLinker ---
 
 mac::MacAddress addr(int k) {

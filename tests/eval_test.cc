@@ -2,9 +2,15 @@
 // end-to-end sanity (full-scale numbers live in the bench binaries).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "attack/classifier_attack.h"
 #include "eval/defense_factory.h"
 #include "eval/experiment.h"
+#include "ml/mlp.h"
+#include "ml/svm.h"
 #include "traffic/generator.h"
+#include "util/rng.h"
 
 namespace reshape::eval {
 namespace {
@@ -65,6 +71,91 @@ TEST(ExperimentHarnessTest, DeterministicAcrossRuns) {
   for (std::size_t i = 0; i < traffic::kAppCount; ++i) {
     EXPECT_EQ(ea.accuracy[i], eb.accuracy[i]);
   }
+}
+
+TEST(ExperimentHarnessTest, ScoresLikeStandaloneAttackersTrainedOnTheCorpus) {
+  // The standalone path: SVM and MLP ClassifierAttacks with the harness's
+  // seeds, each trained on a hand-built training corpus with train(). The
+  // harness extracts the corpus rows once and fits both from them; its
+  // defended-workload confusion must equal the standalone attacker's.
+  const ExperimentConfig cfg = tiny_config();
+  ExperimentHarness harness{cfg};
+  harness.train();
+
+  std::vector<traffic::Trace> corpus;
+  for (const traffic::AppType app : traffic::kAllApps) {
+    for (std::size_t s = 0; s < cfg.train_sessions_per_app; ++s) {
+      corpus.push_back(traffic::generate_trace(
+          app, cfg.train_session_duration,
+          ExperimentHarness::session_stream_seed(cfg.seed, app, s, true),
+          cfg.session_jitter));
+    }
+  }
+  const attack::AttackConfig attack_config{cfg.window, cfg.feature_set, 2};
+  ml::SvmConfig svm;
+  svm.seed = util::splitmix64(cfg.seed ^ 0x5111ULL);
+  ml::MlpConfig mlp;
+  mlp.seed = util::splitmix64(cfg.seed ^ 0x3111ULL);
+  attack::ClassifierAttack svm_attack{attack_config,
+                                      std::make_unique<ml::SvmClassifier>(svm)};
+  attack::ClassifierAttack mlp_attack{attack_config,
+                                      std::make_unique<ml::MlpClassifier>(mlp)};
+  svm_attack.train(corpus);
+  mlp_attack.train(corpus);
+
+  const std::vector<traffic::Trace> sessions =
+      clean_corpus(cfg, /*training=*/false);
+  const DefenseFactory factory =
+      reshaping_factory(core::SchedulerKind::kRoundRobin, 3);
+  const std::uint64_t defense_seed = 4242;
+  const DefenseEvaluation e =
+      harness.evaluate_sessions(factory, "RR", sessions, defense_seed);
+
+  std::vector<traffic::Trace> flows;
+  for (DefendedSession& session :
+       apply_defense(factory, sessions, defense_seed)) {
+    for (traffic::Trace& flow : session.flows) {
+      flows.push_back(std::move(flow));
+    }
+  }
+  ASSERT_TRUE(e.classifier_name == "svm" || e.classifier_name == "mlp");
+  const ml::ConfusionMatrix expected = e.classifier_name == "svm"
+                                           ? svm_attack.evaluate(flows)
+                                           : mlp_attack.evaluate(flows);
+  ASSERT_GT(expected.total(), 0u);
+  EXPECT_EQ(e.confusion.total(), expected.total());
+  const int classes = static_cast<int>(traffic::kAppCount);
+  for (int truth = 0; truth < classes; ++truth) {
+    for (int predicted = 0; predicted < classes; ++predicted) {
+      EXPECT_EQ(e.confusion.count(truth, predicted),
+                expected.count(truth, predicted))
+          << "truth=" << truth << " predicted=" << predicted;
+    }
+  }
+}
+
+TEST(CleanCorpusTest, AppMajorWithSaltedRoleSeeds) {
+  const ExperimentConfig cfg = tiny_config();
+  const std::uint64_t salt = 0xC1EA0ULL;
+  const std::vector<traffic::Trace> held_out = clean_corpus(cfg, false, salt);
+  ASSERT_EQ(held_out.size(), traffic::kAppCount * cfg.test_sessions_per_app);
+  std::size_t i = 0;
+  for (const traffic::AppType app : traffic::kAllApps) {
+    for (std::size_t s = 0; s < cfg.test_sessions_per_app; ++s, ++i) {
+      const traffic::Trace expected = traffic::generate_trace(
+          app, cfg.test_session_duration,
+          ExperimentHarness::session_stream_seed(cfg.seed, app, s, false) ^
+              salt,
+          cfg.session_jitter);
+      EXPECT_EQ(held_out[i].app(), app);
+      EXPECT_TRUE(
+          std::ranges::equal(held_out[i].times_us(), expected.times_us()));
+      EXPECT_TRUE(std::ranges::equal(held_out[i].sizes_bytes(),
+                                     expected.sizes_bytes()));
+    }
+  }
+  EXPECT_EQ(clean_corpus(cfg, true).size(),
+            traffic::kAppCount * cfg.train_sessions_per_app);
 }
 
 TEST(ExperimentHarnessTest, PaddingOverheadPositiveForSmallPacketApps) {

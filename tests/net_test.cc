@@ -470,6 +470,25 @@ std::vector<std::uint8_t> seal_raw(const std::vector<std::uint8_t>& body,
   return payload;
 }
 
+TEST(ConfigProtocolTest, ResponseCountOverflowRejected) {
+  // A keyed 17-byte response body whose address count wraps 17 + count * 8
+  // back to 17: the decoder must reject it, not read past the body.
+  const mac::StreamCipher cipher{mac::SymmetricKey{7, 8}};
+  std::vector<std::uint8_t> body;
+  body.push_back(0x02);
+  mac::put_u64(body, 42);                      // nonce
+  mac::put_u64(body, std::uint64_t{1} << 61);  // count
+  ASSERT_EQ(body.size(), 17u);
+  EXPECT_FALSE(decode_response(seal_raw(body, cipher, 3), cipher).has_value());
+  // The same body with an honest count of zero still decodes.
+  std::vector<std::uint8_t> honest(body.begin(), body.begin() + 9);
+  mac::put_u64(honest, 0);
+  const auto decoded = decode_response(seal_raw(honest, cipher, 3), cipher);
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(decoded->nonce, 42u);
+  EXPECT_TRUE(decoded->virtual_addresses.empty());
+}
+
 std::vector<std::uint8_t> tuned_body(const TunedConfigUpdate& update) {
   std::vector<std::uint8_t> body;
   body.push_back(0x03);

@@ -289,10 +289,14 @@ TEST(LeakageAuditorTest, ProxySeriesTracksSeparability) {
   const traffic::Trace chat = steady_trace(0.0, 40, 100, 0.2);
   ml::Dataset profile;
   profile.set_num_classes(2);
-  for (auto& row : attack::feature_rows_of(bulk.view(), attack)) {
+  std::vector<std::vector<double>> rows;
+  std::vector<features::WindowFeatures> windows;
+  attack::feature_rows_into(rows, bulk.view(), attack, windows);
+  for (auto& row : rows) {
     profile.add(std::move(row), 0);
   }
-  for (auto& row : attack::feature_rows_of(chat.view(), attack)) {
+  attack::feature_rows_into(rows, chat.view(), attack, windows);
+  for (auto& row : rows) {
     profile.add(std::move(row), 1);
   }
   const NearestCentroidProbe probe{profile, attack};

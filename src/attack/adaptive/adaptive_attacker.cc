@@ -144,7 +144,6 @@ std::vector<EpochScore> AdaptiveAttacker::run_session(
 
   std::vector<EpochScore> out;
   out.reserve(static_cast<std::size_t>(epochs));
-  std::vector<features::WindowFeatures> windows;  // reused for every slice
   for (std::int64_t e = 0; e < epochs; ++e) {
     EpochScore score;
     score.epoch = static_cast<std::size_t>(e);
@@ -172,6 +171,11 @@ std::vector<EpochScore> AdaptiveAttacker::run_session(
       }
       FlowRows fr;
       fr.flow_index = i;
+      // A fresh window buffer per slice. One buffer kept for the whole
+      // session, regrown between slices, fragments the worker's heap and
+      // left the tuning sweep's peak RSS spread several times wider from
+      // run to run.
+      std::vector<features::WindowFeatures> windows;
       feature_rows_into(fr.rows, sub, config_.attack, windows);
       if (fr.rows.empty()) {
         continue;

@@ -10,8 +10,19 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <span>
+#include <string_view>
 #include <vector>
 
+#include "core/scheduler.h"
+#include "core/tuning/tuner.h"
+#include "eval/defense_factory.h"
+#include "mac/crypto.h"
+#include "mac/mac_address.h"
+#include "net/config_protocol.h"
+#include "runtime/adaptive_campaign.h"
+#include "runtime/campaign.h"
+#include "runtime/scenario.h"
 #include "runtime/wire.h"
 #include "util/time.h"
 
@@ -480,6 +491,328 @@ TEST(WireTest, ImpossibleConfusionShapeRejected) {
   huge.u64(0);
   wire::WireReader huge_reader{huge.buffer()};
   EXPECT_THROW((void)wire::decode_confusion(huge_reader), wire::WireError);
+}
+
+// --------------------------------------------------------------- byte pins
+//
+// The round trips above pass for any layout the encoder and decoder
+// agree on — a field swapped on both sides included. These digests pin
+// the bytes themselves: every frame header, a work order, hand-built
+// range outcomes of all three engines covering every field, one real
+// run_range per engine, and the three sealed handshake bodies (whose
+// sizes set airtime in the live simulation). A digest changes only when
+// the wire format does, and the wire format changes only with kVersion.
+
+std::uint64_t fnv1a(std::span<const std::uint8_t> bytes) {
+  std::uint64_t hash = 0xCBF29CE484222325ULL;
+  for (const std::uint8_t byte : bytes) {
+    hash = (hash ^ byte) * 0x100000001B3ULL;
+  }
+  return hash;
+}
+
+void expect_pinned(std::span<const std::uint8_t> bytes, std::uint64_t expected,
+                   std::string_view what) {
+  const std::uint64_t digest = fnv1a(bytes);
+  EXPECT_EQ(digest, expected)
+      << what << ": digest 0x" << std::hex << digest << std::dec << " over "
+      << bytes.size() << " bytes";
+}
+
+constexpr int kApps = static_cast<int>(traffic::kAppCount);
+
+ml::ConfusionMatrix pin_confusion(int salt) {
+  ml::ConfusionMatrix confusion{kApps};
+  for (int i = 0; i < kApps; ++i) {
+    for (int k = 0; k <= (i + salt) % 3; ++k) {
+      confusion.add(i, (i * salt + k) % kApps);
+    }
+  }
+  return confusion;
+}
+
+obs::MetricsSnapshot pin_metrics() {
+  obs::MetricsSnapshot snapshot;  // sorted by (name, labels)
+
+  obs::SeriesSnapshot counter;
+  counter.name = "a_cells_total";
+  counter.labels.set("cell", "0");
+  counter.labels.set("defense", "OR");
+  counter.kind = obs::MetricKind::kCounter;
+  counter.counter = 42;
+  snapshot.series.push_back(counter);
+
+  obs::SeriesSnapshot gauge;
+  gauge.name = "b_delay_us_max";
+  gauge.kind = obs::MetricKind::kGauge;
+  gauge.gauge = -3.5;
+  snapshot.series.push_back(gauge);
+
+  obs::SeriesSnapshot histogram;
+  histogram.name = "c_latency_us";
+  histogram.labels.set("cell", "1");
+  histogram.kind = obs::MetricKind::kHistogram;
+  histogram.histogram.upper_bounds = {10.0, 100.0, 1000.0};
+  histogram.histogram.counts = {1, 2, 3, 4};
+  histogram.histogram.count = 10;
+  histogram.histogram.sum = 1234.5;
+  histogram.histogram.min = 4.0;
+  histogram.histogram.max = 5000.0;
+  snapshot.series.push_back(histogram);
+
+  // Untouched: the ±inf min/max sentinels cross the wire as their bits.
+  obs::SeriesSnapshot empty;
+  empty.name = "d_empty_us";
+  empty.kind = obs::MetricKind::kHistogram;
+  empty.histogram.upper_bounds = {1.0, 2.0};
+  empty.histogram.counts = {0, 0, 0};
+  snapshot.series.push_back(empty);
+
+  obs::SeriesSnapshot overflow_only;
+  overflow_only.name = "e_overflow_only";
+  overflow_only.kind = obs::MetricKind::kHistogram;
+  overflow_only.histogram.counts = {7};
+  overflow_only.histogram.count = 7;
+  overflow_only.histogram.sum = 70.0;
+  overflow_only.histogram.min = 9.0;
+  overflow_only.histogram.max = 11.0;
+  snapshot.series.push_back(overflow_only);
+  return snapshot;
+}
+
+obs::WindowedSnapshot pin_windows() {
+  obs::WindowedSnapshot snapshot;  // sorted by (name, labels)
+  snapshot.window_us = 2'500'000;
+  obs::SeriesWindows offered;
+  offered.name = "offered_bytes";
+  offered.labels.set("shard", "0");
+  offered.points.push_back(
+      {.window = 0, .value = {.count = 3, .sum = 4096.0, .min = 512.0,
+                              .max = 2048.0}});
+  offered.points.push_back(
+      {.window = 7, .value = {.count = 1, .sum = 64.0, .min = 64.0,
+                              .max = 64.0}});
+  snapshot.series.push_back(offered);
+  obs::SeriesWindows quiet;
+  quiet.name = "offered_bytes";
+  quiet.labels.set("shard", "1");
+  snapshot.series.push_back(quiet);
+  obs::SeriesWindows leak;
+  leak.name = "privacy_leak";
+  leak.points.push_back({.window = -2, .value = {}});
+  snapshot.series.push_back(leak);
+  return snapshot;
+}
+
+attack::adaptive::EpochScore pin_epoch(int salt) {
+  attack::adaptive::EpochScore score;
+  score.epoch = static_cast<std::size_t>(salt);
+  score.start = util::TimePoint::from_microseconds(1'000'000 * salt);
+  score.end = util::TimePoint::from_microseconds(1'000'000 * salt + 999'999);
+  score.windows = 5 + static_cast<std::size_t>(salt);
+  score.confusion = pin_confusion(salt);
+  score.static_confusion = pin_confusion(salt + 1);
+  score.labels_correct = 9;
+  score.labels_assigned = 11;
+  score.training_rows = 37;
+  score.refitted = salt % 2 == 1;
+  return score;
+}
+
+CampaignRangeOutcome pin_campaign_range() {
+  CampaignRangeOutcome outcome;
+  outcome.begin = 2;
+  outcome.end = 4;
+  outcome.cells.resize(2);
+  CellResult& cell = outcome.cells[0];
+  cell.defense_index = 1;
+  cell.scenario_index = 3;
+  cell.shard = 5;
+  cell.session_count = 6;
+  cell.evaluation.defense_name = "OR";
+  cell.evaluation.classifier_name = "svm";
+  cell.evaluation.confusion = pin_confusion(2);
+  for (std::size_t i = 0; i < traffic::kAppCount; ++i) {
+    cell.evaluation.accuracy[i] = 10.0 * static_cast<double>(i) + 0.5;
+    cell.evaluation.false_positive[i] = 1.0 / static_cast<double>(i + 3);
+    cell.evaluation.overhead[i] = -static_cast<double>(i);
+  }
+  cell.evaluation.mean_accuracy = 37.5;
+  cell.evaluation.mean_false_positive = 7.0;
+  cell.evaluation.mean_overhead = 12.5;
+  outcome.metrics = pin_metrics();
+  outcome.windows = pin_windows();
+  return outcome;
+}
+
+AdaptiveRangeOutcome pin_adaptive_range() {
+  AdaptiveRangeOutcome outcome;
+  outcome.begin = 0;
+  outcome.end = 2;
+  outcome.cells.resize(2);  // the second cell keeps an empty epoch list
+  AdaptiveCellResult& cell = outcome.cells[0];
+  cell.defense_index = 1;
+  cell.scenario_index = 2;
+  cell.shard = 3;
+  cell.session_count = 4;
+  cell.flow_count = 12;
+  cell.epochs = {pin_epoch(1), pin_epoch(2)};
+  outcome.windows = pin_windows();
+  return outcome;
+}
+
+core::tuning::TuningRangeOutcome pin_tuning_range() {
+  core::tuning::TuningRangeOutcome outcome;
+  outcome.begin = 5;
+  outcome.end = 7;
+  outcome.cells.resize(2);  // the second cell keeps its empty vectors
+  core::tuning::CandidateShardOutcome& cell = outcome.cells[0];
+  cell.sessions = 4;
+  cell.flows = 16;
+  cell.epochs = {pin_epoch(3)};
+  cell.streaming.packets = 1000;
+  cell.streaming.original_bytes = 64000;
+  cell.streaming.added_bytes = 8000;
+  cell.streaming.deadline_misses = 3;
+  cell.streaming.total_queueing_delay = util::Duration::microseconds(5000);
+  cell.streaming.max_queueing_delay = util::Duration::microseconds(900);
+  cell.streaming.airtime_busy = util::Duration::microseconds(120000);
+  cell.streaming.max_queue_depth = 17;
+  cell.access_delay_us = {1.5, 2.5, 100.0};
+  cell.frames_dropped = 2;
+  outcome.metrics = pin_metrics();
+  return outcome;
+}
+
+TEST(WirePinTest, FrameHeaders) {
+  const std::vector<std::uint8_t> payload = {1, 2, 3};
+  expect_pinned(wire::encode_frame(wire::FrameType::kWorkOrder, payload),
+                0xC7FCB196CEFED0C0ULL, "kWorkOrder");
+  expect_pinned(wire::encode_frame(wire::FrameType::kRange, payload),
+                0x2B2DFDF8A6ED6B95ULL, "kRange");
+  expect_pinned(wire::encode_frame(wire::FrameType::kShutdown, {}),
+                0x785B6279CFC64007ULL, "kShutdown");
+  expect_pinned(wire::encode_frame(wire::FrameType::kError, payload),
+                0x6AF367E1D896BEA1ULL, "kError");
+}
+
+TEST(WirePinTest, WorkOrder) {
+  wire::WorkOrder order;
+  order.job = "campaign";
+  order.begin = 3;
+  order.end = 9;
+  order.threads = 2;
+  order.telemetry = obs::TelemetryConfig::enabled();
+  order.telemetry.privacy_pairs = true;
+  order.telemetry.window = util::Duration::seconds(2.5);
+  expect_pinned(wire::encode_work_order(order),
+                0x853230132E03C8BCULL, "work order");
+}
+
+TEST(WirePinTest, HandBuiltRanges) {
+  expect_pinned(wire::encode_range(pin_campaign_range()), 0x1CC9CFB752B565EDULL,
+                "campaign range");
+  expect_pinned(wire::encode_range(pin_adaptive_range()), 0xCB7DE2B9AD41B23FULL,
+                "adaptive range");
+  expect_pinned(wire::encode_range(pin_tuning_range()), 0x4BCD05EEBC0E4091ULL,
+                "tuning range");
+}
+
+obs::TelemetryConfig pin_telemetry() {
+  obs::TelemetryConfig config;
+  config.metrics = true;
+  config.windowed = true;
+  config.privacy = true;
+  return config;
+}
+
+TEST(WirePinTest, RealCampaignRange) {
+  runtime::CampaignSpec spec;
+  spec.seed = 4242;
+  spec.training.seed = 777;
+  spec.training.train_sessions_per_app = 2;
+  spec.training.train_session_duration = util::Duration::seconds(30.0);
+  spec.training.test_sessions_per_app = 1;
+  spec.training.test_session_duration = util::Duration::seconds(30.0);
+  spec.defenses.push_back(
+      {"OR", eval::reshaping_factory(core::SchedulerKind::kOrthogonal, 3)});
+  spec.scenarios.push_back(
+      runtime::multi_app_station(1, util::Duration::seconds(30.0)));
+  runtime::CampaignEngine engine{spec};
+  engine.set_telemetry(pin_telemetry());
+  expect_pinned(wire::encode_range(engine.run_range(0, 1, 1)),
+                0x6682A7D25BCF9432ULL, "campaign run_range");
+}
+
+TEST(WirePinTest, RealAdaptiveRange) {
+  runtime::AdaptiveCampaignSpec spec;
+  spec.seed = 0xADA;
+  spec.bootstrap.seed = 777;
+  spec.bootstrap.train_sessions_per_app = 2;
+  spec.bootstrap.train_session_duration = util::Duration::seconds(30.0);
+  spec.attacker.cadence = util::Duration::seconds(10.0);
+  spec.defenses.push_back(
+      {"OR", eval::reshaping_factory(core::SchedulerKind::kOrthogonal, 3)});
+  spec.scenarios.push_back(
+      runtime::multi_app_station(1, util::Duration::seconds(30.0)));
+  runtime::AdaptiveCampaignEngine engine{spec};
+  engine.set_telemetry(pin_telemetry());
+  expect_pinned(wire::encode_range(engine.run_range(0, 1, 1)),
+                0x7F4822A28A7281D2ULL, "adaptive run_range");
+}
+
+TEST(WirePinTest, RealTuningRange) {
+  core::tuning::TunerSpec spec;
+  spec.seed = 0x7C7E5;
+  spec.bootstrap.seed = 20110620;
+  spec.bootstrap.train_sessions_per_app = 2;
+  spec.bootstrap.train_session_duration = util::Duration::seconds(30.0);
+  spec.attacker.cadence = util::Duration::seconds(10.0);
+  spec.scenario = runtime::tuned_vs_table5(2, util::Duration::seconds(30.0));
+  spec.streaming.bitrate_mbps = 24.0;
+  spec.arbitration_bitrate_mbps = 24.0;
+  spec.shards = 1;
+  spec.space.interleaved_fine_partitions = false;
+  spec.space.padded_compositions = false;
+  core::tuning::ParameterTuner engine{spec};
+  engine.set_telemetry(pin_telemetry());
+  expect_pinned(wire::encode_range(engine.run_range(0, 1, 1)),
+                0x6829C891E55DD961ULL, "tuning run_range");
+}
+
+TEST(WirePinTest, SealedHandshakeBodies) {
+  const mac::StreamCipher cipher{
+      mac::SymmetricKey{0x0123456789ABCDEFULL, 0xFEDCBA9876543210ULL}};
+  constexpr std::uint64_t kCipherNonce = 0x5EA1ED;
+
+  net::ConfigRequest request;
+  request.physical_address = mac::MacAddress::from_u64(0x02AABBCCDDEEULL);
+  request.nonce = 0x1122334455667788ULL;
+  request.requested_interfaces = 3;
+  expect_pinned(net::encode_request(request, cipher, kCipherNonce),
+                0xAFE254D01366970FULL, "request");
+
+  net::ConfigResponse response;
+  response.nonce = request.nonce;
+  for (std::uint64_t i = 1; i <= 3; ++i) {
+    response.virtual_addresses.push_back(
+        mac::MacAddress::from_u64(0x020000000000ULL + i));
+  }
+  expect_pinned(net::encode_response(response, cipher, kCipherNonce),
+                0xEA44D0B601F093FAULL, "response");
+
+  net::TunedConfigUpdate update;
+  update.nonce = 0xBEEF;
+  update.config = core::tuning::TunedConfiguration::identity(
+      "pinned", core::SizeRanges::paper_l5());
+  update.config.pad_to[0] = update.config.range_bounds[0];
+  update.config.pad_to[2] = update.config.range_bounds[2];
+  for (std::size_t i = 0; i < update.config.interfaces; ++i) {
+    update.virtual_addresses.push_back(
+        mac::MacAddress::from_u64(0x020000000100ULL + i));
+  }
+  expect_pinned(net::encode_tuned_config(update, cipher, kCipherNonce),
+                0xE1E3B3D6A4BCB277ULL, "tuned config");
 }
 
 }  // namespace

@@ -64,8 +64,6 @@ AdaptiveAttacker::AdaptiveAttacker(AdaptiveConfig config,
                       kClasses, ml::IncrementalTrainerConfig{}} {
   util::require(config_.cadence > util::Duration{},
                 "AdaptiveAttacker: cadence must be positive");
-  util::require(config_.rssi_link_threshold_db >= 0.0,
-                "AdaptiveAttacker: RSSI threshold must be >= 0");
 }
 
 void AdaptiveAttacker::bootstrap(std::span<const traffic::Trace> clean_traces) {
@@ -124,7 +122,7 @@ std::vector<EpochScore> AdaptiveAttacker::run_session(
     for (const ObservedFlow& f : flows) {
       rssi.emplace_back(f.address, f.mean_rssi);
     }
-    const RssiLinker linker{config_.rssi_link_threshold_db};
+    const RssiLinker linker{};
     const std::vector<LinkedGroup> groups = linker.link(rssi);
     group_count = groups.size();
     for (std::size_t i = 0; i < flows.size(); ++i) {
@@ -186,9 +184,7 @@ std::vector<EpochScore> AdaptiveAttacker::run_session(
         const int predicted = trainer_.predict(row);
         fr.predictions.push_back(predicted);
         score.confusion.add(truth, predicted);
-        if (config_.track_static_baseline) {
-          score.static_confusion.add(truth, static_trainer_.predict(row));
-        }
+        score.static_confusion.add(truth, static_trainer_.predict(row));
         ++score.windows;
       }
       epoch_rows.push_back(std::move(fr));

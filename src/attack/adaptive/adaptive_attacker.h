@@ -72,18 +72,12 @@ struct AdaptiveConfig {
   /// Re-training cadence: one refit per epoch of this length.
   util::Duration cadence = util::Duration::seconds(15.0);
 
-  /// Self-labeling strategy for captured windows.
+  /// Self-labeling strategy for captured windows (kRssiCluster links at
+  /// RssiLinker's default threshold).
   Labeling labeling = Labeling::kOracle;
-
-  /// RSSI linkage threshold for kRssiCluster (dB).
-  double rssi_link_threshold_db = 2.0;
 
   /// Sliding window over captured rows (ml::IncrementalTrainerConfig).
   std::size_t max_adaptive_rows = 4096;
-
-  /// Also score every epoch with the frozen bootstrap-only model — the
-  /// static-adversary curve the adaptive one is measured against.
-  bool track_static_baseline = true;
 };
 
 /// One flow as the adversary isolated it on the air: the per-virtual-MAC
@@ -110,8 +104,8 @@ struct EpochScore {
   /// the epoch's windows (prequential scoring).
   ml::ConfusionMatrix confusion{1};
 
-  /// Confusion of the frozen bootstrap model on the same windows (empty
-  /// unless track_static_baseline).
+  /// Confusion of the frozen bootstrap model on the same windows — the
+  /// static-adversary curve the adaptive one is measured against.
   ml::ConfusionMatrix static_confusion{1};
 
   /// Self-labels that matched ground truth / labels assigned. Equal under

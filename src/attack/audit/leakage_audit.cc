@@ -18,6 +18,21 @@ namespace reshape::attack::audit {
 
 namespace {
 
+// The histogram geometry is fixed (not data-dependent) so divergences
+// are comparable across windows, cells, and runs. Packet sizes:
+// kSizeBins fixed-width bins over [0, kSizeMaxBytes) — 1600 covers the
+// 1576-byte maximum frame. Interarrivals: kIatBins bins over
+// log10(iat_us + 1) in [0, kIatLogMax) — 7.0 tops out at 10-second gaps.
+constexpr std::size_t kSizeBins = 16;
+constexpr double kSizeMaxBytes = 1600.0;
+constexpr std::size_t kIatBins = 16;
+constexpr double kIatLogMax = 7.0;
+
+/// A stream needs this many packets in a window to count as active
+/// (below it there is nothing to fingerprint — matches the attack
+/// pipeline's min_packets_per_window floor).
+constexpr std::size_t kMinPacketsPerWindow = 2;
+
 /// floor(a / b) for b > 0 — the same window-index convention as
 /// obs::WindowedSeries (window k covers [kW, (k+1)W)).
 std::int64_t floor_div(std::int64_t a, std::int64_t b) {
@@ -172,8 +187,6 @@ double NearestCentroidProbe::mean_margin(
 LeakageAuditor::LeakageAuditor(AuditConfig config) : config_{config} {
   util::require(config_.window.count_us() > 0,
                 "LeakageAuditor: window must be positive");
-  util::require(config_.size_bins >= 1 && config_.iat_bins >= 1,
-                "LeakageAuditor: histograms need at least one bin");
   util::require(config_.max_streams_per_window >= 2,
                 "LeakageAuditor: pairwise cap must allow a pair");
 }
@@ -233,16 +246,15 @@ std::vector<obs::WindowLeakage> LeakageAuditor::reduce() const {
   // against precomputed integer cuts — the bin is a branchless count of
   // satisfied cuts, landing exactly where upper_bound over the raw-space
   // edges (and therefore add(log10(iat_us + 1))) would.
-  const double iat_width = config_.iat_log_max /
-                           static_cast<double>(config_.iat_bins);
-  std::vector<std::int64_t> iat_cuts(config_.iat_bins - 1);
-  for (std::size_t k = 0; k + 1 < config_.iat_bins; ++k) {
+  const double iat_width = kIatLogMax / static_cast<double>(kIatBins);
+  std::vector<std::int64_t> iat_cuts(kIatBins - 1);
+  for (std::size_t k = 0; k + 1 < kIatBins; ++k) {
     iat_cuts[k] = static_cast<std::int64_t>(std::ceil(
         std::pow(10.0, static_cast<double>(k + 1) * iat_width) - 1.0));
   }
   // bin(iat) counts the satisfied cuts. Splitting values by bit width
   // localizes that count: octave e holds iat in [2^(e-1), 2^e), and the
-  // log-spaced cuts grow by ~2.7x per bin under the default geometry, so
+  // log-spaced cuts grow by ~2.7x per bin under this geometry, so
   // at most one or two cuts fall inside any octave. Per packet the
   // 15-compare scan collapses to bit_width + a table lookup + (usually)
   // a single compare. The tables are exact for any geometry: cuts below
@@ -270,20 +282,18 @@ std::vector<obs::WindowLeakage> LeakageAuditor::reduce() const {
   }
 
   // Size binning via a lookup table: packet sizes are bounded integers
-  // (size_max_bytes covers the frame ceiling), so one L1 load replaces
+  // (kSizeMaxBytes covers the frame ceiling), so one L1 load replaces
   // the divide util::Histogram::add pays per packet. The table replicates
   // Histogram::bin_index exactly — same clamps, same double division —
   // so every pmf is unchanged.
-  const double size_width =
-      config_.size_max_bytes / static_cast<double>(config_.size_bins);
-  std::vector<std::uint16_t> size_lut(
-      static_cast<std::size_t>(config_.size_max_bytes) + 1);
+  const double size_width = kSizeMaxBytes / static_cast<double>(kSizeBins);
+  std::vector<std::uint16_t> size_lut(static_cast<std::size_t>(kSizeMaxBytes) +
+                                      1);
   for (std::size_t s = 0; s < size_lut.size(); ++s) {
     const double x = static_cast<double>(s);
-    std::size_t idx = config_.size_bins - 1;
-    if (x < config_.size_max_bytes) {
-      idx = std::min(static_cast<std::size_t>(x / size_width),
-                     config_.size_bins - 1);
+    std::size_t idx = kSizeBins - 1;
+    if (x < kSizeMaxBytes) {
+      idx = std::min(static_cast<std::size_t>(x / size_width), kSizeBins - 1);
     }
     size_lut[s] = static_cast<std::uint16_t>(idx);
   }
@@ -343,15 +353,15 @@ std::vector<obs::WindowLeakage> LeakageAuditor::reduce() const {
         ++j;
       }
       const std::size_t n = j - i;
-      if (n < config_.min_packets_per_window) {
+      if (n < kMinPacketsPerWindow) {
         i = j;
         continue;
       }
       StreamWindow sw;
       sw.station = station;
-      size_counts.assign(config_.size_bins, 0);
-      iat_counts.assign(config_.iat_bins, 0);
-      const std::size_t last_size_bin = config_.size_bins - 1;
+      size_counts.assign(kSizeBins, 0);
+      iat_counts.assign(kIatBins, 0);
+      const std::size_t last_size_bin = kSizeBins - 1;
       const bool fuse_probe =
           single_row_slices && n >= attack->min_packets_per_window;
       if (fuse_probe) {
@@ -396,16 +406,16 @@ std::vector<obs::WindowLeakage> LeakageAuditor::reduce() const {
       }
       // pmf exactly as util::Histogram::pmf computes it: count / total,
       // where every packet was added once.
-      sw.size_pmf.assign(config_.size_bins, 0.0);
-      for (std::size_t b = 0; b < config_.size_bins; ++b) {
+      sw.size_pmf.assign(kSizeBins, 0.0);
+      for (std::size_t b = 0; b < kSizeBins; ++b) {
         sw.size_pmf[b] = static_cast<double>(size_counts[b]) /
                          static_cast<double>(n);
       }
-      sw.iat_pmf.assign(config_.iat_bins, 0.0);
+      sw.iat_pmf.assign(kIatBins, 0.0);
       sw.has_iat = n >= 2;
       if (sw.has_iat) {
         const auto iats = static_cast<double>(n - 1);
-        for (std::size_t b = 0; b < config_.iat_bins; ++b) {
+        for (std::size_t b = 0; b < kIatBins; ++b) {
           sw.iat_pmf[b] = static_cast<double>(iat_counts[b]) / iats;
         }
       }
@@ -447,7 +457,7 @@ std::vector<obs::WindowLeakage> LeakageAuditor::reduce() const {
     }
   }
 
-  const RssiLinker linker{config_.rssi_link_threshold_db};
+  const RssiLinker linker{};
   std::vector<obs::WindowLeakage> out;
   out.reserve(by_window.size());
   for (const auto& [w, streams] : by_window) {

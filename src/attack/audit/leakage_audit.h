@@ -40,31 +40,14 @@
 
 namespace reshape::attack::audit {
 
-/// Reduction knobs. The histogram geometry is fixed (not data-dependent)
-/// so divergences are comparable across windows, cells, and runs.
+/// Reduction knobs. The histogram geometry and the activity floor are
+/// fixed constants (leakage_audit.cc), so divergences are comparable
+/// across windows, cells, and runs.
 struct AuditConfig {
   /// Audit window length (sim time); engines override it with the
   /// windowed registry's window so leakage series align with the rest of
   /// the telemetry.
   util::Duration window = util::Duration::seconds(5.0);
-
-  /// Packet-size histogram: `size_bins` fixed-width bins over
-  /// [0, size_max_bytes) — 1600 covers the 1576-byte maximum frame.
-  std::size_t size_bins = 16;
-  double size_max_bytes = 1600.0;
-
-  /// Interarrival histogram: `iat_bins` bins over log10(iat_us + 1) in
-  /// [0, iat_log_max) — 7.0 tops out at 10-second gaps.
-  std::size_t iat_bins = 16;
-  double iat_log_max = 7.0;
-
-  /// A stream needs this many packets in a window to count as active
-  /// (below it there is nothing to fingerprint — matches the attack
-  /// pipeline's min_packets_per_window floor).
-  std::size_t min_packets_per_window = 2;
-
-  /// RSSI single-linkage threshold (dB), as attack::RssiLinker.
-  double rssi_link_threshold_db = 2.0;
 
   /// Pairwise work is O(streams^2) per window; windows with more active
   /// streams than this are reduced over the top-`max_streams_per_window`

@@ -33,8 +33,7 @@ std::uint64_t ExperimentHarness::session_stream_seed(
 }
 
 std::vector<traffic::Trace> clean_corpus(const ExperimentConfig& config,
-                                         bool training,
-                                         std::uint64_t seed_salt) {
+                                         bool training) {
   const std::size_t per_app = training ? config.train_sessions_per_app
                                        : config.test_sessions_per_app;
   const util::Duration duration = training ? config.train_session_duration
@@ -46,8 +45,7 @@ std::vector<traffic::Trace> clean_corpus(const ExperimentConfig& config,
       corpus.push_back(traffic::generate_trace(
           app, duration,
           ExperimentHarness::session_stream_seed(config.seed, app, s,
-                                                 training) ^
-              seed_salt,
+                                                 training),
           config.session_jitter));
     }
   }
@@ -86,21 +84,6 @@ void ExperimentHarness::train() {
       clean_corpus(config_, /*training=*/true), attack_config);
   for (NamedAttack& named : attacks_) {
     named.attack->fit(training_rows);
-  }
-
-  // Pick the stronger attacker on clean held-out traffic ("the highest
-  // classification accuracy", paper §IV-C).
-  const std::vector<ml::ConfusionMatrix> held_out = attack_confusions(
-      clean_corpus(config_, /*training=*/false, 0xC1EA0ULL), nullptr);
-  for (std::size_t i = 0; i < attacks_.size(); ++i) {
-    attacks_[i].clean_mean_accuracy = held_out[i].mean_accuracy();
-  }
-  best_attack_ = 0;
-  for (std::size_t i = 1; i < attacks_.size(); ++i) {
-    if (attacks_[i].clean_mean_accuracy >
-        attacks_[best_attack_].clean_mean_accuracy) {
-      best_attack_ = i;
-    }
   }
 
   // Pre-warm every size profile: after train() returns, all scoring-phase

@@ -3,10 +3,10 @@
 // Methodology (mirroring the paper's §IV):
 //   * The adversary profiles the seven applications on *undefended*
 //     traffic: training sessions are generated per app, cut into
-//     W-windows, and used to fit both attack classifiers (SVM and NN);
-//     the stronger of the two (by mean accuracy on clean test traffic)
-//     is "the" attacker whose numbers each table reports — matching the
-//     paper's "we present the highest classification accuracy".
+//     W-windows, and used to fit both attack classifiers (SVM and NN).
+//     Each defense is scored by the stronger of the two on that
+//     defense's own flows (by mean accuracy) — matching the paper's "we
+//     present the highest classification accuracy".
 //   * A defense is evaluated by applying it to fresh test sessions and
 //     letting the attacker classify every flow it can isolate (each
 //     virtual MAC under reshaping, the monitored channel partition under
@@ -51,13 +51,12 @@ struct ExperimentConfig {
 /// The §IV clean corpus, app-major: for every application, the
 /// configured number of sessions of the role's length (train_* fields
 /// when `training`, test_* otherwise), each generated from
-/// ExperimentHarness::session_stream_seed(seed, app, s, training) ^
-/// `seed_salt`. The one builder of the training corpus, the held-out
-/// selection set and evaluate()'s test set, so every adversary that
-/// profiles the same config profiles byte-identical sessions.
+/// ExperimentHarness::session_stream_seed(seed, app, s, training). The
+/// one builder of the training corpus and evaluate()'s test set, so
+/// every adversary that profiles the same config profiles byte-identical
+/// sessions.
 [[nodiscard]] std::vector<traffic::Trace> clean_corpus(
-    const ExperimentConfig& config, bool training,
-    std::uint64_t seed_salt = 0);
+    const ExperimentConfig& config, bool training);
 
 /// Reusable scratch one evaluation worker threads through repeated
 /// evaluate_sessions() calls: the window-feature buffer grows to the
@@ -143,7 +142,6 @@ class ExperimentHarness {
   struct NamedAttack {
     std::string name;
     std::unique_ptr<attack::ClassifierAttack> attack;
-    double clean_mean_accuracy = 0.0;
   };
 
   /// Every trained attacker's confusion over the flows, in attacks_
@@ -161,7 +159,6 @@ class ExperimentHarness {
 
   ExperimentConfig config_;
   std::vector<NamedAttack> attacks_;
-  std::size_t best_attack_ = 0;
   std::vector<std::unique_ptr<util::EmpiricalDistribution>> profiles_;
 };
 

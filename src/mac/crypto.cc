@@ -1,6 +1,6 @@
 #include "mac/crypto.h"
 
-#include "util/check.h"
+#include "util/bytes.h"
 #include "util/rng.h"
 
 namespace reshape::mac {
@@ -49,13 +49,12 @@ std::uint64_t StreamCipher::tag(const std::vector<std::uint8_t>& data,
 std::vector<std::uint8_t> StreamCipher::encrypt(
     const std::vector<std::uint8_t>& plaintext, std::uint64_t nonce) const {
   Keystream ks{key_, nonce};
-  std::vector<std::uint8_t> out;
-  out.reserve(plaintext.size() + 8);
+  util::ByteWriter out;
   for (const std::uint8_t b : plaintext) {
-    out.push_back(static_cast<std::uint8_t>(b ^ ks.next_byte()));
+    out.u8(static_cast<std::uint8_t>(b ^ ks.next_byte()));
   }
-  put_u64(out, tag(plaintext, nonce));
-  return out;
+  out.u64(tag(plaintext, nonce));
+  return out.take();
 }
 
 std::optional<std::vector<std::uint8_t>> StreamCipher::decrypt(
@@ -63,33 +62,16 @@ std::optional<std::vector<std::uint8_t>> StreamCipher::decrypt(
   if (ciphertext.size() < 8) {
     return std::nullopt;
   }
-  const std::size_t body = ciphertext.size() - 8;
+  util::ByteReader r{ciphertext};
   Keystream ks{key_, nonce};
   std::vector<std::uint8_t> plain;
-  plain.reserve(body);
-  for (std::size_t i = 0; i < body; ++i) {
-    plain.push_back(static_cast<std::uint8_t>(ciphertext[i] ^ ks.next_byte()));
+  for (const std::uint8_t b : r.bytes(ciphertext.size() - 8)) {
+    plain.push_back(static_cast<std::uint8_t>(b ^ ks.next_byte()));
   }
-  if (get_u64(ciphertext, body) != tag(plain, nonce)) {
+  if (r.u64() != tag(plain, nonce)) {  // the 8-byte tag that follows
     return std::nullopt;
   }
   return plain;
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t value) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>(value & 0xFFu));
-    value >>= 8;
-  }
-}
-
-std::uint64_t get_u64(const std::vector<std::uint8_t>& in, std::size_t offset) {
-  util::require(offset + 8 <= in.size(), "get_u64: out of bounds");
-  std::uint64_t value = 0;
-  for (int i = 7; i >= 0; --i) {
-    value = (value << 8) | in[offset + static_cast<std::size_t>(i)];
-  }
-  return value;
 }
 
 }  // namespace reshape::mac

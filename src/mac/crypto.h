@@ -42,7 +42,7 @@ class NonceGenerator {
 /// Keyed stream cipher with integrity tag.
 ///
 /// encrypt() produces ciphertext = keystream XOR plaintext, followed by an
-/// 8-byte keyed checksum; decrypt() returns std::nullopt when the key is
+/// 8-byte keyed checksum (a little-endian u64, util/bytes.h); decrypt() returns std::nullopt when the key is
 /// wrong or the message was tampered with.
 class StreamCipher {
  public:
@@ -60,10 +60,5 @@ class StreamCipher {
 
   SymmetricKey key_;
 };
-
-/// Serialisation helpers for handshake payloads.
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t value);
-[[nodiscard]] std::uint64_t get_u64(const std::vector<std::uint8_t>& in,
-                                    std::size_t offset);
 
 }  // namespace reshape::mac

@@ -1,7 +1,10 @@
 #include "net/config_protocol.h"
 
+#include <algorithm>
 #include <limits>
+#include <utility>
 
+#include "util/bytes.h"
 #include "util/check.h"
 
 namespace reshape::net {
@@ -17,26 +20,82 @@ constexpr std::uint8_t kTunedConfigTag = 0x03;
 /// malformed length field cannot drive a huge allocation.
 constexpr std::uint64_t kMaxListLength = 64;
 
-/// payload = [cipher_nonce (8, clear) | ciphertext...]
-std::vector<std::uint8_t> seal(const std::vector<std::uint8_t>& body,
+/// payload = [cipher_nonce (u64, clear) | ciphertext...]
+std::vector<std::uint8_t> seal(const util::ByteWriter& body,
                                const mac::StreamCipher& cipher,
                                std::uint64_t cipher_nonce) {
-  std::vector<std::uint8_t> payload;
-  mac::put_u64(payload, cipher_nonce);
-  const auto ct = cipher.encrypt(body, cipher_nonce);
-  payload.insert(payload.end(), ct.begin(), ct.end());
-  return payload;
+  util::ByteWriter payload;
+  payload.u64(cipher_nonce);
+  payload.bytes(cipher.encrypt(body.buffer(), cipher_nonce));
+  return payload.take();
 }
 
-std::optional<std::vector<std::uint8_t>> unseal(
-    const std::vector<std::uint8_t>& payload,
-    const mac::StreamCipher& cipher) {
-  if (payload.size() < 8) {
+/// Decrypts `payload`, checks the body's tag byte, and parses the rest
+/// with `parse`, which must consume it exactly. std::nullopt on a wrong
+/// key, tampering, a foreign tag, a body the reader rejects (truncation,
+/// an impossible count, trailing bytes), or one `parse` refuses.
+template <typename T, typename Parse>
+std::optional<T> open(const std::vector<std::uint8_t>& payload,
+                      const mac::StreamCipher& cipher, std::uint8_t tag,
+                      const Parse& parse) {
+  try {
+    util::ByteReader sealed{payload};
+    const std::uint64_t cipher_nonce = sealed.u64();
+    const std::span<const std::uint8_t> ct = sealed.bytes(sealed.remaining());
+    const auto body =
+        cipher.decrypt(std::vector<std::uint8_t>(ct.begin(), ct.end()),
+                       cipher_nonce);
+    if (!body) {
+      return std::nullopt;
+    }
+    util::ByteReader r{*body};
+    if (r.u8() != tag) {
+      return std::nullopt;
+    }
+    std::optional<T> out = parse(r);
+    r.require_exhausted();
+    return out;
+  } catch (const util::ByteError&) {
     return std::nullopt;
   }
-  const std::uint64_t cipher_nonce = mac::get_u64(payload, 0);
-  const std::vector<std::uint8_t> ct(payload.begin() + 8, payload.end());
-  return cipher.decrypt(ct, cipher_nonce);
+}
+
+void put_addresses(util::ByteWriter& w,
+                   const std::vector<mac::MacAddress>& addresses) {
+  w.u64(addresses.size());
+  for (const mac::MacAddress& a : addresses) {
+    w.u64(a.to_u64());
+  }
+}
+
+std::vector<mac::MacAddress> get_addresses(util::ByteReader& r,
+                                           std::size_t count) {
+  std::vector<mac::MacAddress> out;
+  for (std::size_t i = 0; i < count; ++i) {
+    out.push_back(mac::MacAddress::from_u64(r.u64()));
+  }
+  return out;
+}
+
+/// A list length in [1, kMaxListLength]; 0 for anything else.
+std::size_t list_length(util::ByteReader& r) {
+  const std::uint64_t n = r.u64();
+  return n == 0 || n > kMaxListLength ? 0 : static_cast<std::size_t>(n);
+}
+
+/// `n` u64 fields that must each fit a uint32 (range bounds, pad sizes);
+/// std::nullopt when one does not.
+std::optional<std::vector<std::uint32_t>> u32_list(util::ByteReader& r,
+                                                   std::size_t n) {
+  std::vector<std::uint32_t> out;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t v = r.u64();
+    if (v > std::numeric_limits<std::uint32_t>::max()) {
+      return std::nullopt;
+    }
+    out.push_back(static_cast<std::uint32_t>(v));
+  }
+  return out;
 }
 
 }  // namespace
@@ -44,63 +103,49 @@ std::optional<std::vector<std::uint8_t>> unseal(
 std::vector<std::uint8_t> encode_request(const ConfigRequest& request,
                                          const mac::StreamCipher& cipher,
                                          std::uint64_t cipher_nonce) {
-  std::vector<std::uint8_t> body;
-  body.push_back(kRequestTag);
-  mac::put_u64(body, request.physical_address.to_u64());
-  mac::put_u64(body, request.nonce);
-  mac::put_u64(body, request.requested_interfaces);
+  util::ByteWriter body;
+  body.u8(kRequestTag);
+  body.u64(request.physical_address.to_u64());
+  body.u64(request.nonce);
+  body.u64(request.requested_interfaces);
   return seal(body, cipher, cipher_nonce);
 }
 
 std::optional<ConfigRequest> decode_request(
     const std::vector<std::uint8_t>& payload,
     const mac::StreamCipher& cipher) {
-  const auto body = unseal(payload, cipher);
-  if (!body || body->size() != 1 + 8 * 3 || (*body)[0] != kRequestTag) {
-    return std::nullopt;
-  }
-  ConfigRequest req;
-  req.physical_address = mac::MacAddress::from_u64(mac::get_u64(*body, 1));
-  req.nonce = mac::get_u64(*body, 9);
-  req.requested_interfaces =
-      static_cast<std::uint32_t>(mac::get_u64(*body, 17));
-  return req;
+  return open<ConfigRequest>(
+      payload, cipher, kRequestTag, [](util::ByteReader& r) {
+        ConfigRequest req;
+        req.physical_address = mac::MacAddress::from_u64(r.u64());
+        req.nonce = r.u64();
+        req.requested_interfaces = static_cast<std::uint32_t>(r.u64());
+        return std::optional{req};
+      });
 }
 
 std::vector<std::uint8_t> encode_response(const ConfigResponse& response,
                                           const mac::StreamCipher& cipher,
                                           std::uint64_t cipher_nonce) {
-  std::vector<std::uint8_t> body;
-  body.push_back(kResponseTag);
-  mac::put_u64(body, response.nonce);
-  mac::put_u64(body, response.virtual_addresses.size());
-  for (const mac::MacAddress& a : response.virtual_addresses) {
-    mac::put_u64(body, a.to_u64());
-  }
+  util::ByteWriter body;
+  body.u8(kResponseTag);
+  body.u64(response.nonce);
+  put_addresses(body, response.virtual_addresses);
   return seal(body, cipher, cipher_nonce);
 }
 
 std::optional<ConfigResponse> decode_response(
     const std::vector<std::uint8_t>& payload,
     const mac::StreamCipher& cipher) {
-  const auto body = unseal(payload, cipher);
-  if (!body || body->size() < 1 + 16 || (*body)[0] != kResponseTag) {
-    return std::nullopt;
-  }
-  ConfigResponse resp;
-  resp.nonce = mac::get_u64(*body, 1);
-  const std::uint64_t count = mac::get_u64(*body, 9);
-  // Bound count by the bytes present before multiplying: 17 + count * 8
-  // wraps for count >= 2^61.
-  const std::size_t addresses_bytes = body->size() - (1 + 16);
-  if (addresses_bytes % 8 != 0 || count != addresses_bytes / 8) {
-    return std::nullopt;
-  }
-  for (std::uint64_t i = 0; i < count; ++i) {
-    resp.virtual_addresses.push_back(
-        mac::MacAddress::from_u64(mac::get_u64(*body, 17 + i * 8)));
-  }
-  return resp;
+  return open<ConfigResponse>(
+      payload, cipher, kResponseTag, [](util::ByteReader& r) {
+        ConfigResponse resp;
+        resp.nonce = r.u64();
+        // length() bounds the count by the bytes present, so a count
+        // that would wrap an offset computation is a truncation here.
+        resp.virtual_addresses = get_addresses(r, r.length());
+        return std::optional{resp};
+      });
 }
 
 // Body layout (every field a u64 after the tag byte):
@@ -113,23 +158,20 @@ std::vector<std::uint8_t> encode_tuned_config(const TunedConfigUpdate& update,
       update.virtual_addresses.size() == update.config.interfaces,
       "encode_tuned_config: one virtual address per configured interface");
 
-  std::vector<std::uint8_t> body;
-  body.push_back(kTunedConfigTag);
-  mac::put_u64(body, update.nonce);
-  mac::put_u64(body, update.virtual_addresses.size());
-  for (const mac::MacAddress& a : update.virtual_addresses) {
-    mac::put_u64(body, a.to_u64());
-  }
-  mac::put_u64(body, update.config.range_bounds.size());
+  util::ByteWriter body;
+  body.u8(kTunedConfigTag);
+  body.u64(update.nonce);
+  put_addresses(body, update.virtual_addresses);
+  body.u64(update.config.range_bounds.size());
   for (const std::uint32_t bound : update.config.range_bounds) {
-    mac::put_u64(body, bound);
+    body.u64(bound);
   }
   for (const std::size_t owner : update.config.assignment) {
-    mac::put_u64(body, owner);
+    body.u64(owner);
   }
-  mac::put_u64(body, update.config.interfaces);
+  body.u64(update.config.interfaces);
   for (const std::uint32_t pad : update.config.pad_to) {
-    mac::put_u64(body, pad);
+    body.u64(pad);
   }
   return seal(body, cipher, cipher_nonce);
 }
@@ -137,75 +179,42 @@ std::vector<std::uint8_t> encode_tuned_config(const TunedConfigUpdate& update,
 std::optional<TunedConfigUpdate> decode_tuned_config(
     const std::vector<std::uint8_t>& payload,
     const mac::StreamCipher& cipher) {
-  const auto body = unseal(payload, cipher);
-  // Fixed part: tag + nonce + A + L + I.
-  if (!body || body->size() < 1 + 8 * 2 || (*body)[0] != kTunedConfigTag) {
-    return std::nullopt;
-  }
-  TunedConfigUpdate update;
-  std::size_t at = 1;
-  const auto take_u64 = [&](std::uint64_t& out) {
-    if (body->size() < at + 8) {
-      return false;
-    }
-    out = mac::get_u64(*body, at);
-    at += 8;
-    return true;
-  };
+  return open<TunedConfigUpdate>(
+      payload, cipher, kTunedConfigTag,
+      [](util::ByteReader& r) -> std::optional<TunedConfigUpdate> {
+        TunedConfigUpdate update;
+        update.nonce = r.u64();
+        const std::size_t addresses = list_length(r);
+        if (addresses == 0) {
+          return std::nullopt;
+        }
+        update.virtual_addresses = get_addresses(r, addresses);
 
-  std::uint64_t addr_count = 0;
-  if (!take_u64(update.nonce) || !take_u64(addr_count) ||
-      addr_count == 0 || addr_count > kMaxListLength ||
-      body->size() < at + addr_count * 8) {
-    return std::nullopt;
-  }
-  for (std::uint64_t i = 0; i < addr_count; ++i) {
-    std::uint64_t raw = 0;
-    (void)take_u64(raw);
-    update.virtual_addresses.push_back(mac::MacAddress::from_u64(raw));
-  }
+        const std::size_t ranges = list_length(r);
+        auto bounds = u32_list(r, ranges);
+        if (ranges == 0 || !bounds || std::ranges::count(*bounds, 0u) > 0) {
+          return std::nullopt;
+        }
+        update.config.range_bounds = std::move(*bounds);
+        for (std::size_t j = 0; j < ranges; ++j) {
+          update.config.assignment.push_back(
+              static_cast<std::size_t>(r.u64()));
+        }
 
-  std::uint64_t ranges = 0;
-  if (!take_u64(ranges) || ranges == 0 || ranges > kMaxListLength ||
-      body->size() < at + ranges * 16) {
-    return std::nullopt;
-  }
-  for (std::uint64_t j = 0; j < ranges; ++j) {
-    std::uint64_t bound = 0;
-    (void)take_u64(bound);
-    if (bound == 0 || bound > std::numeric_limits<std::uint32_t>::max()) {
-      return std::nullopt;
-    }
-    update.config.range_bounds.push_back(static_cast<std::uint32_t>(bound));
-  }
-  for (std::uint64_t j = 0; j < ranges; ++j) {
-    std::uint64_t owner = 0;
-    (void)take_u64(owner);
-    update.config.assignment.push_back(static_cast<std::size_t>(owner));
-  }
+        update.config.interfaces = list_length(r);
+        auto pads = u32_list(r, update.config.interfaces);
+        if (update.config.interfaces == 0 || !pads) {
+          return std::nullopt;
+        }
+        update.config.pad_to = std::move(*pads);
 
-  std::uint64_t interfaces = 0;
-  if (!take_u64(interfaces) || interfaces == 0 ||
-      interfaces > kMaxListLength ||
-      body->size() != at + interfaces * 8) {
-    return std::nullopt;
-  }
-  update.config.interfaces = static_cast<std::size_t>(interfaces);
-  for (std::uint64_t i = 0; i < interfaces; ++i) {
-    std::uint64_t pad = 0;
-    (void)take_u64(pad);
-    if (pad > std::numeric_limits<std::uint32_t>::max()) {
-      return std::nullopt;
-    }
-    update.config.pad_to.push_back(static_cast<std::uint32_t>(pad));
-  }
-
-  update.config.name = "tuned";
-  if (!update.config.structurally_valid() ||
-      update.virtual_addresses.size() != update.config.interfaces) {
-    return std::nullopt;
-  }
-  return update;
+        update.config.name = "tuned";
+        if (!update.config.structurally_valid() ||
+            update.virtual_addresses.size() != update.config.interfaces) {
+          return std::nullopt;
+        }
+        return update;
+      });
 }
 
 }  // namespace reshape::net

@@ -32,6 +32,7 @@
 #include <cstdint>
 #include <functional>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -127,10 +128,13 @@ template <typename EnginePtr>
 
 /// Runs any GridEngine across worker processes: prepare() the engine
 /// before forking (children inherit the trained state), dispatch the
-/// grid, decode and validate each reply, fold in range order. The
+/// grid, decode each reply and check it against its order
+/// (wire::check_reply), fold in range order. The
 /// returned report — and the engine's merged telemetry — are
 /// byte-identical to engine.run() at any worker/thread count.
-/// `failures` (optional) receives dispatch()'s failure strings.
+/// `failures` (optional) receives dispatch()'s failure strings, plus one
+/// when accepted replies clash in the fold, which then re-runs every
+/// range in-process.
 /// `factory` (default: serve `engine` itself) builds the fork-mode
 /// serving closure and the in-process fallback runner.
 template <typename Engine>
@@ -145,21 +149,37 @@ template <typename Engine>
   const std::vector<CellRange> ranges =
       shard_ranges(engine.cell_count(), config);
   std::vector<Outcome> outcomes(ranges.size());
+  const ReplySink accept = [&outcomes](std::size_t range,
+                                       const wire::WorkOrder& order,
+                                       std::span<const std::uint8_t> payload) {
+    Outcome outcome = wire::decode_range<Outcome>(payload);
+    wire::check_reply(outcome, order);
+    outcomes[range] = std::move(outcome);
+  };
   std::vector<std::string> lost = dispatch(
-      ranges, engine.telemetry_config(), config, factory,
-      [&outcomes](std::size_t range, const wire::WorkOrder& order,
-                  std::span<const std::uint8_t> payload) {
-        Outcome outcome = wire::decode_range<Outcome>(payload);
-        if (outcome.begin != order.begin || outcome.end != order.end ||
-            outcome.cells.size() != outcome.end - outcome.begin) {
-          throw wire::WireError{"worker answered a different range"};
-        }
-        outcomes[range] = std::move(outcome);
-      });
-  if (failures != nullptr) {
-    *failures = std::move(lost);
+      ranges, engine.telemetry_config(), config, factory, accept);
+  try {
+    auto report = engine.fold(std::move(outcomes));
+    if (failures != nullptr) {
+      *failures = std::move(lost);
+    }
+    return report;
+  } catch (const std::invalid_argument& e) {
+    // Every reply passed check_reply on its own, yet two clash: a forged
+    // series key that carries another metric kind or other histogram
+    // bounds than a sibling range's. Trust no reply; re-run every range
+    // in-process.
+    lost.push_back(std::string{"replies did not fold ("} + e.what() +
+                   "); every range re-ran in-process");
+    if (failures != nullptr) {
+      *failures = std::move(lost);
+    }
+    ShardConfig local = config;
+    local.workers = 0;
+    outcomes.assign(ranges.size(), Outcome{});
+    (void)dispatch(ranges, engine.telemetry_config(), local, factory, accept);
+    return engine.fold(std::move(outcomes));
   }
-  return engine.fold(std::move(outcomes));
 }
 
 }  // namespace reshape::runtime

@@ -1,162 +1,101 @@
 #include "runtime/wire.h"
 
-#include <bit>
+#include <algorithm>
+#include <array>
+#include <concepts>
+#include <functional>
+#include <ranges>
+#include <string>
+#include <tuple>
+#include <type_traits>
 #include <utility>
 
 namespace reshape::runtime::wire {
 
 namespace {
 
-void append_le(std::vector<std::uint8_t>& out, std::uint64_t v,
-               std::size_t bytes) {
-  for (std::size_t i = 0; i < bytes; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
+using util::ByteError;
+using util::ByteReader;
+using util::ByteWriter;
+
+// ------------------------------------------------------------ field lists
+//
+// The one place each struct's wire order is written: `fields` ties its
+// members in that order, and put/get below walk the tie in both
+// directions.
+
+template <typename T, typename U>
+concept Is = std::same_as<std::remove_const_t<T>, U>;
+
+template <typename T>
+constexpr bool kIsRange = false;
+template <typename Cell>
+constexpr bool kIsRange<RangeOutcome<Cell>> = true;
+
+auto fields(Is<obs::TelemetryConfig> auto& v) {
+  return std::tie(v.metrics, v.tracing, v.profiling, v.windowed, v.privacy,
+                  v.privacy_pairs, v.window);
+}
+auto fields(Is<WorkOrder> auto& v) {
+  return std::tie(v.job, v.begin, v.end, v.threads, v.telemetry);
+}
+auto fields(Is<obs::HistogramData> auto& v) {
+  return std::tie(v.upper_bounds, v.counts, v.count, v.sum, v.min, v.max);
+}
+auto fields(Is<obs::SeriesSnapshot> auto& v) {
+  return std::tie(v.name, v.labels, v.kind, v.counter, v.gauge, v.histogram);
+}
+auto fields(Is<obs::MetricsSnapshot> auto& v) { return std::tie(v.series); }
+auto fields(Is<obs::WindowAccumulator> auto& v) {
+  return std::tie(v.count, v.sum, v.min, v.max);
+}
+auto fields(Is<obs::WindowPoint> auto& v) {
+  return std::tie(v.window, v.value);
+}
+auto fields(Is<obs::SeriesWindows> auto& v) {
+  return std::tie(v.name, v.labels, v.points);
+}
+auto fields(Is<obs::WindowedSnapshot> auto& v) {
+  return std::tie(v.window_us, v.series);
+}
+auto fields(Is<eval::DefenseEvaluation> auto& v) {
+  return std::tie(v.defense_name, v.classifier_name, v.confusion, v.accuracy,
+                  v.false_positive, v.overhead, v.mean_accuracy,
+                  v.mean_false_positive, v.mean_overhead);
+}
+auto fields(Is<core::online::StreamingStats> auto& v) {
+  return std::tie(v.packets, v.original_bytes, v.added_bytes,
+                  v.deadline_misses, v.total_queueing_delay,
+                  v.max_queueing_delay, v.airtime_busy, v.max_queue_depth);
+}
+auto fields(Is<attack::adaptive::EpochScore> auto& v) {
+  return std::tie(v.epoch, v.start, v.end, v.windows, v.confusion,
+                  v.static_confusion, v.labels_correct, v.labels_assigned,
+                  v.training_rows, v.refitted);
+}
+auto fields(Is<CellResult> auto& v) {
+  return std::tie(v.defense_index, v.scenario_index, v.shard,
+                  v.session_count, v.evaluation);
+}
+auto fields(Is<AdaptiveCellResult> auto& v) {
+  return std::tie(v.defense_index, v.scenario_index, v.shard,
+                  v.session_count, v.flow_count, v.epochs);
+}
+auto fields(Is<core::tuning::CandidateShardOutcome> auto& v) {
+  return std::tie(v.sessions, v.flows, v.epochs, v.streaming,
+                  v.access_delay_us, v.frames_dropped);
+}
+template <typename T>
+  requires kIsRange<std::remove_const_t<T>>
+auto fields(T& v) {
+  return std::tie(v.begin, v.end, v.cells, v.metrics, v.windows);
 }
 
-}  // namespace
+// ------------------------------------------------------ hand-written codecs
+//
+// Types whose decode must validate, or can only build through an API.
 
-void WireWriter::u16(std::uint16_t v) { append_le(buffer_, v, 2); }
-void WireWriter::u32(std::uint32_t v) { append_le(buffer_, v, 4); }
-void WireWriter::u64(std::uint64_t v) { append_le(buffer_, v, 8); }
-void WireWriter::i64(std::int64_t v) {
-  append_le(buffer_, static_cast<std::uint64_t>(v), 8);
-}
-void WireWriter::f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
-
-void WireWriter::str(std::string_view v) {
-  u64(v.size());
-  buffer_.insert(buffer_.end(), v.begin(), v.end());
-}
-
-std::uint8_t WireReader::u8() {
-  if (remaining() < 1) {
-    throw WireError{"wire: truncated input"};
-  }
-  return bytes_[offset_++];
-}
-
-std::uint16_t WireReader::u16() {
-  if (remaining() < 2) {
-    throw WireError{"wire: truncated input"};
-  }
-  std::uint16_t v = 0;
-  for (std::size_t i = 0; i < 2; ++i) {
-    v = static_cast<std::uint16_t>(
-        v | static_cast<std::uint16_t>(bytes_[offset_ + i]) << (8 * i));
-  }
-  offset_ += 2;
-  return v;
-}
-
-std::uint32_t WireReader::u32() {
-  if (remaining() < 4) {
-    throw WireError{"wire: truncated input"};
-  }
-  std::uint32_t v = 0;
-  for (std::size_t i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(bytes_[offset_ + i]) << (8 * i);
-  }
-  offset_ += 4;
-  return v;
-}
-
-std::uint64_t WireReader::u64() {
-  if (remaining() < 8) {
-    throw WireError{"wire: truncated input"};
-  }
-  std::uint64_t v = 0;
-  for (std::size_t i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(bytes_[offset_ + i]) << (8 * i);
-  }
-  offset_ += 8;
-  return v;
-}
-
-std::int64_t WireReader::i64() { return static_cast<std::int64_t>(u64()); }
-
-double WireReader::f64() { return std::bit_cast<double>(u64()); }
-
-std::size_t WireReader::length() {
-  const std::uint64_t n = u64();
-  if (n > remaining()) {
-    throw WireError{"wire: impossible element count"};
-  }
-  return static_cast<std::size_t>(n);
-}
-
-std::string WireReader::str() {
-  const std::size_t n = length();
-  std::string out(reinterpret_cast<const char*>(bytes_.data() + offset_), n);
-  offset_ += n;
-  return out;
-}
-
-void WireReader::require_exhausted() const {
-  if (remaining() != 0) {
-    throw WireError{"wire: trailing bytes after payload"};
-  }
-}
-
-std::vector<std::uint8_t> encode_frame(FrameType type,
-                                       std::span<const std::uint8_t> payload) {
-  std::vector<std::uint8_t> out;
-  out.reserve(kFrameHeaderSize + payload.size());
-  append_le(out, kMagic, 4);
-  append_le(out, kVersion, 2);
-  append_le(out, static_cast<std::uint16_t>(type), 2);
-  append_le(out, payload.size(), 8);
-  out.insert(out.end(), payload.begin(), payload.end());
-  return out;
-}
-
-FrameHeader decode_frame_header(std::span<const std::uint8_t> header) {
-  if (header.size() < kFrameHeaderSize) {
-    throw WireError{"wire: truncated frame header"};
-  }
-  WireReader r{header.first(kFrameHeaderSize)};
-  if (r.u32() != kMagic) {
-    throw WireError{"wire: bad magic (not a shard-server stream)"};
-  }
-  const std::uint16_t version = r.u16();
-  if (version != kVersion) {
-    throw WireError{"wire: version mismatch (got " + std::to_string(version) +
-                    ", want " + std::to_string(kVersion) + ")"};
-  }
-  FrameHeader out;
-  out.type = static_cast<FrameType>(r.u16());
-  if (out.type != FrameType::kWorkOrder && out.type != FrameType::kRange &&
-      out.type != FrameType::kShutdown && out.type != FrameType::kError) {
-    throw WireError{"wire: unknown frame type " +
-                    std::to_string(static_cast<unsigned>(out.type))};
-  }
-  out.length = r.u64();
-  return out;
-}
-
-void encode(WireWriter& w, const obs::TelemetryConfig& v) {
-  w.u8(v.metrics ? 1 : 0);
-  w.u8(v.tracing ? 1 : 0);
-  w.u8(v.profiling ? 1 : 0);
-  w.u8(v.windowed ? 1 : 0);
-  w.u8(v.privacy ? 1 : 0);
-  w.u8(v.privacy_pairs ? 1 : 0);
-  w.i64(v.window.count_us());
-}
-
-obs::TelemetryConfig decode_telemetry_config(WireReader& r) {
-  obs::TelemetryConfig v;
-  v.metrics = r.u8() != 0;
-  v.tracing = r.u8() != 0;
-  v.profiling = r.u8() != 0;
-  v.windowed = r.u8() != 0;
-  v.privacy = r.u8() != 0;
-  v.privacy_pairs = r.u8() != 0;
-  v.window = util::Duration::microseconds(r.i64());
-  return v;
-}
-
-void encode(WireWriter& w, const obs::LabelSet& v) {
+void put(ByteWriter& w, const obs::LabelSet& v) {
   w.u64(v.entries().size());
   for (const auto& [key, value] : v.entries()) {
     w.str(key);
@@ -164,17 +103,16 @@ void encode(WireWriter& w, const obs::LabelSet& v) {
   }
 }
 
-obs::LabelSet decode_label_set(WireReader& r) {
+void get(ByteReader& r, obs::LabelSet& v) {
   const std::size_t n = r.length();
-  obs::LabelSet v;
+  v = obs::LabelSet{};
   for (std::size_t i = 0; i < n; ++i) {
     std::string key = r.str();
     v.set(std::move(key), r.str());
   }
-  return v;
 }
 
-void encode(WireWriter& w, const ml::ConfusionMatrix& v) {
+void put(ByteWriter& w, const ml::ConfusionMatrix& v) {
   w.u32(static_cast<std::uint32_t>(v.num_classes()));
   for (int t = 0; t < v.num_classes(); ++t) {
     for (int p = 0; p < v.num_classes(); ++p) {
@@ -183,311 +121,211 @@ void encode(WireWriter& w, const ml::ConfusionMatrix& v) {
   }
 }
 
-ml::ConfusionMatrix decode_confusion(WireReader& r) {
-  const std::uint32_t classes = r.u32();
-  // 8 bytes per cell: bound the quadratic resize by the bytes present.
-  if (classes == 0 ||
-      static_cast<std::uint64_t>(classes) * classes * 8 > r.remaining()) {
-    throw WireError{"wire: impossible confusion-matrix shape"};
+void get(ByteReader& r, ml::ConfusionMatrix& v) {
+  // Every engine's fold merges confusions into kAppCount-class
+  // aggregates; no other shape could merge.
+  constexpr std::size_t kApps = traffic::kAppCount;
+  if (r.u32() != kApps) {
+    throw ByteError{"wire: confusion matrix is not one class per app"};
   }
-  std::vector<std::uint64_t> cells(static_cast<std::size_t>(classes) *
-                                   classes);
+  std::array<std::uint64_t, kApps * kApps> cells{};
   for (std::uint64_t& cell : cells) {
     cell = r.u64();
   }
-  return ml::ConfusionMatrix::from_cells(static_cast<int>(classes), cells);
+  v = ml::ConfusionMatrix::from_cells(static_cast<int>(kApps), cells);
 }
 
-namespace {
-
-void encode_evaluation(WireWriter& w, const eval::DefenseEvaluation& v) {
-  w.str(v.defense_name);
-  w.str(v.classifier_name);
-  encode(w, v.confusion);
-  for (std::size_t i = 0; i < traffic::kAppCount; ++i) {
-    w.f64(v.accuracy[i]);
-  }
-  for (std::size_t i = 0; i < traffic::kAppCount; ++i) {
-    w.f64(v.false_positive[i]);
-  }
-  for (std::size_t i = 0; i < traffic::kAppCount; ++i) {
-    w.f64(v.overhead[i]);
-  }
-  w.f64(v.mean_accuracy);
-  w.f64(v.mean_false_positive);
-  w.f64(v.mean_overhead);
+void put(ByteWriter& w, obs::MetricKind v) {
+  w.u8(static_cast<std::uint8_t>(v));
 }
 
-eval::DefenseEvaluation decode_evaluation(WireReader& r) {
-  eval::DefenseEvaluation v;
-  v.defense_name = r.str();
-  v.classifier_name = r.str();
-  v.confusion = decode_confusion(r);
-  for (std::size_t i = 0; i < traffic::kAppCount; ++i) {
-    v.accuracy[i] = r.f64();
+void get(ByteReader& r, obs::MetricKind& v) {
+  const std::uint8_t kind = r.u8();
+  if (kind > static_cast<std::uint8_t>(obs::MetricKind::kHistogram)) {
+    throw ByteError{"wire: unknown metric kind"};
   }
-  for (std::size_t i = 0; i < traffic::kAppCount; ++i) {
-    v.false_positive[i] = r.f64();
-  }
-  for (std::size_t i = 0; i < traffic::kAppCount; ++i) {
-    v.overhead[i] = r.f64();
-  }
-  v.mean_accuracy = r.f64();
-  v.mean_false_positive = r.f64();
-  v.mean_overhead = r.f64();
-  return v;
+  v = static_cast<obs::MetricKind>(kind);
 }
 
-void encode_histogram(WireWriter& w, const obs::HistogramData& v) {
-  w.u64(v.upper_bounds.size());
-  for (const double b : v.upper_bounds) {
-    w.f64(b);
+// ------------------------------------------------------------ fold checks
+//
+// What the coordinator's merges assume of a decoded snapshot, checked
+// right after the fields are read.
+
+/// Throws `what` unless `key` strictly ascends along `items` (a NaN key
+/// never does).
+template <typename Items, typename Key>
+void require_ascending(const Items& items, const Key& key, const char* what) {
+  const auto out_of_order = [&key](const auto& a, const auto& b) {
+    return !(std::invoke(key, a) < std::invoke(key, b));
+  };
+  if (std::ranges::adjacent_find(items, out_of_order) != items.end()) {
+    throw ByteError{what};
   }
-  w.u64(v.counts.size());
-  for (const std::uint64_t c : v.counts) {
-    w.u64(c);
-  }
-  w.u64(v.count);
-  w.f64(v.sum);
-  w.f64(v.min);
-  w.f64(v.max);
 }
 
-obs::HistogramData decode_histogram(WireReader& r) {
-  obs::HistogramData v;
-  v.upper_bounds.resize(r.length());
-  for (double& b : v.upper_bounds) {
-    b = r.f64();
+constexpr auto kSeriesKey = [](const auto& s) {
+  return std::tie(s.name, s.labels);
+};
+
+void check(const obs::SeriesSnapshot& v) {
+  if (v.kind != obs::MetricKind::kHistogram) {
+    return;
   }
-  v.counts.resize(r.length());
-  for (std::uint64_t& c : v.counts) {
-    c = r.u64();
+  const std::vector<double>& bounds = v.histogram.upper_bounds;
+  require_ascending(bounds, std::identity{},
+                    "wire: histogram bounds not strictly ascending");
+  if (v.histogram.counts.size() != bounds.size() + 1) {
+    throw ByteError{"wire: histogram needs one count per bucket plus overflow"};
   }
-  v.count = r.u64();
-  v.sum = r.f64();
-  v.min = r.f64();
-  v.max = r.f64();
-  return v;
 }
 
-void encode_streaming(WireWriter& w, const core::online::StreamingStats& v) {
-  w.u64(v.packets);
-  w.u64(v.original_bytes);
-  w.u64(v.added_bytes);
-  w.u64(v.deadline_misses);
-  w.i64(v.total_queueing_delay.count_us());
-  w.i64(v.max_queueing_delay.count_us());
-  w.i64(v.airtime_busy.count_us());
-  w.u64(v.max_queue_depth);
+void check(const obs::MetricsSnapshot& v) {
+  require_ascending(v.series, kSeriesKey, "wire: series not strictly sorted");
+}
+void check(const obs::WindowedSnapshot& v) {
+  require_ascending(v.series, kSeriesKey, "wire: series not strictly sorted");
+}
+void check(const obs::SeriesWindows& v) {
+  require_ascending(v.points, &obs::WindowPoint::window,
+                    "wire: window points not strictly ascending");
 }
 
-core::online::StreamingStats decode_streaming(WireReader& r) {
-  core::online::StreamingStats v;
-  v.packets = r.u64();
-  v.original_bytes = r.u64();
-  v.added_bytes = r.u64();
-  v.deadline_misses = r.u64();
-  v.total_queueing_delay = util::Duration::microseconds(r.i64());
-  v.max_queueing_delay = util::Duration::microseconds(r.i64());
-  v.airtime_busy = util::Duration::microseconds(r.i64());
-  v.max_queue_depth = static_cast<std::size_t>(r.u64());
-  return v;
+// ---------------------------------------------------------- generic codec
+
+// Strings are tested before the two range branches: vectors (growable,
+// count-prefixed) and std::arrays (fixed size, bare).
+template <typename T>
+concept Growable = requires(T& v) { v.emplace_back(); };
+
+template <typename T>
+void put(ByteWriter& w, const T& v) {
+  if constexpr (std::is_same_v<T, bool>) {
+    w.u8(v ? 1 : 0);
+  } else if constexpr (std::is_integral_v<T>) {
+    w.u64(static_cast<std::uint64_t>(v));
+  } else if constexpr (std::is_same_v<T, double>) {
+    w.f64(v);
+  } else if constexpr (requires { v.count_us(); }) {  // Duration, TimePoint
+    w.i64(v.count_us());
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    w.str(v);
+  } else if constexpr (std::ranges::range<T>) {
+    if constexpr (Growable<T>) {
+      w.u64(v.size());
+    }
+    for (const auto& element : v) {
+      put(w, element);
+    }
+  } else {
+    std::apply([&w](const auto&... field) { (put(w, field), ...); },
+               fields(v));
+  }
+}
+
+template <typename T>
+void get(ByteReader& r, T& v) {
+  if constexpr (std::is_same_v<T, bool>) {
+    v = r.u8() != 0;
+  } else if constexpr (std::is_integral_v<T>) {
+    v = static_cast<T>(r.u64());
+  } else if constexpr (std::is_same_v<T, double>) {
+    v = r.f64();
+  } else if constexpr (std::is_same_v<T, util::Duration>) {
+    v = util::Duration::microseconds(r.i64());
+  } else if constexpr (std::is_same_v<T, util::TimePoint>) {
+    v = util::TimePoint::from_microseconds(r.i64());
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    v = r.str();
+  } else if constexpr (Growable<T>) {
+    // Grown as elements actually decode: a forged count cannot reserve
+    // its claim up front.
+    const std::size_t n = r.length();
+    v.clear();
+    for (std::size_t i = 0; i < n; ++i) {
+      get(r, v.emplace_back());
+    }
+  } else if constexpr (std::ranges::range<T>) {
+    for (auto& element : v) {
+      get(r, element);
+    }
+  } else {
+    std::apply([&r](auto&... field) { (get(r, field), ...); }, fields(v));
+    if constexpr (requires { check(v); }) {
+      check(v);
+    }
+  }
 }
 
 }  // namespace
 
-void encode(WireWriter& w, const obs::MetricsSnapshot& v) {
-  w.u64(v.series.size());
-  for (const obs::SeriesSnapshot& s : v.series) {
-    w.str(s.name);
-    encode(w, s.labels);
-    w.u8(static_cast<std::uint8_t>(s.kind));
-    w.u64(s.counter);
-    w.f64(s.gauge);
-    encode_histogram(w, s.histogram);
-  }
-}
-
-obs::MetricsSnapshot decode_metrics_snapshot(WireReader& r) {
-  obs::MetricsSnapshot v;
-  const std::size_t n = r.length();
-  v.series.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    obs::SeriesSnapshot s;
-    s.name = r.str();
-    s.labels = decode_label_set(r);
-    const std::uint8_t kind = r.u8();
-    if (kind > static_cast<std::uint8_t>(obs::MetricKind::kHistogram)) {
-      throw WireError{"wire: unknown metric kind"};
-    }
-    s.kind = static_cast<obs::MetricKind>(kind);
-    s.counter = r.u64();
-    s.gauge = r.f64();
-    s.histogram = decode_histogram(r);
-    v.series.push_back(std::move(s));
-  }
-  return v;
-}
-
-void encode(WireWriter& w, const obs::WindowedSnapshot& v) {
-  w.i64(v.window_us);
-  w.u64(v.series.size());
-  for (const obs::SeriesWindows& s : v.series) {
-    w.str(s.name);
-    encode(w, s.labels);
-    w.u64(s.points.size());
-    for (const obs::WindowPoint& p : s.points) {
-      w.i64(p.window);
-      w.u64(p.value.count);
-      w.f64(p.value.sum);
-      w.f64(p.value.min);
-      w.f64(p.value.max);
-    }
-  }
-}
-
-obs::WindowedSnapshot decode_windowed_snapshot(WireReader& r) {
-  obs::WindowedSnapshot v;
-  v.window_us = r.i64();
-  const std::size_t n = r.length();
-  v.series.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    obs::SeriesWindows s;
-    s.name = r.str();
-    s.labels = decode_label_set(r);
-    s.points.resize(r.length());
-    for (obs::WindowPoint& p : s.points) {
-      p.window = r.i64();
-      p.value.count = r.u64();
-      p.value.sum = r.f64();
-      p.value.min = r.f64();
-      p.value.max = r.f64();
-    }
-    v.series.push_back(std::move(s));
-  }
-  return v;
-}
-
-void encode(WireWriter& w, const attack::adaptive::EpochScore& v) {
-  w.u64(v.epoch);
-  w.i64(v.start.count_us());
-  w.i64(v.end.count_us());
-  w.u64(v.windows);
-  encode(w, v.confusion);
-  encode(w, v.static_confusion);
-  w.u64(v.labels_correct);
-  w.u64(v.labels_assigned);
-  w.u64(v.training_rows);
-  w.u8(v.refitted ? 1 : 0);
-}
-
-attack::adaptive::EpochScore decode_epoch_score(WireReader& r) {
-  attack::adaptive::EpochScore v;
-  v.epoch = static_cast<std::size_t>(r.u64());
-  v.start = util::TimePoint::from_microseconds(r.i64());
-  v.end = util::TimePoint::from_microseconds(r.i64());
-  v.windows = static_cast<std::size_t>(r.u64());
-  v.confusion = decode_confusion(r);
-  v.static_confusion = decode_confusion(r);
-  v.labels_correct = static_cast<std::size_t>(r.u64());
-  v.labels_assigned = static_cast<std::size_t>(r.u64());
-  v.training_rows = static_cast<std::size_t>(r.u64());
-  v.refitted = r.u8() != 0;
-  return v;
-}
-
-std::vector<std::uint8_t> encode_work_order(const WorkOrder& o) {
-  WireWriter w;
-  w.str(o.job);
-  w.u64(o.begin);
-  w.u64(o.end);
-  w.u64(o.threads);
-  encode(w, o.telemetry);
+template <typename T>
+std::vector<std::uint8_t> encode(const T& value) {
+  ByteWriter w;
+  put(w, value);
   return w.take();
 }
 
-WorkOrder decode_work_order(std::span<const std::uint8_t> b) {
-  WireReader r{b};
-  WorkOrder o;
-  o.job = r.str();
-  o.begin = r.u64();
-  o.end = r.u64();
-  o.threads = r.u64();
-  o.telemetry = decode_telemetry_config(r);
+template <typename T>
+T decode(std::span<const std::uint8_t> bytes) {
+  ByteReader r{bytes};
+  T value{};
+  get(r, value);
   r.require_exhausted();
-  return o;
+  return value;
 }
 
-void encode(WireWriter& w, const CellResult& v) {
-  w.u64(v.defense_index);
-  w.u64(v.scenario_index);
-  w.u64(v.shard);
-  w.u64(v.session_count);
-  encode_evaluation(w, v.evaluation);
+using Bytes = std::vector<std::uint8_t>;
+using Input = std::span<const std::uint8_t>;
+
+template Bytes encode(const WorkOrder&);
+template Bytes encode(const CampaignRangeOutcome&);
+template Bytes encode(const AdaptiveRangeOutcome&);
+template Bytes encode(const core::tuning::TuningRangeOutcome&);
+template Bytes encode(const obs::LabelSet&);
+template Bytes encode(const obs::MetricsSnapshot&);
+template Bytes encode(const obs::WindowedSnapshot&);
+template Bytes encode(const attack::adaptive::EpochScore&);
+
+template WorkOrder decode(Input);
+template CampaignRangeOutcome decode(Input);
+template AdaptiveRangeOutcome decode(Input);
+template core::tuning::TuningRangeOutcome decode(Input);
+template obs::LabelSet decode(Input);
+template obs::MetricsSnapshot decode(Input);
+template obs::WindowedSnapshot decode(Input);
+template attack::adaptive::EpochScore decode(Input);
+
+std::vector<std::uint8_t> encode_frame(FrameType type,
+                                       std::span<const std::uint8_t> payload) {
+  ByteWriter w;
+  w.u32(kMagic);
+  w.u16(kVersion);
+  w.u16(static_cast<std::uint16_t>(type));
+  w.u64(payload.size());
+  w.bytes(payload);
+  return w.take();
 }
 
-void decode(WireReader& r, CellResult& v) {
-  v.defense_index = static_cast<std::size_t>(r.u64());
-  v.scenario_index = static_cast<std::size_t>(r.u64());
-  v.shard = static_cast<std::size_t>(r.u64());
-  v.session_count = static_cast<std::size_t>(r.u64());
-  v.evaluation = decode_evaluation(r);
-}
-
-void encode(WireWriter& w, const AdaptiveCellResult& v) {
-  w.u64(v.defense_index);
-  w.u64(v.scenario_index);
-  w.u64(v.shard);
-  w.u64(v.session_count);
-  w.u64(v.flow_count);
-  w.u64(v.epochs.size());
-  for (const attack::adaptive::EpochScore& epoch : v.epochs) {
-    encode(w, epoch);
+FrameHeader decode_frame_header(std::span<const std::uint8_t> header) {
+  ByteReader r{header};  // throws on a header shorter than 16 bytes
+  if (r.u32() != kMagic) {
+    throw ByteError{"wire: bad magic (not a shard-server stream)"};
   }
-}
-
-void decode(WireReader& r, AdaptiveCellResult& v) {
-  v.defense_index = static_cast<std::size_t>(r.u64());
-  v.scenario_index = static_cast<std::size_t>(r.u64());
-  v.shard = static_cast<std::size_t>(r.u64());
-  v.session_count = static_cast<std::size_t>(r.u64());
-  v.flow_count = static_cast<std::size_t>(r.u64());
-  const std::size_t epochs = r.length();
-  v.epochs.reserve(epochs);
-  for (std::size_t e = 0; e < epochs; ++e) {
-    v.epochs.push_back(decode_epoch_score(r));
+  const std::uint16_t version = r.u16();
+  if (version != kVersion) {
+    throw ByteError{"wire: version mismatch (got " + std::to_string(version) +
+                    ", want " + std::to_string(kVersion) + ")"};
   }
-}
-
-void encode(WireWriter& w, const core::tuning::CandidateShardOutcome& v) {
-  w.u64(v.sessions);
-  w.u64(v.flows);
-  w.u64(v.epochs.size());
-  for (const attack::adaptive::EpochScore& epoch : v.epochs) {
-    encode(w, epoch);
+  FrameHeader out;
+  out.type = static_cast<FrameType>(r.u16());
+  if (out.type != FrameType::kWorkOrder && out.type != FrameType::kRange &&
+      out.type != FrameType::kShutdown && out.type != FrameType::kError) {
+    throw ByteError{"wire: unknown frame type " +
+                    std::to_string(static_cast<unsigned>(out.type))};
   }
-  encode_streaming(w, v.streaming);
-  w.u64(v.access_delay_us.size());
-  for (const double d : v.access_delay_us) {
-    w.f64(d);
-  }
-  w.u64(v.frames_dropped);
-}
-
-void decode(WireReader& r, core::tuning::CandidateShardOutcome& v) {
-  v.sessions = static_cast<std::size_t>(r.u64());
-  v.flows = static_cast<std::size_t>(r.u64());
-  const std::size_t epochs = r.length();
-  v.epochs.reserve(epochs);
-  for (std::size_t e = 0; e < epochs; ++e) {
-    v.epochs.push_back(decode_epoch_score(r));
-  }
-  v.streaming = decode_streaming(r);
-  v.access_delay_us.resize(r.length());
-  for (double& d : v.access_delay_us) {
-    d = r.f64();
-  }
-  v.frames_dropped = r.u64();
+  out.length = r.u64();
+  return out;
 }
 
 }  // namespace reshape::runtime::wire

@@ -2,29 +2,34 @@
 // carry work orders and range outcomes between the coordinator and its
 // worker processes (runtime/shard_server.h).
 //
-// Layout rules: little-endian fixed-width integers, doubles as their
-// IEEE-754 bit pattern through std::bit_cast (lossless, ±inf and NaN
-// payloads included — the snapshots' min/max sentinels survive intact),
-// strings and arrays as a u64 element count followed by the elements.
-// Every frame opens with a 16-byte header
+// Layout rules are util/bytes.h's: little-endian fixed-width integers,
+// doubles as their IEEE-754 bit pattern (the snapshots' ±inf min/max
+// sentinels survive intact), strings and vectors as a u64 element count
+// followed by the elements, fixed-size arrays without a count. Each
+// struct's field order is written once, in wire.cc, and one generic
+// codec walks it in both directions. Every frame opens with a 16-byte
+// header
 //
 //     magic u32 | version u16 | type u16 | payload length u64
 //
 // so a reader can reject foreign or stale streams before touching the
-// payload. Decoders throw WireError on truncation, bad magic, version
-// mismatch, or trailing garbage — a short read never yields a partially
-// filled struct.
+// payload. Decoders throw util::ByteError on truncation, bad magic,
+// version mismatch or trailing garbage — a short read never yields a
+// partially filled struct — and on any value the coordinator's fold
+// could not take: a confusion matrix of other than traffic::kAppCount
+// classes, a metric kind out of range, a histogram without strictly
+// ascending bounds plus one overflow bucket, series not strictly sorted
+// by (name, labels), or window points not strictly ascending.
 //
 // Determinism contract: encode(decode(bytes)) == bytes and
 // decode(encode(x)) == x for every codec here; the shard server's merged
 // output is byte-identical to the in-process run *because* outcomes cross
 // the process boundary losslessly (tests/wire_test.cc asserts both
-// directions).
+// directions and pins the bytes).
 #pragma once
 
 #include <cstdint>
 #include <span>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -33,15 +38,9 @@
 #include "runtime/adaptive_campaign.h"
 #include "runtime/campaign.h"
 #include "runtime/grid_engine.h"
+#include "util/bytes.h"
 
 namespace reshape::runtime::wire {
-
-/// Any malformed input: truncation, bad magic, version or type mismatch,
-/// impossible lengths, trailing bytes.
-class WireError : public std::runtime_error {
- public:
-  using std::runtime_error::runtime_error;
-};
 
 inline constexpr std::uint32_t kMagic = 0x52534857u;  // "WHSR" on the wire
 inline constexpr std::uint16_t kVersion = 1;
@@ -57,56 +56,6 @@ enum class FrameType : std::uint16_t {
   kError = 6,      // worker -> coordinator: payload = what() string
 };
 
-/// Append-only payload builder.
-class WireWriter {
- public:
-  void u8(std::uint8_t v) { buffer_.push_back(v); }
-  void u16(std::uint16_t v);
-  void u32(std::uint32_t v);
-  void u64(std::uint64_t v);
-  void i64(std::int64_t v);
-  void f64(double v);  // IEEE-754 bit pattern, lossless
-  void str(std::string_view v);
-
-  [[nodiscard]] const std::vector<std::uint8_t>& buffer() const {
-    return buffer_;
-  }
-  [[nodiscard]] std::vector<std::uint8_t> take() { return std::move(buffer_); }
-
- private:
-  std::vector<std::uint8_t> buffer_;
-};
-
-/// Consuming payload parser; every getter throws WireError on truncation.
-class WireReader {
- public:
-  explicit WireReader(std::span<const std::uint8_t> bytes) : bytes_{bytes} {}
-
-  [[nodiscard]] std::uint8_t u8();
-  [[nodiscard]] std::uint16_t u16();
-  [[nodiscard]] std::uint32_t u32();
-  [[nodiscard]] std::uint64_t u64();
-  [[nodiscard]] std::int64_t i64();
-  [[nodiscard]] double f64();
-  [[nodiscard]] std::string str();
-
-  /// A u64 element count, validated against the bytes actually left
-  /// (every element encodes at least one byte, so a bigger count is
-  /// malformed — the cap that keeps a corrupt length from allocating).
-  [[nodiscard]] std::size_t length();
-
-  [[nodiscard]] std::size_t remaining() const {
-    return bytes_.size() - offset_;
-  }
-
-  /// Throws WireError unless every byte was consumed.
-  void require_exhausted() const;
-
- private:
-  std::span<const std::uint8_t> bytes_;
-  std::size_t offset_ = 0;
-};
-
 /// One header-prefixed frame around `payload`.
 [[nodiscard]] std::vector<std::uint8_t> encode_frame(
     FrameType type, std::span<const std::uint8_t> payload);
@@ -117,7 +66,7 @@ struct FrameHeader {
   std::uint64_t length = 0;
 };
 
-/// Parses and validates the 16-byte header (magic, version).
+/// Parses and validates the 16-byte header (magic, version, type).
 [[nodiscard]] FrameHeader decode_frame_header(
     std::span<const std::uint8_t> header);
 
@@ -133,72 +82,37 @@ struct WorkOrder {
   friend bool operator==(const WorkOrder&, const WorkOrder&) = default;
 };
 
-// Payload codecs. Each encode_* returns the bare payload (no frame
-// header); each decode_* consumes the whole span and throws WireError on
-// anything malformed.
-[[nodiscard]] std::vector<std::uint8_t> encode_work_order(const WorkOrder& o);
-[[nodiscard]] WorkOrder decode_work_order(std::span<const std::uint8_t> b);
+/// The payload codec: `T`'s bare payload (no frame header), and its
+/// inverse, which consumes the whole span. Defined for WorkOrder, the
+/// three engines' range outcomes, and — for the round-trip tests — the
+/// mid-level types LabelSet, MetricsSnapshot, WindowedSnapshot and
+/// EpochScore (wire.cc instantiates exactly these).
+template <typename T>
+[[nodiscard]] std::vector<std::uint8_t> encode(const T& value);
+template <typename T>
+[[nodiscard]] T decode(std::span<const std::uint8_t> bytes);
 
-// Per-cell codecs the range codec is generic over.
-void encode(WireWriter& w, const CellResult& v);
-void decode(WireReader& r, CellResult& v);
-void encode(WireWriter& w, const AdaptiveCellResult& v);
-void decode(WireReader& r, AdaptiveCellResult& v);
-void encode(WireWriter& w, const core::tuning::CandidateShardOutcome& v);
-void decode(WireReader& r, core::tuning::CandidateShardOutcome& v);
+[[nodiscard]] inline std::vector<std::uint8_t> encode_work_order(
+    const WorkOrder& o) {
+  return encode(o);
+}
+[[nodiscard]] inline WorkOrder decode_work_order(
+    std::span<const std::uint8_t> b) {
+  return decode<WorkOrder>(b);
+}
 
-// Mid-level codecs, exposed for the round-trip property tests.
-void encode(WireWriter& w, const obs::TelemetryConfig& v);
-[[nodiscard]] obs::TelemetryConfig decode_telemetry_config(WireReader& r);
-
-void encode(WireWriter& w, const obs::LabelSet& v);
-[[nodiscard]] obs::LabelSet decode_label_set(WireReader& r);
-
-void encode(WireWriter& w, const ml::ConfusionMatrix& v);
-[[nodiscard]] ml::ConfusionMatrix decode_confusion(WireReader& r);
-
-void encode(WireWriter& w, const obs::MetricsSnapshot& v);
-[[nodiscard]] obs::MetricsSnapshot decode_metrics_snapshot(WireReader& r);
-
-void encode(WireWriter& w, const obs::WindowedSnapshot& v);
-[[nodiscard]] obs::WindowedSnapshot decode_windowed_snapshot(WireReader& r);
-
-void encode(WireWriter& w, const attack::adaptive::EpochScore& v);
-[[nodiscard]] attack::adaptive::EpochScore decode_epoch_score(WireReader& r);
-
-/// One range codec for every engine: begin, end, the cells through their
-/// per-cell codec, then the metrics and windowed snapshots.
+/// One range codec for every engine: begin, end, the cells, then the
+/// metrics and windowed snapshots.
 template <typename Cell>
 [[nodiscard]] std::vector<std::uint8_t> encode_range(
     const RangeOutcome<Cell>& o) {
-  WireWriter w;
-  w.u64(o.begin);
-  w.u64(o.end);
-  w.u64(o.cells.size());
-  for (const Cell& cell : o.cells) {
-    encode(w, cell);
-  }
-  encode(w, o.metrics);
-  encode(w, o.windows);
-  return w.take();
+  return encode(o);
 }
 
 /// Decodes an `Outcome` (a RangeOutcome<Cell>) from the whole span.
 template <typename Outcome>
 [[nodiscard]] Outcome decode_range(std::span<const std::uint8_t> b) {
-  WireReader r{b};
-  Outcome o;
-  o.begin = static_cast<std::size_t>(r.u64());
-  o.end = static_cast<std::size_t>(r.u64());
-  const std::size_t n = r.length();
-  o.cells.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    decode(r, o.cells.emplace_back());
-  }
-  o.metrics = decode_metrics_snapshot(r);
-  o.windows = decode_windowed_snapshot(r);
-  r.require_exhausted();
-  return o;
+  return decode<Outcome>(b);
 }
 
 [[nodiscard]] inline std::vector<std::uint8_t> encode_campaign_range(
@@ -208,6 +122,23 @@ template <typename Outcome>
 [[nodiscard]] inline CampaignRangeOutcome decode_campaign_range(
     std::span<const std::uint8_t> b) {
   return decode_range<CampaignRangeOutcome>(b);
+}
+
+/// Throws util::ByteError unless a decoded `reply` answers `order`: the
+/// ordered range, one cell per id in it, and — when it carries windowed
+/// series — the order's window length (another length could not merge
+/// with the other ranges'). With decode's own checks, every reply this
+/// accepts folds.
+template <typename Cell>
+void check_reply(const RangeOutcome<Cell>& reply, const WorkOrder& order) {
+  if (reply.begin != order.begin || reply.end != order.end ||
+      reply.cells.size() != reply.end - reply.begin) {
+    throw util::ByteError{"wire: worker answered a different range"};
+  }
+  if (!reply.windows.series.empty() &&
+      reply.windows.window_us != order.telemetry.window.count_us()) {
+    throw util::ByteError{"wire: worker used a different window length"};
+  }
 }
 
 }  // namespace reshape::runtime::wire

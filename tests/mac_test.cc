@@ -237,13 +237,5 @@ TEST(CryptoTest, NonceGeneratorNeverRepeatsNearTerm) {
   }
 }
 
-TEST(CryptoTest, U64SerialisationRoundTrips) {
-  std::vector<std::uint8_t> buf;
-  put_u64(buf, 0x1122334455667788ULL);
-  EXPECT_EQ(buf.size(), 8u);
-  EXPECT_EQ(get_u64(buf, 0), 0x1122334455667788ULL);
-  EXPECT_THROW((void)get_u64(buf, 1), std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace reshape::mac

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "attack/sniffer.h"
@@ -14,6 +15,7 @@
 #include "net/virtual_interface.h"
 #include "sim/medium.h"
 #include "sim/simulator.h"
+#include "util/bytes.h"
 
 namespace reshape::net {
 namespace {
@@ -463,52 +465,54 @@ TEST(ConfigProtocolTest, TunedConfigWrongKeyAndCrossTypeRejected) {
 std::vector<std::uint8_t> seal_raw(const std::vector<std::uint8_t>& body,
                                    const mac::StreamCipher& cipher,
                                    std::uint64_t cipher_nonce) {
-  std::vector<std::uint8_t> payload;
-  mac::put_u64(payload, cipher_nonce);
-  const auto ct = cipher.encrypt(body, cipher_nonce);
-  payload.insert(payload.end(), ct.begin(), ct.end());
-  return payload;
+  util::ByteWriter payload;
+  payload.u64(cipher_nonce);
+  payload.bytes(cipher.encrypt(body, cipher_nonce));
+  return payload.take();
 }
 
 TEST(ConfigProtocolTest, ResponseCountOverflowRejected) {
   // A keyed 17-byte response body whose address count wraps 17 + count * 8
   // back to 17: the decoder must reject it, not read past the body.
   const mac::StreamCipher cipher{mac::SymmetricKey{7, 8}};
-  std::vector<std::uint8_t> body;
-  body.push_back(0x02);
-  mac::put_u64(body, 42);                      // nonce
-  mac::put_u64(body, std::uint64_t{1} << 61);  // count
+  util::ByteWriter writer;
+  writer.u8(0x02);
+  writer.u64(42);                      // nonce
+  writer.u64(std::uint64_t{1} << 61);  // count
+  const std::vector<std::uint8_t> body = writer.take();
   ASSERT_EQ(body.size(), 17u);
   EXPECT_FALSE(decode_response(seal_raw(body, cipher, 3), cipher).has_value());
   // The same body with an honest count of zero still decodes.
-  std::vector<std::uint8_t> honest(body.begin(), body.begin() + 9);
-  mac::put_u64(honest, 0);
-  const auto decoded = decode_response(seal_raw(honest, cipher, 3), cipher);
+  util::ByteWriter honest;
+  honest.bytes(std::span{body}.first(9));
+  honest.u64(0);
+  const auto decoded =
+      decode_response(seal_raw(honest.take(), cipher, 3), cipher);
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(decoded->nonce, 42u);
   EXPECT_TRUE(decoded->virtual_addresses.empty());
 }
 
 std::vector<std::uint8_t> tuned_body(const TunedConfigUpdate& update) {
-  std::vector<std::uint8_t> body;
-  body.push_back(0x03);
-  mac::put_u64(body, update.nonce);
-  mac::put_u64(body, update.virtual_addresses.size());
+  util::ByteWriter body;
+  body.u8(0x03);
+  body.u64(update.nonce);
+  body.u64(update.virtual_addresses.size());
   for (const mac::MacAddress& a : update.virtual_addresses) {
-    mac::put_u64(body, a.to_u64());
+    body.u64(a.to_u64());
   }
-  mac::put_u64(body, update.config.range_bounds.size());
+  body.u64(update.config.range_bounds.size());
   for (const std::uint32_t bound : update.config.range_bounds) {
-    mac::put_u64(body, bound);
+    body.u64(bound);
   }
   for (const std::size_t owner : update.config.assignment) {
-    mac::put_u64(body, owner);
+    body.u64(owner);
   }
-  mac::put_u64(body, update.config.interfaces);
+  body.u64(update.config.interfaces);
   for (const std::uint32_t pad : update.config.pad_to) {
-    mac::put_u64(body, pad);
+    body.u64(pad);
   }
-  return body;
+  return body.take();
 }
 
 TEST(ConfigProtocolTest, TunedConfigMalformedBodiesRejected) {

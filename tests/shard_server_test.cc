@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -12,6 +13,7 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -284,31 +286,102 @@ TEST(ShardServerTest, GarbagePayloadIsAWorkerFailure) {
   expect_hostile_run_recovers(config);
 }
 
-TEST(ShardServerTest, WrongRangeReplyIsAWorkerFailure) {
-  // Fork-mode workers that answer the neighbouring range; the
-  // coordinator's own in-process fallback (same factory, same pid as the
-  // test) stays honest.
+/// A fork-mode factory whose workers answer every order with `lie`'s
+/// outcome; the coordinator's own in-process fallback (same factory, same
+/// pid as the test) stays honest.
+std::function<runtime::JobFactory(runtime::CampaignEngine&)> lying_workers(
+    std::function<runtime::CampaignRangeOutcome(
+        runtime::CampaignEngine&, const runtime::wire::WorkOrder&)>
+        lie) {
   const pid_t coordinator = ::getpid();
-  const auto lying = [coordinator](runtime::CampaignEngine& engine) {
-    return runtime::JobFactory{[&engine, coordinator](std::string_view) {
+  return [coordinator, lie](runtime::CampaignEngine& engine) {
+    return runtime::JobFactory{[&engine, coordinator,
+                                lie](std::string_view) {
       runtime::WorkerJob job = runtime::range_job(&engine);
       if (::getpid() != coordinator) {
-        job.run = [&engine](const runtime::wire::WorkOrder& order) {
-          runtime::CampaignRangeOutcome outcome =
-              engine.run_range(order.begin, order.end, order.threads);
-          ++outcome.begin;
-          ++outcome.end;
+        job.run = [&engine, lie](const runtime::wire::WorkOrder& order) {
           return runtime::wire::encode_frame(
               runtime::wire::FrameType::kRange,
-              runtime::wire::encode_range(outcome));
+              runtime::wire::encode_range(lie(engine, order)));
         };
       }
       return job;
     }};
   };
+}
+
+TEST(ShardServerTest, WrongRangeReplyIsAWorkerFailure) {
+  // Fork-mode workers that answer the neighbouring range.
   runtime::ShardConfig config;
   config.workers = 2;
-  expect_hostile_run_recovers(config, lying);
+  expect_hostile_run_recovers(
+      config, lying_workers([](runtime::CampaignEngine& engine,
+                               const runtime::wire::WorkOrder& order) {
+        runtime::CampaignRangeOutcome outcome =
+            engine.run_range(order.begin, order.end, order.threads);
+        ++outcome.begin;
+        ++outcome.end;
+        return outcome;
+      }));
+}
+
+TEST(ShardServerTest, ForeignConfusionShapeIsAWorkerFailure) {
+  // The right range, but a 2-class confusion matrix the fold's 7-class
+  // aggregates could not merge: decode must refuse it.
+  runtime::ShardConfig config;
+  config.workers = 2;
+  expect_hostile_run_recovers(
+      config, lying_workers([](runtime::CampaignEngine& engine,
+                               const runtime::wire::WorkOrder& order) {
+        runtime::CampaignRangeOutcome outcome =
+            engine.run_range(order.begin, order.end, order.threads);
+        outcome.cells.front().evaluation.confusion = ml::ConfusionMatrix{2};
+        return outcome;
+      }));
+}
+
+TEST(ShardServerTest, ForeignWindowLengthIsAWorkerFailure) {
+  // Workers that window their telemetry at another length than ordered:
+  // their series could not merge with the honest ranges'.
+  runtime::ShardConfig config;
+  config.workers = 2;
+  expect_hostile_run_recovers(
+      config, lying_workers([](runtime::CampaignEngine& engine,
+                               const runtime::wire::WorkOrder& order) {
+        obs::TelemetryConfig foreign = order.telemetry;
+        foreign.window = foreign.window + util::Duration::seconds(1.0);
+        engine.set_telemetry(foreign);
+        return engine.run_range(order.begin, order.end, order.threads);
+      }));
+}
+
+TEST(ShardServerTest, ForgedSeriesKeyClashIsAWorkerFailure) {
+  // Each reply is well formed and answers its order, but also carries a
+  // series forged with another cell's key and another metric kind: no
+  // per-reply check can see the clash, the fold can.
+  runtime::ShardConfig config;
+  config.workers = 2;
+  expect_hostile_run_recovers(
+      config, lying_workers([](runtime::CampaignEngine& engine,
+                               const runtime::wire::WorkOrder& order) {
+        runtime::CampaignRangeOutcome outcome =
+            engine.run_range(order.begin, order.end, order.threads);
+        const std::size_t other =
+            order.begin == 0 ? engine.cell_count() - 1 : 0;
+        obs::SeriesSnapshot forged =
+            engine.run_range(other, other + 1, 1).metrics.series.front();
+        forged.kind = forged.kind == obs::MetricKind::kCounter
+                          ? obs::MetricKind::kGauge
+                          : obs::MetricKind::kCounter;
+        const auto key = [](const obs::SeriesSnapshot& s) {
+          return std::tie(s.name, s.labels);
+        };
+        std::vector<obs::SeriesSnapshot>& series = outcome.metrics.series;
+        series.insert(
+            std::ranges::upper_bound(series, key(forged), std::less<>{}, key),
+            forged);
+        return outcome;
+      }));
 }
 
 /// One range per (begin, end) pair, each holding end - begin default cells.

@@ -1,5 +1,6 @@
 // Unit tests for src/util: RNG determinism, statistics, histograms,
-// empirical distributions, time arithmetic, and the table printer.
+// empirical distributions, time arithmetic, the table printer, and the
+// byte codec.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -7,9 +8,12 @@
 #include <cstdint>
 #include <limits>
 #include <numeric>
+#include <span>
 #include <sstream>
+#include <string>
 #include <vector>
 
+#include "util/bytes.h"
 #include "util/check.h"
 #include "util/distribution.h"
 #include "util/rng.h"
@@ -453,7 +457,7 @@ TEST(RadixSortTest, EqualsStdSort) {
     std::vector<std::uint64_t> keys(5000);
     for (std::uint64_t& key : keys) {
       key = static_cast<std::uint64_t>(rng.uniform_int(
-          0, (std::int64_t{1} << bits) - 1));
+          0, static_cast<std::int64_t>((std::uint64_t{1} << bits) - 1)));
     }
     inputs.push_back(std::move(keys));
   }
@@ -563,6 +567,40 @@ TEST(TablePrinterTest, FmtPrecision) {
   EXPECT_EQ(TablePrinter::fmt(3.14159, 2), "3.14");
   EXPECT_EQ(TablePrinter::fmt(83.238, 1), "83.2");
   EXPECT_EQ(TablePrinter::fmt(1.0, 0), "1");
+}
+
+// --------------------------------------------------------------- bytes ---
+
+TEST(BytesTest, LittleEndianRoundTripAndBoundsChecked) {
+  ByteWriter writer;
+  writer.u64(0x1122334455667788ULL);
+  ASSERT_EQ(writer.buffer().size(), 8u);
+  EXPECT_EQ(writer.buffer().front(), 0x88);  // least significant byte first
+  EXPECT_EQ(writer.buffer().back(), 0x11);
+  writer.u8(0xAB);
+  writer.u16(0xBEEF);
+  writer.u32(0xDEADBEEFu);
+  writer.i64(-5);
+  writer.f64(-std::numeric_limits<double>::infinity());
+  writer.str("hi");
+
+  ByteReader reader{writer.buffer()};
+  EXPECT_EQ(reader.u64(), 0x1122334455667788ULL);
+  EXPECT_EQ(reader.u8(), 0xAB);
+  EXPECT_EQ(reader.u16(), 0xBEEF);
+  EXPECT_EQ(reader.u32(), 0xDEADBEEFu);
+  EXPECT_EQ(reader.i64(), -5);
+  EXPECT_EQ(reader.f64(), -std::numeric_limits<double>::infinity());
+  EXPECT_EQ(reader.str(), "hi");
+  reader.require_exhausted();
+  EXPECT_THROW((void)reader.u8(), ByteError);
+
+  // A read past the end throws instead of returning a partial value.
+  ByteReader short_reader{std::span{writer.buffer()}.first(7)};
+  EXPECT_THROW((void)short_reader.u64(), ByteError);
+  ByteReader unfinished{writer.buffer()};
+  (void)unfinished.u64();
+  EXPECT_THROW(unfinished.require_exhausted(), ByteError);
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include <limits>
 #include <span>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/scheduler.h"
@@ -33,6 +34,8 @@ using namespace reshape::runtime;
 
 // ---------------------------------------------------------------- fixtures
 
+constexpr int kApps = static_cast<int>(traffic::kAppCount);
+
 wire::WorkOrder sample_order() {
   wire::WorkOrder order;
   order.job = "campaign";
@@ -47,7 +50,18 @@ wire::WorkOrder sample_order() {
 }
 
 obs::MetricsSnapshot sample_metrics() {
-  obs::MetricsSnapshot snapshot;
+  obs::MetricsSnapshot snapshot;  // sorted by (name, labels)
+
+  obs::SeriesSnapshot histogram;
+  histogram.name = "campaign_cell_latency_us";
+  histogram.kind = obs::MetricKind::kHistogram;
+  histogram.histogram.upper_bounds = {10.0, 100.0, 1000.0};
+  histogram.histogram.counts = {1, 2, 3, 0};
+  histogram.histogram.count = 6;
+  histogram.histogram.sum = 1234.5;
+  histogram.histogram.min = 4.0;
+  histogram.histogram.max = 900.0;
+  snapshot.series.push_back(histogram);
 
   obs::SeriesSnapshot counter;
   counter.name = "campaign_cells_total";
@@ -63,17 +77,6 @@ obs::MetricsSnapshot sample_metrics() {
   gauge.kind = obs::MetricKind::kGauge;
   gauge.gauge = 87.25;
   snapshot.series.push_back(gauge);
-
-  obs::SeriesSnapshot histogram;
-  histogram.name = "campaign_cell_latency_us";
-  histogram.kind = obs::MetricKind::kHistogram;
-  histogram.histogram.upper_bounds = {10.0, 100.0, 1000.0};
-  histogram.histogram.counts = {1, 2, 3};
-  histogram.histogram.count = 6;
-  histogram.histogram.sum = 1234.5;
-  histogram.histogram.min = 4.0;
-  histogram.histogram.max = 900.0;
-  snapshot.series.push_back(histogram);
 
   return snapshot;
 }
@@ -104,10 +107,10 @@ attack::adaptive::EpochScore sample_epoch() {
   score.start = util::TimePoint::from_microseconds(1'000'000);
   score.end = util::TimePoint::from_microseconds(11'000'000);
   score.windows = 5;
-  score.confusion = ml::ConfusionMatrix{3};
+  score.confusion = ml::ConfusionMatrix{kApps};
   score.confusion.add(0, 0);
   score.confusion.add(1, 2);
-  score.static_confusion = ml::ConfusionMatrix{3};
+  score.static_confusion = ml::ConfusionMatrix{kApps};
   score.static_confusion.add(2, 2);
   score.labels_correct = 9;
   score.labels_assigned = 11;
@@ -201,18 +204,17 @@ TEST(WireTest, EmptyWorkOrderRoundTrip) {
 
 TEST(WireTest, TelemetryConfigRoundTripAllCombinations) {
   for (int bits = 0; bits < 64; ++bits) {
-    obs::TelemetryConfig config;
+    wire::WorkOrder order;
+    obs::TelemetryConfig& config = order.telemetry;
     config.metrics = (bits & 1) != 0;
     config.profiling = (bits & 2) != 0;
     config.tracing = (bits & 4) != 0;
     config.windowed = (bits & 8) != 0;
     config.privacy = (bits & 16) != 0;
     config.privacy_pairs = (bits & 32) != 0;
-    wire::WireWriter writer;
-    wire::encode(writer, config);
-    wire::WireReader reader{writer.buffer()};
-    EXPECT_EQ(wire::decode_telemetry_config(reader), config);
-    reader.require_exhausted();
+    EXPECT_EQ(
+        wire::decode_work_order(wire::encode_work_order(order)).telemetry,
+        config);
   }
 }
 
@@ -221,33 +223,26 @@ TEST(WireTest, LabelSetRoundTrip) {
   labels.set("defense", "OR");
   labels.set("scenario", "dense-wlan");
   labels.set("shard", "3");
-  wire::WireWriter writer;
-  wire::encode(writer, labels);
-  wire::WireReader reader{writer.buffer()};
-  EXPECT_EQ(wire::decode_label_set(reader), labels);
-  reader.require_exhausted();
-
-  wire::WireWriter empty_writer;
-  wire::encode(empty_writer, obs::LabelSet{});
-  wire::WireReader empty_reader{empty_writer.buffer()};
-  EXPECT_EQ(wire::decode_label_set(empty_reader), obs::LabelSet{});
+  EXPECT_EQ(wire::decode<obs::LabelSet>(wire::encode(labels)), labels);
+  EXPECT_EQ(wire::decode<obs::LabelSet>(wire::encode(obs::LabelSet{})),
+            obs::LabelSet{});
 }
 
 TEST(WireTest, ConfusionRoundTrip) {
-  ml::ConfusionMatrix confusion{4};
+  ml::ConfusionMatrix confusion{kApps};
   confusion.add(0, 0);
   confusion.add(0, 3);
   confusion.add(2, 1);
   confusion.add(3, 3);
-  wire::WireWriter writer;
-  wire::encode(writer, confusion);
-  wire::WireReader reader{writer.buffer()};
-  const ml::ConfusionMatrix back = wire::decode_confusion(reader);
-  reader.require_exhausted();
+  attack::adaptive::EpochScore score = sample_epoch();
+  score.confusion = confusion;
+  const ml::ConfusionMatrix back =
+      wire::decode<attack::adaptive::EpochScore>(wire::encode(score))
+          .confusion;
   ASSERT_EQ(back.num_classes(), confusion.num_classes());
   EXPECT_EQ(back.total(), confusion.total());
-  for (int truth = 0; truth < 4; ++truth) {
-    for (int predicted = 0; predicted < 4; ++predicted) {
+  for (int truth = 0; truth < kApps; ++truth) {
+    for (int predicted = 0; predicted < kApps; ++predicted) {
       EXPECT_EQ(back.count(truth, predicted), confusion.count(truth, predicted))
           << truth << "," << predicted;
     }
@@ -256,17 +251,12 @@ TEST(WireTest, ConfusionRoundTrip) {
 
 TEST(WireTest, MetricsSnapshotRoundTrip) {
   const obs::MetricsSnapshot snapshot = sample_metrics();
-  wire::WireWriter writer;
-  wire::encode(writer, snapshot);
-  wire::WireReader reader{writer.buffer()};
-  const obs::MetricsSnapshot back = wire::decode_metrics_snapshot(reader);
-  reader.require_exhausted();
+  const std::vector<std::uint8_t> bytes = wire::encode(snapshot);
+  const obs::MetricsSnapshot back = wire::decode<obs::MetricsSnapshot>(bytes);
 
   // Compare through a re-encode: SeriesSnapshot has no operator==, and
   // byte equality is exactly the property the shard server needs.
-  wire::WireWriter again;
-  wire::encode(again, back);
-  EXPECT_EQ(again.buffer(), writer.buffer());
+  EXPECT_EQ(wire::encode(back), bytes);
 }
 
 TEST(WireTest, EmptyHistogramSentinelsSurvive) {
@@ -278,13 +268,11 @@ TEST(WireTest, EmptyHistogramSentinelsSurvive) {
   series.name = "latency_us";
   series.kind = obs::MetricKind::kHistogram;
   series.histogram.upper_bounds = obs::latency_us_buckets();
-  series.histogram.counts.assign(series.histogram.upper_bounds.size(), 0);
+  series.histogram.counts.assign(series.histogram.upper_bounds.size() + 1, 0);
   snapshot.series.push_back(series);
 
-  wire::WireWriter writer;
-  wire::encode(writer, snapshot);
-  wire::WireReader reader{writer.buffer()};
-  const obs::MetricsSnapshot back = wire::decode_metrics_snapshot(reader);
+  const obs::MetricsSnapshot back =
+      wire::decode<obs::MetricsSnapshot>(wire::encode(snapshot));
   ASSERT_EQ(back.series.size(), 1u);
   EXPECT_EQ(back.series[0].histogram.min,
             std::numeric_limits<double>::infinity());
@@ -294,23 +282,15 @@ TEST(WireTest, EmptyHistogramSentinelsSurvive) {
 
 TEST(WireTest, WindowedSnapshotRoundTrip) {
   const obs::WindowedSnapshot snapshot = sample_windows();
-  wire::WireWriter writer;
-  wire::encode(writer, snapshot);
-  wire::WireReader reader{writer.buffer()};
-  const obs::WindowedSnapshot back = wire::decode_windowed_snapshot(reader);
-  reader.require_exhausted();
-  wire::WireWriter again;
-  wire::encode(again, back);
-  EXPECT_EQ(again.buffer(), writer.buffer());
+  const std::vector<std::uint8_t> bytes = wire::encode(snapshot);
+  const obs::WindowedSnapshot back = wire::decode<obs::WindowedSnapshot>(bytes);
+  EXPECT_EQ(wire::encode(back), bytes);
 }
 
 TEST(WireTest, EpochScoreRoundTrip) {
   const attack::adaptive::EpochScore score = sample_epoch();
-  wire::WireWriter writer;
-  wire::encode(writer, score);
-  wire::WireReader reader{writer.buffer()};
-  const attack::adaptive::EpochScore back = wire::decode_epoch_score(reader);
-  reader.require_exhausted();
+  const attack::adaptive::EpochScore back =
+      wire::decode<attack::adaptive::EpochScore>(wire::encode(score));
   EXPECT_EQ(back.epoch, score.epoch);
   EXPECT_EQ(back.start.count_us(), score.start.count_us());
   EXPECT_EQ(back.end.count_us(), score.end.count_us());
@@ -396,7 +376,7 @@ TEST(WireTest, BadMagicRejected) {
   EXPECT_THROW(
       (void)wire::decode_frame_header(
           std::span{frame}.first(wire::kFrameHeaderSize)),
-      wire::WireError);
+      util::ByteError);
 }
 
 TEST(WireTest, VersionMismatchRejected) {
@@ -407,7 +387,7 @@ TEST(WireTest, VersionMismatchRejected) {
   EXPECT_THROW(
       (void)wire::decode_frame_header(
           std::span{frame}.first(wire::kFrameHeaderSize)),
-      wire::WireError);
+      util::ByteError);
 }
 
 TEST(WireTest, UnknownFrameTypeRejected) {
@@ -418,12 +398,12 @@ TEST(WireTest, UnknownFrameTypeRejected) {
   EXPECT_THROW(
       (void)wire::decode_frame_header(
           std::span{frame}.first(wire::kFrameHeaderSize)),
-      wire::WireError);
+      util::ByteError);
   frame[6] = 0;  // type 0 is below the valid range too
   EXPECT_THROW(
       (void)wire::decode_frame_header(
           std::span{frame}.first(wire::kFrameHeaderSize)),
-      wire::WireError);
+      util::ByteError);
 }
 
 TEST(WireTest, TruncatedHeaderRejected) {
@@ -432,7 +412,7 @@ TEST(WireTest, TruncatedHeaderRejected) {
   for (std::size_t len = 0; len < wire::kFrameHeaderSize; ++len) {
     EXPECT_THROW(
         (void)wire::decode_frame_header(std::span{frame}.first(len)),
-        wire::WireError)
+        util::ByteError)
         << "header prefix of " << len << " bytes parsed";
   }
 }
@@ -445,7 +425,7 @@ TEST(WireTest, TruncatedWorkOrderRejected) {
   for (std::size_t len = 0; len < payload.size(); ++len) {
     const std::vector<std::uint8_t> truncated(payload.begin(),
                                               payload.begin() + len);
-    EXPECT_THROW((void)wire::decode_work_order(truncated), wire::WireError)
+    EXPECT_THROW((void)wire::decode_work_order(truncated), util::ByteError)
         << "prefix of " << len << " bytes parsed";
   }
 }
@@ -458,7 +438,7 @@ TEST(WireTest, TruncatedCampaignRangeRejected) {
   for (std::size_t len = 0; len < payload.size(); len += 13) {
     const std::vector<std::uint8_t> truncated(payload.begin(),
                                               payload.begin() + len);
-    EXPECT_THROW((void)wire::decode_campaign_range(truncated), wire::WireError)
+    EXPECT_THROW((void)wire::decode_campaign_range(truncated), util::ByteError)
         << "prefix of " << len << " bytes parsed";
   }
 }
@@ -466,31 +446,145 @@ TEST(WireTest, TruncatedCampaignRangeRejected) {
 TEST(WireTest, TrailingBytesRejected) {
   std::vector<std::uint8_t> payload = wire::encode_work_order(sample_order());
   payload.push_back(0x00);
-  EXPECT_THROW((void)wire::decode_work_order(payload), wire::WireError);
+  EXPECT_THROW((void)wire::decode_work_order(payload), util::ByteError);
 }
 
 TEST(WireTest, ImpossibleLengthRejected) {
   // A corrupt element count larger than the bytes that remain must be
   // rejected up front, not trusted into a giant allocation.
-  wire::WireWriter writer;
+  util::ByteWriter writer;
   writer.u64(std::numeric_limits<std::uint64_t>::max());
-  wire::WireReader reader{writer.buffer()};
-  EXPECT_THROW((void)reader.length(), wire::WireError);
+  util::ByteReader reader{writer.buffer()};
+  EXPECT_THROW((void)reader.length(), util::ByteError);
 }
 
 TEST(WireTest, ImpossibleConfusionShapeRejected) {
   // classes=0 and a quadratic cell count that cannot fit are both
-  // malformed shapes, not allocation requests.
-  wire::WireWriter zero;
-  zero.u32(0);
-  wire::WireReader zero_reader{zero.buffer()};
-  EXPECT_THROW((void)wire::decode_confusion(zero_reader), wire::WireError);
+  // malformed shapes, not allocation requests. An epoch score's
+  // confusion follows its four 8-byte fields.
+  const auto epoch_with_classes = [](std::uint32_t classes) {
+    util::ByteWriter writer;
+    for (int field = 0; field < 4; ++field) {
+      writer.u64(0);
+    }
+    writer.u32(classes);
+    writer.u64(0);
+    return writer.take();
+  };
+  EXPECT_THROW((void)wire::decode<attack::adaptive::EpochScore>(
+                   epoch_with_classes(0)),
+               util::ByteError);
+  // 2^32 cells of 8 bytes each cannot follow
+  EXPECT_THROW((void)wire::decode<attack::adaptive::EpochScore>(
+                   epoch_with_classes(0x10000)),
+               util::ByteError);
+}
 
-  wire::WireWriter huge;
-  huge.u32(0x10000);  // 2^32 cells of 8 bytes each cannot follow
-  huge.u64(0);
-  wire::WireReader huge_reader{huge.buffer()};
-  EXPECT_THROW((void)wire::decode_confusion(huge_reader), wire::WireError);
+// ------------------------------------------------- replies the fold refuses
+//
+// Decode rejects what a coordinator's fold could not merge, so a hostile
+// worker's reply becomes a worker failure instead of an exception (or an
+// out-of-bounds read) inside the fold.
+
+TEST(WireTest, ForeignConfusionShapeRejected) {
+  attack::adaptive::EpochScore score = sample_epoch();
+  score.confusion = ml::ConfusionMatrix{2};
+  EXPECT_THROW((void)wire::decode<attack::adaptive::EpochScore>(
+                   wire::encode(score)),
+               util::ByteError);
+  CampaignRangeOutcome outcome = sample_campaign_range();
+  outcome.cells[1].evaluation.confusion = ml::ConfusionMatrix{kApps + 1};
+  EXPECT_THROW((void)wire::decode_campaign_range(wire::encode_range(outcome)),
+               util::ByteError);
+}
+
+TEST(WireTest, MalformedHistogramRejected) {
+  const auto decode_with = [](const obs::HistogramData& histogram) {
+    obs::SeriesSnapshot series;
+    series.name = "latency_us";
+    series.kind = obs::MetricKind::kHistogram;
+    series.histogram = histogram;
+    obs::MetricsSnapshot snapshot;
+    snapshot.series.push_back(series);
+    return wire::decode<obs::MetricsSnapshot>(wire::encode(snapshot));
+  };
+  obs::HistogramData histogram;
+  histogram.upper_bounds = {1.0, 2.0};
+  histogram.counts = {0, 0, 0};
+  EXPECT_NO_THROW((void)decode_with(histogram));
+
+  histogram.counts = {0, 0};  // no overflow bucket: merge would read past it
+  EXPECT_THROW((void)decode_with(histogram), util::ByteError);
+  histogram.counts = {0, 0, 0, 0};
+  EXPECT_THROW((void)decode_with(histogram), util::ByteError);
+  histogram.counts = {0, 0, 0};
+  histogram.upper_bounds = {2.0, 2.0};
+  EXPECT_THROW((void)decode_with(histogram), util::ByteError);
+  histogram.upper_bounds = {std::numeric_limits<double>::quiet_NaN(), 2.0};
+  EXPECT_THROW((void)decode_with(histogram), util::ByteError);
+
+  // A counter or gauge series carries no buckets to merge.
+  obs::MetricsSnapshot counter;
+  counter.series.emplace_back().name = "cells_total";
+  EXPECT_NO_THROW(
+      (void)wire::decode<obs::MetricsSnapshot>(wire::encode(counter)));
+}
+
+TEST(WireTest, UnsortedSeriesRejected) {
+  obs::MetricsSnapshot metrics = sample_metrics();
+  std::swap(metrics.series[0], metrics.series[1]);
+  EXPECT_THROW(
+      (void)wire::decode<obs::MetricsSnapshot>(wire::encode(metrics)),
+      util::ByteError);
+  metrics.series[1] = metrics.series[0];  // a duplicate key
+  EXPECT_THROW(
+      (void)wire::decode<obs::MetricsSnapshot>(wire::encode(metrics)),
+      util::ByteError);
+
+  obs::WindowedSnapshot windows = sample_windows();
+  windows.series.push_back(windows.series.front());
+  EXPECT_THROW(
+      (void)wire::decode<obs::WindowedSnapshot>(wire::encode(windows)),
+      util::ByteError);
+}
+
+TEST(WireTest, NonAscendingWindowPointsRejected) {
+  obs::WindowedSnapshot windows = sample_windows();
+  std::vector<obs::WindowPoint>& points = windows.series.front().points;
+  std::swap(points.front(), points.back());
+  EXPECT_THROW(
+      (void)wire::decode<obs::WindowedSnapshot>(wire::encode(windows)),
+      util::ByteError);
+  points.back() = points.front();  // a repeated window index
+  EXPECT_THROW(
+      (void)wire::decode<obs::WindowedSnapshot>(wire::encode(windows)),
+      util::ByteError);
+}
+
+TEST(WireTest, ReplyCheckMatchesTheOrder) {
+  CampaignRangeOutcome reply = sample_campaign_range();
+  wire::WorkOrder order;
+  order.begin = reply.begin;
+  order.end = reply.end;
+  order.telemetry.window = util::Duration::microseconds(reply.windows.window_us);
+  EXPECT_NO_THROW(wire::check_reply(reply, order));
+
+  wire::WorkOrder shifted = order;
+  ++shifted.begin;
+  ++shifted.end;
+  EXPECT_THROW(wire::check_reply(reply, shifted), util::ByteError);
+
+  CampaignRangeOutcome short_reply = reply;
+  short_reply.cells.pop_back();
+  EXPECT_THROW(wire::check_reply(short_reply, order), util::ByteError);
+
+  // Windows of another length could not merge with the other ranges'.
+  wire::WorkOrder other_window = order;
+  other_window.telemetry.window = util::Duration::seconds(60.0);
+  EXPECT_THROW(wire::check_reply(reply, other_window), util::ByteError);
+  // ...but a reply without windowed series has nothing to merge.
+  reply.windows = obs::WindowedSnapshot{};
+  EXPECT_NO_THROW(wire::check_reply(reply, other_window));
 }
 
 // --------------------------------------------------------------- byte pins
@@ -518,8 +612,6 @@ void expect_pinned(std::span<const std::uint8_t> bytes, std::uint64_t expected,
       << what << ": digest 0x" << std::hex << digest << std::dec << " over "
       << bytes.size() << " bytes";
 }
-
-constexpr int kApps = static_cast<int>(traffic::kAppCount);
 
 ml::ConfusionMatrix pin_confusion(int salt) {
   ml::ConfusionMatrix confusion{kApps};

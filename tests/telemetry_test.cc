@@ -7,9 +7,16 @@
 //    reshaper -> arbiter -> sniffer chain, the per-hop spans sum EXACTLY
 //    (integer microseconds) to the end-to-end latency, and an uncontended
 //    channel shows zero backoff.
+//  * Byte pins: FNV-1a digests of the telemetry documents of a small
+//    campaign and a small adaptive campaign, of a cross-run fold of two
+//    campaigns' snapshots, and of the alerts the drift/SLO/privacy rules
+//    raise over the adaptive run's windows.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <ios>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "attack/sniffer.h"
@@ -20,6 +27,9 @@
 #include "net/client.h"
 #include "obs/export.h"
 #include "obs/packet_trace.h"
+#include "obs/privacy.h"
+#include "obs/slo.h"
+#include "runtime/adaptive_campaign.h"
 #include "runtime/campaign.h"
 #include "runtime/scenario.h"
 #include "sim/channel/channel_arbiter.h"
@@ -107,6 +117,122 @@ TEST(TelemetryDeterminismTest, CampaignReportUnmovedAndSnapshotStable) {
   EXPECT_NE(doc.find("\"windows\":"), std::string::npos);
   EXPECT_NE(doc.find("\"profile\":"), std::string::npos);
   EXPECT_EQ(baseline.find("\"profile\":"), std::string::npos);
+}
+
+// ---------------------------------------------------------------- byte pins
+//
+// The determinism tests above compare runs with each other, so a change
+// that moves every run alike passes them. These digests pin the bytes:
+// the telemetry document of one campaign and one adaptive campaign with
+// metrics, windowed, privacy and per-pair series on (profiling off: host
+// timings are not deterministic), a fold of two campaigns' snapshots whose
+// series keys coincide (so counters, gauges, histograms and window
+// accumulators all take their merge branch), and the alerts of a
+// Page–Hinkley rule, a mean-floor SloRule and the privacy rule set over
+// the adaptive run's windows. A digest changes only when a telemetry or
+// alert byte does.
+
+std::uint64_t fnv1a(std::string_view bytes) {
+  std::uint64_t hash = 0xCBF29CE484222325ULL;
+  for (const char c : bytes) {
+    hash = (hash ^ static_cast<std::uint8_t>(c)) * 0x100000001B3ULL;
+  }
+  return hash;
+}
+
+void expect_pinned(std::string_view bytes, std::uint64_t expected,
+                   std::string_view what) {
+  const std::uint64_t digest = fnv1a(bytes);
+  EXPECT_EQ(digest, expected)
+      << what << ": digest 0x" << std::hex << digest << std::dec << " over "
+      << bytes.size() << " bytes";
+}
+
+obs::TelemetryConfig pinned_telemetry(util::Duration window) {
+  obs::TelemetryConfig config;
+  config.metrics = true;
+  config.windowed = true;
+  config.privacy = true;
+  config.privacy_pairs = true;
+  config.window = window;
+  return config;
+}
+
+runtime::AdaptiveCampaignSpec pinned_adaptive() {
+  runtime::AdaptiveCampaignSpec spec;
+  spec.seed = 0xD21F7;
+  spec.bootstrap.seed = 777;
+  spec.bootstrap.train_sessions_per_app = 2;
+  spec.bootstrap.train_session_duration = Duration::seconds(30.0);
+  spec.attacker.cadence = Duration::seconds(15.0);
+  spec.defenses.push_back({"Original", eval::no_defense_factory()});
+  spec.defenses.push_back(
+      {"OR", eval::reshaping_factory(core::SchedulerKind::kOrthogonal, 3)});
+  spec.scenarios.push_back(
+      runtime::monitored_drift(3, Duration::seconds(90.0), /*shift=*/true));
+  spec.shards = 1;
+  return spec;
+}
+
+TEST(TelemetryPinTest, CampaignTelemetryBytes) {
+  runtime::CampaignEngine engine{tiny_campaign()};
+  engine.set_telemetry(pinned_telemetry(Duration::seconds(5.0)));
+  (void)engine.run(2);
+  expect_pinned(engine.telemetry_to_json(), 0x1a91b1f8f075dabfULL,
+                "campaign telemetry");
+}
+
+TEST(TelemetryPinTest, CrossRunFoldBytes) {
+  // Two seeds of the same grid share every series key, so the fold walks
+  // the equal-key branch of both merges for every series kind.
+  runtime::CampaignSpec other_spec = tiny_campaign();
+  other_spec.seed = 0x0B6;
+  runtime::CampaignEngine first{tiny_campaign()};
+  runtime::CampaignEngine second{other_spec};
+  for (runtime::CampaignEngine* engine : {&first, &second}) {
+    engine->set_telemetry(pinned_telemetry(Duration::seconds(5.0)));
+    (void)engine->run(2);
+  }
+  obs::MetricsSnapshot metrics = first.telemetry();
+  metrics.merge(second.telemetry());
+  obs::WindowedSnapshot windows = first.windowed();
+  windows.merge(second.windowed());
+  expect_pinned(metrics.to_json(), 0xd40e4318889d3428ULL, "folded metrics");
+  expect_pinned(windows.to_json(), 0x6f91d2a72c6bd851ULL, "folded windows");
+}
+
+TEST(TelemetryPinTest, AdaptiveTelemetryAndAlertBytes) {
+  runtime::AdaptiveCampaignEngine engine{pinned_adaptive()};
+  engine.set_telemetry(pinned_telemetry(Duration::seconds(15.0)));
+  (void)engine.run(2);
+  expect_pinned(engine.telemetry_to_json(), 0x3335dd98be383ed6ULL,
+                "adaptive telemetry");
+
+  const obs::WindowedSnapshot& windows = engine.windowed();
+  std::vector<obs::DriftRule> drift_rules(1);
+  drift_rules[0].name = "adaptive-accuracy-drift";
+  drift_rules[0].series = "adaptive_accuracy_percent";
+  drift_rules[0].params.warmup = 2;
+  drift_rules.push_back(obs::privacy_drift_rule());
+
+  std::vector<obs::SloRule> slo_rules(1);
+  slo_rules[0].name = "adaptive-accuracy-floor";
+  slo_rules[0].series = "adaptive_accuracy_percent";
+  slo_rules[0].comparison = obs::SloComparison::kBelow;
+  slo_rules[0].threshold = 50.0;
+  for (obs::SloRule& rule : obs::privacy_slo_rules(obs::PrivacyBudgets{})) {
+    slo_rules.push_back(std::move(rule));
+  }
+
+  const std::vector<obs::AlertRecord> drift =
+      obs::evaluate_drift(drift_rules, windows);
+  const std::vector<obs::AlertRecord> slo =
+      obs::evaluate_slo(slo_rules, windows);
+  EXPECT_FALSE(drift.empty());
+  EXPECT_FALSE(slo.empty());
+  expect_pinned(obs::alerts_to_json(drift), 0x4b97abbbf2ee7d1bULL,
+                "drift alerts");
+  expect_pinned(obs::alerts_to_json(slo), 0xe4eecd1d4decd220ULL, "slo alerts");
 }
 
 TEST(PacketTraceGoldenTest, SpansSumExactlyToEndToEndOnLiveStack) {

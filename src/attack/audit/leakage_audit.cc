@@ -172,23 +172,9 @@ double NearestCentroidProbe::margin(std::span<const double> row) const {
   return denom > 0.0 ? (far - near) / denom : 0.0;
 }
 
-double NearestCentroidProbe::mean_margin(
-    std::span<const std::vector<double>> rows) const {
-  if (!ready() || rows.empty()) {
-    return 0.0;
-  }
-  double total = 0.0;
-  for (const std::vector<double>& row : rows) {
-    total += margin(row);
-  }
-  return total / static_cast<double>(rows.size());
-}
-
 LeakageAuditor::LeakageAuditor(AuditConfig config) : config_{config} {
   util::require(config_.window.count_us() > 0,
                 "LeakageAuditor: window must be positive");
-  util::require(config_.max_streams_per_window >= 2,
-                "LeakageAuditor: pairwise cap must allow a pair");
 }
 
 void LeakageAuditor::observe(std::uint64_t station, util::TimePoint at,
@@ -199,30 +185,6 @@ void LeakageAuditor::observe(std::uint64_t station, util::TimePoint at,
                 "LeakageAuditor: station already observed as a borrowed flow");
   per.trace.push_back(at, size_bytes, direction);
   per.rssi_dbm.push_back(rssi_dbm);
-}
-
-void LeakageAuditor::observe(const CaptureColumns& captures) {
-  for (std::size_t i = 0; i < captures.size(); ++i) {
-    observe(captures.station[i],
-            util::TimePoint::from_microseconds(captures.time_us[i]),
-            captures.size_bytes[i], captures.direction[i],
-            captures.rssi_dbm[i]);
-  }
-}
-
-void LeakageAuditor::observe_flow(std::uint64_t station,
-                                  const traffic::Trace& flow,
-                                  double mean_rssi) {
-  PerStation& per = stations_[station];
-  util::require(per.view.empty(),
-                "LeakageAuditor: station already observed as a borrowed flow");
-  if (per.trace.empty()) {
-    per.trace = flow;
-  } else {
-    per.trace.append(flow);
-  }
-  per.flat_rssi = mean_rssi;
-  per.has_flat_rssi = true;
 }
 
 void LeakageAuditor::observe_flow(std::uint64_t station,
@@ -483,7 +445,7 @@ std::vector<obs::WindowLeakage> LeakageAuditor::reduce() const {
     for (const StreamWindow& s : streams) {
       sel.push_back(&s);
     }
-    if (sel.size() > config_.max_streams_per_window) {
+    if (sel.size() > kMaxStreamsPerWindow) {
       std::sort(sel.begin(), sel.end(),
                 [](const StreamWindow* a, const StreamWindow* b) {
                   if (a->bytes != b->bytes) {
@@ -491,7 +453,7 @@ std::vector<obs::WindowLeakage> LeakageAuditor::reduce() const {
                   }
                   return a->station < b->station;
                 });
-      sel.resize(config_.max_streams_per_window);
+      sel.resize(kMaxStreamsPerWindow);
       std::sort(sel.begin(), sel.end(),
                 [](const StreamWindow* a, const StreamWindow* b) {
                   return a->station < b->station;

@@ -40,20 +40,20 @@
 
 namespace reshape::attack::audit {
 
-/// Reduction knobs. The histogram geometry and the activity floor are
-/// fixed constants (leakage_audit.cc), so divergences are comparable
-/// across windows, cells, and runs.
+/// Pairwise work is O(streams^2) per window; windows with more active
+/// streams than this are reduced over the top-kMaxStreamsPerWindow
+/// streams by byte volume (ties broken toward the lower station id —
+/// deterministic). Balance/anonymity still count every active stream.
+inline constexpr std::size_t kMaxStreamsPerWindow = 64;
+
+/// Reduction knobs. The histogram geometry, the activity floor and the
+/// pairwise cap are fixed constants, so divergences are comparable across
+/// windows, cells, and runs.
 struct AuditConfig {
   /// Audit window length (sim time); engines override it with the
   /// windowed registry's window so leakage series align with the rest of
   /// the telemetry.
   util::Duration window = util::Duration::seconds(5.0);
-
-  /// Pairwise work is O(streams^2) per window; windows with more active
-  /// streams than this are reduced over the top-`max_streams_per_window`
-  /// streams by byte volume (ties broken toward the lower station id —
-  /// deterministic). Balance/anonymity still count every active stream.
-  std::size_t max_streams_per_window = 64;
 
   /// Also emit one privacy_pairwise_jsd_bits entry per stream pair
   /// (the linkability-matrix input; off by default — it is O(pairs)
@@ -81,15 +81,10 @@ class NearestCentroidProbe {
 
   [[nodiscard]] const AttackConfig& attack() const { return attack_; }
 
-  /// Margin of one raw (unscaled) feature row — the summand of
-  /// mean_margin. 0.0 when not ready.
+  /// Margin of one raw (unscaled) feature row, in [0, 1]; 0.0 when not
+  /// ready. The proxy accuracy of a window is 100 x the mean margin of
+  /// its rows.
   [[nodiscard]] double margin(std::span<const double> row) const;
-
-  /// Mean margin over raw (unscaled) feature rows, in [0, 1]; 0.0 when
-  /// not ready or `rows` is empty. Sums margin() per row in order, so
-  /// callers accumulating margins on the fly get the identical double.
-  [[nodiscard]] double mean_margin(
-      std::span<const std::vector<double>> rows) const;
 
  private:
   AttackConfig attack_{};
@@ -98,9 +93,9 @@ class NearestCentroidProbe {
   std::vector<std::vector<double>> centroids_;  // standardized space
 };
 
-/// The online reducer. Feed it one capture's packets (any mix of the
-/// per-packet and per-flow paths, as long as each station's packets
-/// arrive in time order), then reduce() or publish().
+/// The online reducer. Feed it one capture's packets (each station
+/// through one path, per-packet or per-flow, its packets in time order),
+/// then reduce() or publish().
 class LeakageAuditor {
  public:
   explicit LeakageAuditor(AuditConfig config = {});
@@ -115,20 +110,12 @@ class LeakageAuditor {
                std::uint32_t size_bytes, mac::Direction direction,
                double rssi_dbm);
 
-  /// A whole capture log at once (columns in air order).
-  void observe(const CaptureColumns& captures);
-
   /// A whole per-vMAC flow with its §V-A power signature (the engines'
-  /// batch path; `flow` must not overlap a previously observed time range
-  /// of the same station).
-  void observe_flow(std::uint64_t station, const traffic::Trace& flow,
-                    double mean_rssi);
-
-  /// Same, borrowing the flow's columns instead of copying them — the
-  /// zero-copy batch path for callers whose flows outlive the auditor
-  /// (runtime::audit_flows holds the cell's flows across reduce()). The
-  /// station must not have been observed before (engines mint one unique
-  /// vMAC per flow), so a borrowed stream never needs appending.
+  /// batch path), borrowing the flow's columns: they must outlive the
+  /// auditor's last reduce() (runtime::audit_flows holds the cell's flows
+  /// across it). The station must not have been observed before (engines
+  /// mint one unique vMAC per flow), so a borrowed stream never needs
+  /// appending.
   void observe_flow(std::uint64_t station, traffic::TraceView flow,
                     double mean_rssi);
 
@@ -148,7 +135,7 @@ class LeakageAuditor {
 
  private:
   struct PerStation {
-    traffic::Trace trace;      // time-ordered packets (owning paths)
+    traffic::Trace trace;      // time-ordered packets (live path)
     traffic::TraceView view;   // borrowed columns (zero-copy flow path)
     std::vector<double> rssi_dbm;  // per-packet (live path) ...
     double flat_rssi = 0.0;        // ... or one flow-level mean

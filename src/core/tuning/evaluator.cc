@@ -150,9 +150,8 @@ CandidateShardOutcome CandidateEvaluator::evaluate_cell(
                                  runtime::RssiModel{});
   outcome.flows = flows.size();
   if (windows != nullptr && audit_privacy) {
-    attack::audit::AuditConfig audit;
-    audit.per_pair_series = audit_pairs;
-    runtime::audit_flows(flows, &probe_, *windows, window_labels, audit);
+    runtime::audit_flows(flows, &probe_, *windows, window_labels,
+                         audit_pairs);
   }
   outcome.epochs = runtime::run_adaptive_flows(base_, spec_.attacker,
                                                spec_.make_classifier, flows);

@@ -1,64 +1,8 @@
 #include "obs/drift.h"
 
 #include <algorithm>
-#include <cmath>
-#include <stdexcept>
 
 namespace reshape::obs {
-
-std::string_view drift_detector_kind_name(DriftDetectorKind k) {
-  switch (k) {
-    case DriftDetectorKind::kEwma:
-      return "ewma";
-    case DriftDetectorKind::kCusum:
-      return "cusum";
-    case DriftDetectorKind::kPageHinkley:
-      return "page-hinkley";
-  }
-  return "unknown";
-}
-
-EwmaDetector::EwmaDetector(const DriftParams& params)
-    : alpha_{params.ewma_alpha},
-      threshold_{params.ewma_threshold},
-      warmup_{std::max<std::size_t>(params.warmup, 1)} {
-  if (alpha_ <= 0.0 || alpha_ > 1.0) {
-    throw std::invalid_argument("EwmaDetector: alpha must be in (0, 1]");
-  }
-}
-
-bool EwmaDetector::update(double value) {
-  ++seen_;
-  if (seen_ <= warmup_) {
-    // Warmup: accumulate the plain mean, then seed the EWMA with it.
-    warmup_sum_ += value;
-    ewma_ = warmup_sum_ / static_cast<double>(seen_);
-    statistic_ = 0.0;
-    return false;
-  }
-  statistic_ = std::abs(value - ewma_);
-  ewma_ = alpha_ * value + (1.0 - alpha_) * ewma_;
-  return statistic_ > threshold_;
-}
-
-CusumDetector::CusumDetector(const DriftParams& params)
-    : k_{params.cusum_k},
-      h_{params.cusum_h},
-      warmup_{std::max<std::size_t>(params.warmup, 1)} {}
-
-double CusumDetector::statistic() const { return std::max(g_pos_, g_neg_); }
-
-bool CusumDetector::update(double value) {
-  ++seen_;
-  if (seen_ <= warmup_) {
-    warmup_sum_ += value;
-    mean_ = warmup_sum_ / static_cast<double>(seen_);
-    return false;
-  }
-  g_pos_ = std::max(0.0, g_pos_ + (value - mean_) - k_);
-  g_neg_ = std::max(0.0, g_neg_ + (mean_ - value) - k_);
-  return statistic() > h_;
-}
 
 PageHinkleyDetector::PageHinkleyDetector(const DriftParams& params)
     : delta_{params.ph_delta},
@@ -84,19 +28,6 @@ bool PageHinkleyDetector::update(double value) {
     return false;
   }
   return statistic() > lambda_;
-}
-
-std::unique_ptr<DriftDetector> make_detector(DriftDetectorKind kind,
-                                             const DriftParams& params) {
-  switch (kind) {
-    case DriftDetectorKind::kEwma:
-      return std::make_unique<EwmaDetector>(params);
-    case DriftDetectorKind::kCusum:
-      return std::make_unique<CusumDetector>(params);
-    case DriftDetectorKind::kPageHinkley:
-      return std::make_unique<PageHinkleyDetector>(params);
-  }
-  throw std::invalid_argument("make_detector: unknown kind");
 }
 
 }  // namespace reshape::obs

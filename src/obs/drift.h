@@ -1,114 +1,40 @@
-// Online drift detectors over windowed telemetry series.
+// Online drift detection over windowed telemetry series.
 //
-// Each detector consumes one scalar per window (the window mean of a
-// WindowedSeries) and reports whether that value constitutes a change
-// relative to the series' own history. Three classics, cheapest first:
+// The Page–Hinkley test consumes one scalar per window (the window mean of
+// a WindowedSeries) and reports whether that value constitutes a change
+// relative to the series' own history: a two-sided PH test with tolerance
+// `delta` and threshold `lambda` over the running mean, the standard
+// concept-drift test for accuracy-over-time curves (the adaptive-attacker
+// and attacker-proxy signals).
 //
-//   EWMA         — exponentially weighted moving average; fires when a
-//                  value lands further than `threshold` from the current
-//                  average. Catches large, abrupt level shifts.
-//   CUSUM        — two-sided cumulative sum with slack `k` and decision
-//                  threshold `h`; accumulates small persistent deviations
-//                  from the warmup baseline. Catches slow drifts EWMA
-//                  forgets.
-//   Page–Hinkley — two-sided PH test with tolerance `delta` and threshold
-//                  `lambda` over the running mean; the standard
-//                  concept-drift test for accuracy-over-time curves (our
-//                  adaptive-attacker signal).
-//
-// All detectors are deterministic, allocation-light, and warm up for
+// The detector is deterministic, allocation-free, and warms up for
 // `warmup` updates before arming (the warmup values only build the
-// baseline). They carry no latching: update() reports per-value, and
+// baseline). It carries no latching: update() reports per value, and
 // obs::slo's evaluate_drift() latches the *first* firing per series into
 // one AlertRecord.
 #pragma once
 
-#include <cstdint>
-#include <memory>
+#include <cstddef>
 #include <string>
-#include <string_view>
 
 #include "obs/metrics.h"
 
 namespace reshape::obs {
 
-enum class DriftDetectorKind : std::uint8_t { kEwma, kCusum, kPageHinkley };
-
-[[nodiscard]] std::string_view drift_detector_kind_name(DriftDetectorKind k);
-
-/// Tuning knobs for every detector family; each reads only its own
-/// fields plus the shared `warmup`.
 struct DriftParams {
   std::size_t warmup = 3;  // baseline-building updates before arming
-
-  double ewma_alpha = 0.3;      // smoothing weight of the newest value
-  double ewma_threshold = 10.0; // |value - ewma| that counts as drift
-
-  double cusum_k = 1.0;   // slack: deviations below k/update don't count
-  double cusum_h = 15.0;  // decision threshold on the cumulative sum
 
   double ph_delta = 2.0;    // tolerated drift per update
   double ph_lambda = 25.0;  // decision threshold on the PH statistic
 };
 
-/// One online change detector. update() returns true when the value just
-/// consumed crosses the detector's decision threshold.
-class DriftDetector {
- public:
-  virtual ~DriftDetector() = default;
-  virtual bool update(double value) = 0;
-  [[nodiscard]] virtual double statistic() const = 0;
-  [[nodiscard]] virtual double threshold() const = 0;
-  [[nodiscard]] virtual std::string_view name() const = 0;
-};
-
-class EwmaDetector final : public DriftDetector {
- public:
-  explicit EwmaDetector(const DriftParams& params);
-  bool update(double value) override;
-  [[nodiscard]] double statistic() const override { return statistic_; }
-  [[nodiscard]] double threshold() const override { return threshold_; }
-  [[nodiscard]] std::string_view name() const override { return "ewma"; }
-  [[nodiscard]] double average() const { return ewma_; }
-
- private:
-  double alpha_;
-  double threshold_;
-  std::size_t warmup_;
-  std::size_t seen_ = 0;
-  double warmup_sum_ = 0.0;
-  double ewma_ = 0.0;
-  double statistic_ = 0.0;  // |last value - ewma before it|
-};
-
-class CusumDetector final : public DriftDetector {
- public:
-  explicit CusumDetector(const DriftParams& params);
-  bool update(double value) override;
-  [[nodiscard]] double statistic() const override;
-  [[nodiscard]] double threshold() const override { return h_; }
-  [[nodiscard]] std::string_view name() const override { return "cusum"; }
-
- private:
-  double k_;
-  double h_;
-  std::size_t warmup_;
-  std::size_t seen_ = 0;
-  double warmup_sum_ = 0.0;
-  double mean_ = 0.0;    // warmup baseline
-  double g_pos_ = 0.0;   // upward cumulative sum
-  double g_neg_ = 0.0;   // downward cumulative sum
-};
-
-class PageHinkleyDetector final : public DriftDetector {
+/// update() returns true when the value just consumed crosses lambda.
+class PageHinkleyDetector {
  public:
   explicit PageHinkleyDetector(const DriftParams& params);
-  bool update(double value) override;
-  [[nodiscard]] double statistic() const override;
-  [[nodiscard]] double threshold() const override { return lambda_; }
-  [[nodiscard]] std::string_view name() const override {
-    return "page-hinkley";
-  }
+  bool update(double value);
+  [[nodiscard]] double statistic() const;
+  [[nodiscard]] double threshold() const { return lambda_; }
 
  private:
   double delta_;
@@ -122,17 +48,13 @@ class PageHinkleyDetector final : public DriftDetector {
   double m_dec_max_ = 0.0;
 };
 
-[[nodiscard]] std::unique_ptr<DriftDetector> make_detector(
-    DriftDetectorKind kind, const DriftParams& params = {});
-
-/// A declarative drift rule: run detector `kind` over the window means of
-/// every series named `series` whose labels contain `labels` (empty
-/// matches all). Evaluated by obs::slo's evaluate_drift().
+/// A declarative drift rule: run a Page–Hinkley detector over the window
+/// means of every series named `series` whose labels contain `labels`
+/// (empty matches all). Evaluated by obs::slo's evaluate_drift().
 struct DriftRule {
   std::string name;   // alert identity, e.g. "adaptive-accuracy-drift"
   std::string series; // windowed series name to watch
   LabelSet labels;    // subset filter over the series' labels
-  DriftDetectorKind kind = DriftDetectorKind::kPageHinkley;
   DriftParams params{};
 };
 

@@ -1,4 +1,4 @@
-// Telemetry export: stable-JSON / CSV dumps, the on/off configuration
+// Telemetry export: stable-JSON dumps, the on/off configuration
 // shared by the engines and examples, and the telemetry one sweep engine
 // owns.
 //

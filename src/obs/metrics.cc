@@ -4,6 +4,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "obs/sorted_series.h"
 #include "util/json.h"
 
 namespace reshape::obs {
@@ -12,6 +13,25 @@ namespace {
 void sort_labels(std::vector<std::pair<std::string, std::string>>& entries) {
   std::sort(entries.begin(), entries.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
+}
+
+// The canonical per-series merge rule (see MetricsSnapshot::merge).
+void fold_series(SeriesSnapshot& s, const SeriesSnapshot& o) {
+  if (s.kind != o.kind) {
+    throw std::invalid_argument("MetricsSnapshot::merge: series '" + s.name +
+                                "' has mismatched kinds");
+  }
+  switch (s.kind) {
+    case MetricKind::kCounter:
+      s.counter += o.counter;
+      break;
+    case MetricKind::kGauge:
+      s.gauge = std::max(s.gauge, o.gauge);
+      break;
+    case MetricKind::kHistogram:
+      s.histogram.merge(o.histogram);
+      break;
+  }
 }
 
 }  // namespace
@@ -45,6 +65,22 @@ std::string LabelSet::to_string() const {
     out += '=';
     out += value;
   }
+  return out;
+}
+
+std::string LabelSet::to_json() const {
+  std::string out = "{";
+  for (const auto& [key, value] : entries_) {
+    if (out.size() > 1) {
+      out += ',';
+    }
+    out += '"';
+    out += util::json_escape(key);
+    out += "\":\"";
+    out += util::json_escape(value);
+    out += '"';
+  }
+  out += '}';
   return out;
 }
 
@@ -104,32 +140,6 @@ double HistogramData::mean() const {
   return count == 0 ? 0.0 : sum / static_cast<double>(count);
 }
 
-double HistogramData::quantile(double q) const {
-  if (count == 0) {
-    return 0.0;
-  }
-  q = std::clamp(q, 0.0, 1.0);
-  const double target = q * static_cast<double>(count);
-  double cumulative = 0.0;
-  for (std::size_t i = 0; i < counts.size(); ++i) {
-    const double in_bucket = static_cast<double>(counts[i]);
-    if (in_bucket == 0.0) {
-      continue;
-    }
-    if (cumulative + in_bucket >= target) {
-      if (i == upper_bounds.size()) {
-        return max;  // overflow bucket: no upper edge to interpolate into
-      }
-      const double lower = i == 0 ? 0.0 : upper_bounds[i - 1];
-      const double upper = upper_bounds[i];
-      const double fraction = (target - cumulative) / in_bucket;
-      return std::clamp(lower + fraction * (upper - lower), min, max);
-    }
-    cumulative += in_bucket;
-  }
-  return max;
-}
-
 Histogram::Histogram(std::vector<double> upper_bounds) {
   if (upper_bounds.empty()) {
     throw std::invalid_argument("Histogram: upper_bounds must be non-empty");
@@ -145,57 +155,13 @@ Histogram::Histogram(std::vector<double> upper_bounds) {
 }
 
 void MetricsSnapshot::merge(const MetricsSnapshot& other) {
-  // Both sides are sorted by (name, labels); walk them together and fold.
-  std::vector<SeriesSnapshot> merged;
-  merged.reserve(series.size() + other.series.size());
-  std::size_t i = 0;
-  std::size_t j = 0;
-  const auto key_less = [](const SeriesSnapshot& a, const SeriesSnapshot& b) {
-    return std::tie(a.name, a.labels) < std::tie(b.name, b.labels);
-  };
-  while (i < series.size() && j < other.series.size()) {
-    if (key_less(series[i], other.series[j])) {
-      merged.push_back(std::move(series[i++]));
-    } else if (key_less(other.series[j], series[i])) {
-      merged.push_back(other.series[j++]);
-    } else {
-      SeriesSnapshot s = std::move(series[i++]);
-      const SeriesSnapshot& o = other.series[j++];
-      if (s.kind != o.kind) {
-        throw std::invalid_argument("MetricsSnapshot::merge: series '" +
-                                    s.name + "' has mismatched kinds");
-      }
-      switch (s.kind) {
-        case MetricKind::kCounter:
-          s.counter += o.counter;
-          break;
-        case MetricKind::kGauge:
-          s.gauge = std::max(s.gauge, o.gauge);
-          break;
-        case MetricKind::kHistogram:
-          s.histogram.merge(o.histogram);
-          break;
-      }
-      merged.push_back(std::move(s));
-    }
-  }
-  for (; i < series.size(); ++i) {
-    merged.push_back(std::move(series[i]));
-  }
-  for (; j < other.series.size(); ++j) {
-    merged.push_back(other.series[j]);
-  }
-  series = std::move(merged);
+  detail::merge_sorted(series, other.series,
+                       detail::series_key<SeriesSnapshot>, fold_series);
 }
 
 const SeriesSnapshot* MetricsSnapshot::find(std::string_view name,
                                             const LabelSet& labels) const {
-  for (const auto& s : series) {
-    if (s.name == name && s.labels == labels) {
-      return &s;
-    }
-  }
-  return nullptr;
+  return detail::find_series(series, name, labels);
 }
 
 double MetricsSnapshot::value(std::string_view name,
@@ -230,17 +196,9 @@ std::string MetricsSnapshot::to_json() const {
       out << ",";
     }
     first = false;
-    out << "{\"name\":\"" << json_escape(s.name) << "\",\"labels\":{";
-    bool first_label = true;
-    for (const auto& [key, value] : s.labels.entries()) {
-      if (!first_label) {
-        out << ",";
-      }
-      first_label = false;
-      out << "\"" << json_escape(key) << "\":\"" << json_escape(value)
-          << "\"";
-    }
-    out << "},\"kind\":\"" << metric_kind_name(s.kind) << "\",";
+    out << "{\"name\":\"" << json_escape(s.name)
+        << "\",\"labels\":" << s.labels.to_json() << ",\"kind\":\""
+        << metric_kind_name(s.kind) << "\",";
     switch (s.kind) {
       case MetricKind::kCounter:
         out << "\"value\":" << s.counter;
@@ -277,51 +235,6 @@ std::string MetricsSnapshot::to_json() const {
   }
   out << "]";
   return out.str();
-}
-
-std::string MetricsSnapshot::to_csv() const {
-  using util::json_number;
-  std::string out = "name,labels,field,value\n";
-  const auto row = [&out](const std::string& name, const LabelSet& labels,
-                          std::string_view field, const std::string& value) {
-    out += name;
-    out += ',';
-    out += '"';
-    out += labels.to_string();
-    out += '"';
-    out += ',';
-    out += field;
-    out += ',';
-    out += value;
-    out += '\n';
-  };
-  for (const auto& s : series) {
-    switch (s.kind) {
-      case MetricKind::kCounter:
-        row(s.name, s.labels, "value", std::to_string(s.counter));
-        break;
-      case MetricKind::kGauge:
-        row(s.name, s.labels, "value", json_number(s.gauge));
-        break;
-      case MetricKind::kHistogram:
-        row(s.name, s.labels, "count", std::to_string(s.histogram.count));
-        row(s.name, s.labels, "sum", json_number(s.histogram.sum));
-        if (s.histogram.count > 0) {
-          row(s.name, s.labels, "min", json_number(s.histogram.min));
-          row(s.name, s.labels, "max", json_number(s.histogram.max));
-        }
-        for (std::size_t b = 0; b < s.histogram.counts.size(); ++b) {
-          const std::string field =
-              b < s.histogram.upper_bounds.size()
-                  ? "le_" + json_number(s.histogram.upper_bounds[b])
-                  : std::string("le_inf");
-          row(s.name, s.labels, field,
-              std::to_string(s.histogram.counts[b]));
-        }
-        break;
-    }
-  }
-  return out;
 }
 
 Counter& MetricsRegistry::counter(std::string_view name, LabelSet labels) {

@@ -65,8 +65,11 @@ class LabelSet {
   }
   [[nodiscard]] bool empty() const { return entries_.empty(); }
 
-  /// "k1=v1,k2=v2" — the human-readable (and CSV) form.
+  /// "k1=v1,k2=v2" — the human-readable form.
   [[nodiscard]] std::string to_string() const;
+
+  /// {"k1":"v1","k2":"v2"} — the form every JSON export writes.
+  [[nodiscard]] std::string to_json() const;
 
   /// True when every label of `subset` appears here with the same value —
   /// the matching rule for drift/SLO rules (an empty subset matches any
@@ -131,13 +134,6 @@ struct HistogramData {
 
   /// Mean of observed values; 0 when empty.
   [[nodiscard]] double mean() const;
-
-  /// Quantile estimate (q in [0, 1]) by linear interpolation inside the
-  /// bucket containing rank q*count: the standard fixed-bucket estimator
-  /// (Prometheus-style), so SLO rules can target p50/p90/p99 without raw
-  /// samples. The overflow bucket has no upper edge and yields the tracked
-  /// max; results are clamped to the observed [min, max]. 0 when empty.
-  [[nodiscard]] double quantile(double q) const;
 };
 
 /// Histogram handle returned by the registry.
@@ -186,10 +182,6 @@ struct MetricsSnapshot {
 
   /// Stable JSON export (fixed key order, util::json_number formatting).
   [[nodiscard]] std::string to_json() const;
-
-  /// CSV rows `name,labels,field,value` (header included) — the flat
-  /// time-series-friendly form; see obs/export.h for sequenced series.
-  [[nodiscard]] std::string to_csv() const;
 };
 
 /// The registry. Handles returned by counter()/gauge()/histogram() stay

@@ -62,48 +62,23 @@ void publish_leakage(WindowedRegistry& registry,
 
 std::vector<SloRule> privacy_slo_rules(const PrivacyBudgets& budgets,
                                        const LabelSet& labels) {
-  std::vector<SloRule> rules;
-  SloRule balance;
-  balance.name = "privacy-partition-balance-budget";
-  balance.series = std::string{kPrivacyPartitionBalance};
-  balance.labels = labels;
-  balance.aggregation = SloAggregation::kMean;
-  balance.comparison = SloComparison::kBelow;
-  balance.threshold = budgets.min_partition_balance;
-  balance.min_count = budgets.min_count;
-  rules.push_back(std::move(balance));
-
-  SloRule divergence;
-  divergence.name = "privacy-linkability-budget";
-  divergence.series = std::string{kPrivacyMaxPairwiseJsd};
-  divergence.labels = labels;
-  divergence.aggregation = SloAggregation::kMean;
-  divergence.comparison = SloComparison::kAbove;
-  divergence.threshold = budgets.max_pairwise_jsd_bits;
-  divergence.min_count = budgets.min_count;
-  rules.push_back(std::move(divergence));
-
-  SloRule proxy;
-  proxy.name = "privacy-proxy-accuracy-budget";
-  proxy.series = std::string{kPrivacyProxyAccuracy};
-  proxy.labels = labels;
-  proxy.aggregation = SloAggregation::kMean;
-  proxy.comparison = SloComparison::kAbove;
-  proxy.threshold = budgets.max_proxy_accuracy_percent;
-  proxy.min_count = budgets.min_count;
-  rules.push_back(std::move(proxy));
-  return rules;
+  const auto rule = [&](const char* name, std::string_view series,
+                        SloComparison comparison, double threshold) {
+    return SloRule{name, std::string{series}, labels, comparison, threshold,
+                   budgets.min_count};
+  };
+  return {rule("privacy-partition-balance-budget", kPrivacyPartitionBalance,
+               SloComparison::kBelow, budgets.min_partition_balance),
+          rule("privacy-linkability-budget", kPrivacyMaxPairwiseJsd,
+               SloComparison::kAbove, budgets.max_pairwise_jsd_bits),
+          rule("privacy-proxy-accuracy-budget", kPrivacyProxyAccuracy,
+               SloComparison::kAbove, budgets.max_proxy_accuracy_percent)};
 }
 
 DriftRule privacy_drift_rule(const DriftParams& params,
                              const LabelSet& labels) {
-  DriftRule rule;
-  rule.name = "privacy-proxy-drift";
-  rule.series = std::string{kPrivacyProxyAccuracy};
-  rule.labels = labels;
-  rule.kind = DriftDetectorKind::kPageHinkley;
-  rule.params = params;
-  return rule;
+  return DriftRule{"privacy-proxy-drift", std::string{kPrivacyProxyAccuracy},
+                   labels, params};
 }
 
 }  // namespace reshape::obs

@@ -1,7 +1,5 @@
 #include "obs/slo.h"
 
-#include <algorithm>
-#include <memory>
 #include <sstream>
 
 #include "util/json.h"
@@ -9,85 +7,23 @@
 namespace reshape::obs {
 namespace {
 
-void append_labels_json(std::ostringstream& out, const LabelSet& labels) {
-  out << "{";
-  bool first = true;
-  for (const auto& [key, value] : labels.entries()) {
-    if (!first) {
-      out << ",";
-    }
-    out << "\"" << util::json_escape(key) << "\":\""
-        << util::json_escape(value) << "\"";
-    first = false;
-  }
-  out << "}";
+// Both rule kinds watch every series of their name whose labels contain
+// the rule's.
+template <typename Rule>
+bool watches(const Rule& rule, const SeriesWindows& series) {
+  return series.name == rule.series && series.labels.contains(rule.labels);
 }
 
-double aggregate_of(const WindowAccumulator& acc, SloAggregation a) {
-  switch (a) {
-    case SloAggregation::kMean:
-      return acc.mean();
-    case SloAggregation::kSum:
-      return acc.sum;
-    case SloAggregation::kCount:
-      return static_cast<double>(acc.count);
-    case SloAggregation::kMin:
-      return acc.min;
-    case SloAggregation::kMax:
-      return acc.max;
-    case SloAggregation::kRatioOfSums:
-      break;  // handled by the caller (needs the denominator window)
-  }
-  return 0.0;
-}
-
-bool crosses(double observed, SloComparison c, double threshold) {
-  return c == SloComparison::kAbove ? observed > threshold
-                                    : observed < threshold;
-}
-
-AlertRecord windowed_alert(const SloRule& rule, const SeriesWindows& series,
-                           std::int64_t window_us, std::int64_t window,
-                           double observed) {
-  AlertRecord alert;
-  alert.rule = rule.name;
-  alert.kind = "slo";
-  alert.detail = std::string{slo_aggregation_name(rule.aggregation)} +
-                 (rule.comparison == SloComparison::kAbove ? ">" : "<") +
-                 util::json_number(rule.threshold);
-  alert.series = series.name;
-  alert.labels = series.labels;
-  alert.window = window;
-  alert.window_start_us = window * window_us;
-  alert.window_end_us = (window + 1) * window_us;
-  alert.threshold = rule.threshold;
-  alert.observed = observed;
-  return alert;
+AlertRecord window_alert(const std::string& rule, std::string kind,
+                         std::string detail, const SeriesWindows& series,
+                         std::int64_t window_us, std::int64_t window,
+                         double threshold, double observed) {
+  return AlertRecord{rule, std::move(kind), std::move(detail), series.name,
+                     series.labels, window, window * window_us,
+                     (window + 1) * window_us, threshold, observed};
 }
 
 }  // namespace
-
-std::string_view slo_comparison_name(SloComparison c) {
-  return c == SloComparison::kAbove ? "above" : "below";
-}
-
-std::string_view slo_aggregation_name(SloAggregation a) {
-  switch (a) {
-    case SloAggregation::kMean:
-      return "mean";
-    case SloAggregation::kSum:
-      return "sum";
-    case SloAggregation::kCount:
-      return "count";
-    case SloAggregation::kMin:
-      return "min";
-    case SloAggregation::kMax:
-      return "max";
-    case SloAggregation::kRatioOfSums:
-      return "ratio";
-  }
-  return "unknown";
-}
 
 std::string alerts_to_json(std::span<const AlertRecord> alerts) {
   std::ostringstream out;
@@ -100,9 +36,8 @@ std::string alerts_to_json(std::span<const AlertRecord> alerts) {
     out << "{\"rule\":\"" << util::json_escape(a.rule) << "\",\"kind\":\""
         << util::json_escape(a.kind) << "\",\"detail\":\""
         << util::json_escape(a.detail) << "\",\"series\":\""
-        << util::json_escape(a.series) << "\",\"labels\":";
-    append_labels_json(out, a.labels);
-    out << ",\"window\":" << a.window
+        << util::json_escape(a.series)
+        << "\",\"labels\":" << a.labels.to_json() << ",\"window\":" << a.window
         << ",\"window_start_us\":" << a.window_start_us
         << ",\"window_end_us\":" << a.window_end_us
         << ",\"threshold\":" << util::json_number(a.threshold)
@@ -116,72 +51,24 @@ std::vector<AlertRecord> evaluate_slo(std::span<const SloRule> rules,
                                       const WindowedSnapshot& snapshot) {
   std::vector<AlertRecord> alerts;
   for (const SloRule& rule : rules) {
+    const bool above = rule.comparison == SloComparison::kAbove;
+    const std::string detail =
+        (above ? "mean>" : "mean<") + util::json_number(rule.threshold);
     for (const SeriesWindows& series : snapshot.series) {
-      if (series.name != rule.series ||
-          !series.labels.contains(rule.labels)) {
+      if (!watches(rule, series)) {
         continue;
-      }
-      const SeriesWindows* denom = nullptr;
-      if (rule.aggregation == SloAggregation::kRatioOfSums) {
-        denom = snapshot.find(rule.denominator, series.labels);
-        if (denom == nullptr) {
-          continue;  // no denominator under the same labels: nothing to rate
-        }
       }
       for (const WindowPoint& point : series.points) {
         if (point.value.count < rule.min_count) {
           continue;
         }
-        double observed = 0.0;
-        if (rule.aggregation == SloAggregation::kRatioOfSums) {
-          const auto it = std::lower_bound(
-              denom->points.begin(), denom->points.end(), point.window,
-              [](const WindowPoint& p, std::int64_t w) {
-                return p.window < w;
-              });
-          if (it == denom->points.end() || it->window != point.window ||
-              it->value.sum == 0.0) {
-            continue;
-          }
-          observed = rule.scale * point.value.sum / it->value.sum;
-        } else {
-          observed = rule.scale * aggregate_of(point.value, rule.aggregation);
-        }
-        if (crosses(observed, rule.comparison, rule.threshold)) {
-          alerts.push_back(windowed_alert(rule, series, snapshot.window_us,
-                                          point.window, observed));
+        const double observed = point.value.mean();
+        if (above ? observed > rule.threshold : observed < rule.threshold) {
+          alerts.push_back(window_alert(rule.name, "slo", detail, series,
+                                        snapshot.window_us, point.window,
+                                        rule.threshold, observed));
         }
       }
-    }
-  }
-  return alerts;
-}
-
-std::vector<AlertRecord> evaluate_slo(std::span<const HistogramSloRule> rules,
-                                      const MetricsSnapshot& snapshot) {
-  std::vector<AlertRecord> alerts;
-  for (const HistogramSloRule& rule : rules) {
-    for (const SeriesSnapshot& series : snapshot.series) {
-      if (series.name != rule.series || series.kind != MetricKind::kHistogram ||
-          !series.labels.contains(rule.labels) ||
-          series.histogram.count == 0) {
-        continue;
-      }
-      const double observed = series.histogram.quantile(rule.quantile);
-      if (!crosses(observed, rule.comparison, rule.threshold)) {
-        continue;
-      }
-      AlertRecord alert;
-      alert.rule = rule.name;
-      alert.kind = "slo";
-      alert.detail = "p" + util::json_number(100.0 * rule.quantile) +
-                     (rule.comparison == SloComparison::kAbove ? ">" : "<") +
-                     util::json_number(rule.threshold);
-      alert.series = series.name;
-      alert.labels = series.labels;
-      alert.threshold = rule.threshold;
-      alert.observed = observed;
-      alerts.push_back(std::move(alert));
     }
   }
   return alerts;
@@ -192,29 +79,17 @@ std::vector<AlertRecord> evaluate_drift(std::span<const DriftRule> rules,
   std::vector<AlertRecord> alerts;
   for (const DriftRule& rule : rules) {
     for (const SeriesWindows& series : snapshot.series) {
-      if (series.name != rule.series ||
-          !series.labels.contains(rule.labels)) {
+      if (!watches(rule, series)) {
         continue;
       }
-      const std::unique_ptr<DriftDetector> detector =
-          make_detector(rule.kind, rule.params);
+      PageHinkleyDetector detector{rule.params};
       for (const WindowPoint& point : series.points) {
-        if (!detector->update(point.value.mean())) {
-          continue;
+        if (detector.update(point.value.mean())) {
+          alerts.push_back(window_alert(
+              rule.name, "drift", "page-hinkley", series, snapshot.window_us,
+              point.window, detector.threshold(), detector.statistic()));
+          break;  // latch: one alert per (rule, series), the first crossing
         }
-        AlertRecord alert;
-        alert.rule = rule.name;
-        alert.kind = "drift";
-        alert.detail = std::string{detector->name()};
-        alert.series = series.name;
-        alert.labels = series.labels;
-        alert.window = point.window;
-        alert.window_start_us = point.window * snapshot.window_us;
-        alert.window_end_us = (point.window + 1) * snapshot.window_us;
-        alert.threshold = detector->threshold();
-        alert.observed = detector->statistic();
-        alerts.push_back(std::move(alert));
-        break;  // latch: one alert per (rule, series), the first crossing
       }
     }
   }

@@ -1,15 +1,11 @@
 // Declarative SLO rules and the AlertRecord they (and the drift
-// detectors) emit.
+// detector) emit.
 //
-// An SloRule is a per-window budget over one windowed series: pick an
-// aggregation of the window's accumulator (mean/sum/count/min/max, or a
-// ratio of two series' sums for rates like byte overhead), scale it,
-// compare against a threshold, and emit one AlertRecord per firing
-// window. A HistogramSloRule does the same over a whole-run
-// MetricsSnapshot histogram via HistogramData::quantile() (access-delay
-// p99 budgets without raw samples); its alerts carry window = -1.
-// evaluate_drift() runs obs::drift detectors over window means and
-// latches the first firing per matched series.
+// An SloRule is a per-window budget over one windowed series: compare the
+// window mean against a threshold (above or below) and emit one
+// AlertRecord per firing window. evaluate_drift() runs a Page–Hinkley
+// detector over window means and latches the first firing per matched
+// series.
 //
 // Everything here is deterministic: rules evaluate in declaration order,
 // series in snapshot (name, labels) order, windows ascending — so
@@ -23,16 +19,14 @@
 #include <vector>
 
 #include "obs/drift.h"
-#include "obs/metrics.h"
 #include "obs/windowed.h"
 
 namespace reshape::obs {
 
 /// One fired alert: which rule, on which series, in which window, how far
 /// over budget. `kind` is "drift" or "slo"; `detail` names the detector
-/// ("page-hinkley") or the aggregate+comparison ("mean>75"). Drift and
-/// windowed-SLO alerts carry the firing window's index and sim-time
-/// bounds; whole-run histogram alerts use window = -1 with zero bounds.
+/// ("page-hinkley") or the comparison ("mean>75"). Every alert carries
+/// the firing window's index and sim-time bounds.
 struct AlertRecord {
   std::string rule;
   std::string kind;
@@ -51,54 +45,26 @@ struct AlertRecord {
 [[nodiscard]] std::string alerts_to_json(std::span<const AlertRecord> alerts);
 
 enum class SloComparison : std::uint8_t { kAbove, kBelow };
-enum class SloAggregation : std::uint8_t {
-  kMean,
-  kSum,
-  kCount,
-  kMin,
-  kMax,
-  kRatioOfSums  // sum(series) / sum(denominator), same window
-};
 
-[[nodiscard]] std::string_view slo_comparison_name(SloComparison c);
-[[nodiscard]] std::string_view slo_aggregation_name(SloAggregation a);
-
-/// A per-window budget over one windowed series.
+/// A per-window budget over the mean of one windowed series.
 struct SloRule {
-  std::string name;         // alert identity, e.g. "deadline-miss-budget"
-  std::string series;       // windowed series to evaluate
-  std::string denominator;  // second series, kRatioOfSums only
-  LabelSet labels;          // subset filter over series labels
-  SloAggregation aggregation = SloAggregation::kMean;
+  std::string name;    // alert identity, e.g. "deadline-miss-budget"
+  std::string series;  // windowed series to evaluate
+  LabelSet labels;     // subset filter over series labels
   SloComparison comparison = SloComparison::kAbove;
-  double scale = 1.0;       // observed = scale * aggregate (100 for %)
   double threshold = 0.0;
   std::uint64_t min_count = 1;  // skip windows with fewer observations
 };
 
 /// Evaluates every rule over every matching series, window by window; one
-/// AlertRecord per firing window. For kRatioOfSums, only windows present
-/// in both numerator and denominator (with denominator sum != 0) count.
+/// AlertRecord per firing window.
 [[nodiscard]] std::vector<AlertRecord> evaluate_slo(
     std::span<const SloRule> rules, const WindowedSnapshot& snapshot);
 
-/// A whole-run percentile budget over a MetricsSnapshot histogram.
-struct HistogramSloRule {
-  std::string name;     // e.g. "access-delay-p99-budget"
-  std::string series;   // histogram series name
-  LabelSet labels;      // subset filter
-  double quantile = 0.99;
-  SloComparison comparison = SloComparison::kAbove;
-  double threshold = 0.0;
-};
-
-[[nodiscard]] std::vector<AlertRecord> evaluate_slo(
-    std::span<const HistogramSloRule> rules, const MetricsSnapshot& snapshot);
-
-/// Runs each rule's detector over the window means of every matching
-/// series (windows ascending, a fresh detector per series) and latches
-/// the first firing into one AlertRecord with the detector statistic as
-/// `observed`. A detector that never crosses emits nothing.
+/// Runs a Page–Hinkley detector over the window means of every series
+/// matching a rule (windows ascending, a fresh detector per series) and
+/// latches the first firing into one AlertRecord with the detector
+/// statistic as `observed`. A detector that never crosses emits nothing.
 [[nodiscard]] std::vector<AlertRecord> evaluate_drift(
     std::span<const DriftRule> rules, const WindowedSnapshot& snapshot);
 

@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "attack/adaptive/adaptive_attacker.h"
+#include "obs/sorted_series.h"
 #include "traffic/trace.h"
 #include "util/json.h"
 
@@ -34,25 +35,14 @@ void append_points_json(std::ostringstream& out,
   out << "]";
 }
 
-// Window-index-wise fold of two sorted point lists.
-std::vector<WindowPoint> merge_points(const std::vector<WindowPoint>& a,
-                                      const std::vector<WindowPoint>& b) {
-  std::vector<WindowPoint> out;
-  out.reserve(a.size() + b.size());
-  std::size_t i = 0;
-  std::size_t j = 0;
-  while (i < a.size() || j < b.size()) {
-    if (j == b.size() || (i < a.size() && a[i].window < b[j].window)) {
-      out.push_back(a[i++]);
-    } else if (i == a.size() || b[j].window < a[i].window) {
-      out.push_back(b[j++]);
-    } else {
-      WindowPoint merged = a[i++];
-      merged.value.merge(b[j++].value);
-      out.push_back(merged);
-    }
-  }
-  return out;
+// Window-index-wise fold of one series' points: accumulators of equal
+// window indices merge, disjoint windows interleave.
+void fold_windows(SeriesWindows& s, const SeriesWindows& o) {
+  detail::merge_sorted(s.points, o.points,
+                       [](const WindowPoint& p) { return p.window; },
+                       [](WindowPoint& p, const WindowPoint& q) {
+                         p.value.merge(q.value);
+                       });
 }
 
 }  // namespace
@@ -68,25 +58,9 @@ std::int64_t WindowedSeries::window_index(util::TimePoint at) const {
 }
 
 void WindowedSeries::observe(util::TimePoint at, double v) {
-  const std::int64_t index = window_index(at);
-  // Time-ordered input lands in the last point (or a new one past it).
-  if (!points_.empty() && points_.back().window == index) {
-    points_.back().value.observe(v);
-    return;
-  }
-  if (points_.empty() || points_.back().window < index) {
-    points_.push_back(WindowPoint{index, {}});
-    points_.back().value.observe(v);
-    return;
-  }
-  const auto it = std::lower_bound(
-      points_.begin(), points_.end(), index,
-      [](const WindowPoint& p, std::int64_t w) { return p.window < w; });
-  if (it != points_.end() && it->window == index) {
-    it->value.observe(v);
-    return;
-  }
-  points_.insert(it, WindowPoint{index, {}})->value.observe(v);
+  WindowAccumulator one;
+  one.observe(v);
+  fold(window_index(at), one);
 }
 
 void WindowedSeries::fold(std::int64_t index, const WindowAccumulator& acc) {
@@ -123,36 +97,13 @@ void WindowedSnapshot::merge(const WindowedSnapshot& other) {
     throw std::invalid_argument(
         "WindowedSnapshot::merge: mismatched window lengths");
   }
-  std::vector<SeriesWindows> merged;
-  merged.reserve(series.size() + other.series.size());
-  std::size_t i = 0;
-  std::size_t j = 0;
-  const auto key_less = [](const SeriesWindows& a, const SeriesWindows& b) {
-    return std::tie(a.name, a.labels) < std::tie(b.name, b.labels);
-  };
-  while (i < series.size() || j < other.series.size()) {
-    if (j == other.series.size() ||
-        (i < series.size() && key_less(series[i], other.series[j]))) {
-      merged.push_back(std::move(series[i++]));
-    } else if (i == series.size() || key_less(other.series[j], series[i])) {
-      merged.push_back(other.series[j++]);
-    } else {
-      SeriesWindows folded = std::move(series[i++]);
-      folded.points = merge_points(folded.points, other.series[j++].points);
-      merged.push_back(std::move(folded));
-    }
-  }
-  series = std::move(merged);
+  detail::merge_sorted(series, other.series,
+                       detail::series_key<SeriesWindows>, fold_windows);
 }
 
 const SeriesWindows* WindowedSnapshot::find(std::string_view name,
                                             const LabelSet& labels) const {
-  for (const SeriesWindows& s : series) {
-    if (s.name == name && s.labels == labels) {
-      return &s;
-    }
-  }
-  return nullptr;
+  return detail::find_series(series, name, labels);
 }
 
 std::string WindowedSnapshot::to_json() const {
@@ -163,46 +114,13 @@ std::string WindowedSnapshot::to_json() const {
       out << ",";
     }
     const SeriesWindows& s = series[i];
-    out << "{\"name\":\"" << util::json_escape(s.name) << "\",\"labels\":{";
-    bool first = true;
-    for (const auto& [key, value] : s.labels.entries()) {
-      if (!first) {
-        out << ",";
-      }
-      out << "\"" << util::json_escape(key) << "\":\""
-          << util::json_escape(value) << "\"";
-      first = false;
-    }
-    out << "},\"points\":";
+    out << "{\"name\":\"" << util::json_escape(s.name)
+        << "\",\"labels\":" << s.labels.to_json() << ",\"points\":";
     append_points_json(out, s.points);
     out << "}";
   }
   out << "]}";
   return out.str();
-}
-
-std::string WindowedSnapshot::to_csv() const {
-  std::string out = "name,labels,window,count,sum,min,max\n";
-  for (const SeriesWindows& s : series) {
-    const std::string labels = s.labels.to_string();
-    for (const WindowPoint& p : s.points) {
-      out += s.name;
-      out += ",\"";
-      out += labels;
-      out += "\",";
-      out += std::to_string(p.window);
-      out += ',';
-      out += std::to_string(p.value.count);
-      out += ',';
-      out += util::json_number(p.value.sum);
-      out += ',';
-      out += util::json_number(p.value.min);
-      out += ',';
-      out += util::json_number(p.value.max);
-      out += '\n';
-    }
-  }
-  return out;
 }
 
 WindowedRegistry::WindowedRegistry(util::Duration window) : window_{window} {

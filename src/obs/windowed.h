@@ -97,7 +97,8 @@ class WindowedSeries {
  public:
   explicit WindowedSeries(util::Duration window);
 
-  /// Folds `v` into the window containing `at` (half-open [kW, (k+1)W)).
+  /// Folds `v` into the window containing `at` (half-open [kW, (k+1)W)):
+  /// fold() of a one-value accumulator.
   void observe(util::TimePoint at, double v);
 
   /// Folds a pre-reduced accumulator into window `index` — the bulk path
@@ -150,9 +151,6 @@ struct WindowedSnapshot {
   /// [{"window":k,"count":c,"sum":s,"min":m,"max":M},...]},...]} —
   /// stable: equal observations serialize to equal strings.
   [[nodiscard]] std::string to_json() const;
-
-  /// name,labels,window,count,sum,min,max rows.
-  [[nodiscard]] std::string to_csv() const;
 };
 
 /// Owner of windowed series, one per (name, labels). Series creation is

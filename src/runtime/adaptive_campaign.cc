@@ -137,10 +137,8 @@ AdaptiveCellResult AdaptiveCampaignEngine::run_cell(
     // The label-free audit sees exactly the flows the oracle-labeled
     // adversary is about to score — the pairing the proxy-vs-oracle
     // correlation tests rely on.
-    attack::audit::AuditConfig audit;
-    audit.per_pair_series = telemetry_.config.privacy_pairs;
     audit_flows(flows, probe_ ? &*probe_ : nullptr, *windows,
-                cell_labels(spec_, result), audit);
+                cell_labels(spec_, result), telemetry_.config.privacy_pairs);
   }
   result.epochs =
       run_adaptive_flows(base_, spec_.attacker, spec_.make_classifier, flows);

@@ -130,10 +130,8 @@ CellResult CampaignEngine::run_cell(std::size_t cell_id, WorkerArena& arena,
     // never reads these draws.
     const std::vector<attack::adaptive::ObservedFlow> flows =
         rssi_tagged_flows(defended, streams.rssi, RssiModel{});
-    attack::audit::AuditConfig audit;
-    audit.per_pair_series = telemetry_.config.privacy_pairs;
     audit_flows(flows, probe_ ? &*probe_ : nullptr, *windows,
-                cell_labels(spec_, result), audit);
+                cell_labels(spec_, result), telemetry_.config.privacy_pairs);
   }
   if (windows != nullptr && telemetry_.config.windowed) {
     // Offered load per window — the time-resolved workload shape the

@@ -131,9 +131,9 @@ std::vector<attack::adaptive::EpochScore> run_adaptive_flows(
 void audit_flows(std::span<const attack::adaptive::ObservedFlow> flows,
                  const attack::audit::NearestCentroidProbe* probe,
                  obs::WindowedRegistry& windows, const obs::LabelSet& labels,
-                 attack::audit::AuditConfig config) {
-  config.window = windows.window();
-  attack::audit::LeakageAuditor auditor{config};
+                 bool per_pair_series) {
+  attack::audit::LeakageAuditor auditor{
+      attack::audit::AuditConfig{windows.window(), per_pair_series}};
   auditor.set_probe(probe);
   for (const attack::adaptive::ObservedFlow& flow : flows) {
     auditor.observe_flow(flow.address.to_u64(), flow.flow.records(),

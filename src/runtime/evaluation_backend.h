@@ -180,13 +180,14 @@ struct RssiModel {
 /// observed flows: reduces them with an attack::audit::LeakageAuditor
 /// (audit window = the registry's window, so privacy series align with
 /// the rest of the windowed telemetry) and publishes the privacy_* series
-/// into `windows` under `labels`. `probe` may be null (the proxy series
-/// is then absent); `config.window` is overridden by the registry's.
-/// Observation-only and deterministic — reports are untouched and per-cell
-/// registries fold byte-identically for any worker-thread count.
+/// into `windows` under `labels`, plus one privacy_pairwise_jsd_bits
+/// series per vMAC pair with `per_pair_series`. `probe` may be null (the
+/// proxy series is then absent). Observation-only and deterministic —
+/// reports are untouched and per-cell registries fold byte-identically
+/// for any worker-thread count.
 void audit_flows(std::span<const attack::adaptive::ObservedFlow> flows,
                  const attack::audit::NearestCentroidProbe* probe,
                  obs::WindowedRegistry& windows, const obs::LabelSet& labels,
-                 attack::audit::AuditConfig config = {});
+                 bool per_pair_series = false);
 
 }  // namespace reshape::runtime

@@ -1,7 +1,8 @@
 // Unit tests of obs::WindowedSeries / WindowedRegistry / WindowedSnapshot:
 // window-boundary bucketing, the canonical window-wise merge (commutative,
-// associative, observe==merge equivalence), stable JSON, the EpochScore
-// and Trace publishers, and histogram quantile estimation.
+// associative, observe==merge equivalence), stable JSON, and the
+// EpochScore and Trace publishers.
+#include <cmath>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -123,6 +124,26 @@ TEST(WindowedSnapshotTest, MergeInterleavesDisjointSeriesAndWindows) {
   EXPECT_EQ(merged.find("delta"), nullptr);
 }
 
+TEST(WindowedSeriesTest, ObserveKeepsNegativeZeroExact) {
+  // observe() folds a one-value accumulator: its sum is 0.0 + v and its
+  // min/max are v itself, so a -0.0 reading stays -0.0 at the extremes.
+  obs::WindowedSeries series{util::Duration::microseconds(100)};
+  series.observe(at_us(10), -0.0);
+  series.observe(at_us(20), -0.0);
+  series.observe(at_us(110), 1.5);
+  series.observe(at_us(120), -0.0);
+  ASSERT_EQ(series.points().size(), 2u);
+  const obs::WindowAccumulator& first = series.points()[0].value;
+  EXPECT_EQ(first.count, 2u);
+  EXPECT_FALSE(std::signbit(first.sum));
+  EXPECT_TRUE(std::signbit(first.min));
+  EXPECT_TRUE(std::signbit(first.max));
+  const obs::WindowAccumulator& second = series.points()[1].value;
+  EXPECT_EQ(second.sum, 1.5);
+  EXPECT_TRUE(std::signbit(second.min));
+  EXPECT_EQ(second.max, 1.5);
+}
+
 TEST(WindowedSnapshotTest, MergeRejectsMismatchedWindowLengths) {
   obs::WindowedRegistry a{util::Duration::microseconds(10)};
   obs::WindowedRegistry b{util::Duration::microseconds(20)};
@@ -141,9 +162,6 @@ TEST(WindowedSnapshotTest, JsonAndCsvAreStable) {
             "{\"k\":\"v\"},\"points\":[{\"window\":1,\"count\":1,"
             "\"sum\":2.5,\"min\":2.5,\"max\":2.5}]}]}");
   EXPECT_EQ(registry.snapshot().to_json(), json);
-  EXPECT_EQ(registry.snapshot().to_csv(),
-            "name,labels,window,count,sum,min,max\n"
-            "s,\"k=v\",1,1,2.5,2.5,2.5\n");
 }
 
 TEST(WindowedPublishTest, EpochScoreObservesAtEpochStart) {
@@ -204,52 +222,6 @@ TEST(WindowedPublishTest, TracePublisherCountsPacketsAndBytes) {
   EXPECT_EQ(offered->points[0].value.count, 2u);       // packets
   EXPECT_DOUBLE_EQ(offered->points[0].value.sum, 500.0);  // bytes
   EXPECT_DOUBLE_EQ(offered->points[1].value.sum, 50.0);
-}
-
-TEST(HistogramQuantileTest, InterpolatesWithinBuckets) {
-  obs::HistogramData h;
-  h.upper_bounds = {10.0, 20.0, 30.0, 40.0};
-  h.counts.assign(5, 0);
-  for (const double v : {5.0, 15.0, 25.0, 35.0}) {
-    h.observe(v);
-  }
-  EXPECT_DOUBLE_EQ(h.quantile(0.5), 20.0);   // rank 2 ends bucket (10,20]
-  EXPECT_DOUBLE_EQ(h.quantile(0.25), 10.0);  // rank 1 ends bucket [0,10]
-  // p75 -> rank 3: interpolates to the top of the (20,30] bucket.
-  EXPECT_DOUBLE_EQ(h.quantile(0.75), 30.0);
-  // p100 clamps to the tracked maximum, not the bucket edge.
-  EXPECT_DOUBLE_EQ(h.quantile(1.0), 35.0);
-  EXPECT_DOUBLE_EQ(h.quantile(0.0), 5.0);  // clamped to the tracked minimum
-}
-
-TEST(HistogramQuantileTest, OverflowBucketAndEmptyHistogram) {
-  obs::HistogramData empty;
-  empty.upper_bounds = {10.0};
-  empty.counts.assign(2, 0);
-  EXPECT_DOUBLE_EQ(empty.quantile(0.99), 0.0);
-
-  obs::HistogramData h;
-  h.upper_bounds = {10.0};
-  h.counts.assign(2, 0);
-  h.observe(5.0);
-  h.observe(500.0);  // overflow bucket
-  h.observe(900.0);  // overflow bucket
-  // p99 lands in the overflow bucket, which has no upper edge: the
-  // estimator returns the tracked max rather than inventing a bound.
-  EXPECT_DOUBLE_EQ(h.quantile(0.99), 900.0);
-  EXPECT_DOUBLE_EQ(h.quantile(0.1), 5.0);  // clamped into [min, max]
-}
-
-TEST(HistogramQuantileTest, UniformSpreadMatchesExpectedPercentiles) {
-  obs::HistogramData h;
-  h.upper_bounds = {25.0, 50.0, 75.0, 100.0};
-  h.counts.assign(5, 0);
-  for (int i = 1; i <= 100; ++i) {
-    h.observe(static_cast<double>(i));
-  }
-  EXPECT_NEAR(h.quantile(0.5), 50.0, 1.0);
-  EXPECT_NEAR(h.quantile(0.9), 90.0, 1.0);
-  EXPECT_NEAR(h.quantile(0.99), 99.0, 1.0);
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 //   $ ./bench/bench_campaign_throughput --json <path>   # timings + report
 //   $ ./bench/bench_campaign_throughput --dense-smoke   # 10k-station gate
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <iostream>
 #include <sstream>
@@ -31,6 +32,11 @@ using namespace reshape;
 // Alternating paired trials behind each scaling gate, timed after one
 // discarded warm-up.
 constexpr int kScalingTrials = 5;
+
+// Paired trials behind the telemetry-overhead gates; each trial times
+// kOverheadRuns rounds of one run per configuration.
+constexpr int kOverheadTrials = 9;
+constexpr int kOverheadRuns = 5;
 
 /// First quartile, median and third quartile of a timing sample (linear
 /// interpolation between order statistics).
@@ -63,16 +69,6 @@ double time_run(runtime::CampaignEngine& engine, std::size_t threads,
   json_out = engine.run(threads).to_json();
   const auto stop = std::chrono::steady_clock::now();
   return std::chrono::duration<double>(stop - start).count();
-}
-
-/// One timed run at `threads` workers with the given telemetry config;
-/// also returns the (stable) report JSON of the run.
-double timed_rate(runtime::CampaignEngine& engine, std::size_t threads,
-                  obs::TelemetryConfig config, std::size_t sessions,
-                  std::string& json_out) {
-  engine.set_telemetry(config);
-  const double seconds = time_run(engine, threads, json_out);
-  return static_cast<double>(sessions) / std::max(seconds, 1e-9);
 }
 
 /// The 10k-station CI gate: one dense-wlan-10k cell, generated and scored
@@ -212,10 +208,14 @@ int run(const std::string& json_path) {
   }
 
   // Telemetry overhead: the same grid with collection on vs everything
-  // off. Each trial times the two configurations back-to-back, so slow
-  // drift in ambient machine load cancels within the pair; the gates read
-  // the *median* paired overhead, which a single noisy-neighbor trial
-  // cannot decide in either direction.
+  // off. One run of the grid lasts ~0.06 s on a 4-vCPU VM, and single-run
+  // pairs spread about +-6 points, too wide for a 5% gate. So each trial
+  // sums kOverheadRuns rounds of one run per configuration, interleaved
+  // so that drift in ambient machine load cancels within a round and
+  // reversed every other round so that no configuration always runs
+  // first; the gates read the *median* paired overhead over the trials,
+  // which a single noisy-neighbor trial cannot decide in either
+  // direction.
   //
   // Two budgets, because the layer has two kinds of collectors:
   //  - passive telemetry (metrics + tracing + profiling + windowed
@@ -234,48 +234,61 @@ int run(const std::string& json_path) {
       sessions += cell.session_count;
     }
   }
-  obs::TelemetryConfig passive = obs::TelemetryConfig::enabled();
-  passive.privacy = false;
-  const obs::TelemetryConfig audited = obs::TelemetryConfig::enabled();
-  std::string json_off;
-  std::string json_on;
-  std::string json_audit;
-  double rate_off = 0.0;
-  double rate_on = 0.0;
-  double rate_audit = 0.0;
+  struct Arm {
+    obs::TelemetryConfig config;
+    std::string json;       // the (stable) report of the arm's last run
+    double seconds = 0.0;   // summed over one trial's rounds
+    double best_rate = 0.0; // sessions/s of the arm's fastest trial
+  };
+  std::array<Arm, 3> arms;  // off, passive, passive + privacy audit
+  arms[1].config = obs::TelemetryConfig::enabled();
+  arms[1].config.privacy = false;
+  arms[2].config = obs::TelemetryConfig::enabled();
+  const Arm& off = arms[0];
+  const Arm& on = arms[1];
+  const Arm& audit = arms[2];
   std::vector<double> passive_overheads;
   std::vector<double> audit_overheads;
-  for (int trial = 0; trial < 9; ++trial) {
-    const double off = timed_rate(engine, hw, obs::TelemetryConfig{}, sessions,
-                                  json_off);
-    const double on = timed_rate(engine, hw, passive, sessions, json_on);
-    const double audit = timed_rate(engine, hw, audited, sessions,
-                                    json_audit);
-    rate_off = std::max(rate_off, off);
-    rate_on = std::max(rate_on, on);
-    rate_audit = std::max(rate_audit, audit);
-    passive_overheads.push_back(off <= 0.0 ? 0.0
-                                           : 100.0 * (off - on) / off);
-    audit_overheads.push_back(off <= 0.0 ? 0.0
-                                         : 100.0 * (off - audit) / off);
+  for (int trial = 0; trial < kOverheadTrials; ++trial) {
+    for (Arm& arm : arms) {
+      arm.seconds = 0.0;
+    }
+    for (int round = 0; round < kOverheadRuns; ++round) {
+      const bool forward = (trial + round) % 2 == 0;
+      for (std::size_t i = 0; i < arms.size(); ++i) {
+        Arm& arm = arms[forward ? i : arms.size() - 1 - i];
+        engine.set_telemetry(arm.config);
+        arm.seconds += time_run(engine, hw, arm.json);
+      }
+    }
+    for (Arm& arm : arms) {
+      arm.best_rate = std::max(
+          arm.best_rate, static_cast<double>(sessions * kOverheadRuns) /
+                             std::max(arm.seconds, 1e-9));
+    }
+    // Throughput lost: 1 - rate_on / rate_off = 1 - t_off / t_on.
+    passive_overheads.push_back(
+        100.0 * (1.0 - off.seconds / std::max(on.seconds, 1e-9)));
+    audit_overheads.push_back(
+        100.0 * (1.0 - off.seconds / std::max(audit.seconds, 1e-9)));
   }
   engine.set_telemetry(obs::TelemetryConfig{});
-  const auto median = [](std::vector<double>& v) {
-    std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
-    return v[v.size() / 2];
-  };
-  const double overhead_percent = median(passive_overheads);
-  const double audit_percent = median(audit_overheads);
-  std::cout << "  telemetry off    : " << rate_off << " sessions/s\n"
-            << "  telemetry passive: " << rate_on
+  const Spread passive_spread = spread(passive_overheads);
+  const Spread audit_spread = spread(audit_overheads);
+  const double overhead_percent = passive_spread.median;
+  const double audit_percent = audit_spread.median;
+  std::cout << "  telemetry off    : " << off.best_rate << " sessions/s\n"
+            << "  telemetry passive: " << on.best_rate
             << " sessions/s (median paired overhead " << overhead_percent
-            << "%)\n"
-            << "  + privacy audit  : " << rate_audit
+            << "%, quartiles " << passive_spread.q1 << "-"
+            << passive_spread.q3 << ")\n"
+            << "  + privacy audit  : " << audit.best_rate
             << " sessions/s (median paired overhead " << audit_percent
-            << "%)\n";
+            << "%, quartiles " << audit_spread.q1 << "-" << audit_spread.q3
+            << ")\n";
   check("report identical with telemetry enabled",
-        json_off == json_on && json_on == json1);
-  check("report identical with privacy auditing on", json_audit == json1);
+        off.json == on.json && on.json == json1);
+  check("report identical with privacy auditing on", audit.json == json1);
   check("passive telemetry overhead < 5%", overhead_percent < 5.0);
   check("privacy auditing overhead < 40%", audit_percent < 40.0);
 
@@ -374,11 +387,16 @@ int run(const std::string& json_path) {
          << t4 << "," << thw << "],\"speedup_4_workers\":{\"trials\":"
          << kScalingTrials << ",\"quartiles\":" << quartiles_json(speedup)
          << "},\"telemetry_overhead\":{\"sessions\":"
-         << sessions << ",\"rate_disabled\":" << rate_off
-         << ",\"rate_enabled\":" << rate_on
+         << sessions << ",\"rate_disabled\":" << off.best_rate
+         << ",\"rate_enabled\":" << on.best_rate
          << ",\"overhead_percent\":" << overhead_percent
-         << ",\"rate_audited\":" << rate_audit
-         << ",\"audit_overhead_percent\":" << audit_percent << "}";
+         << ",\"rate_audited\":" << audit.best_rate
+         << ",\"audit_overhead_percent\":" << audit_percent
+         << ",\"trials\":" << kOverheadTrials
+         << ",\"rounds_per_trial\":" << kOverheadRuns
+         << ",\"overhead_quartiles\":" << quartiles_json(passive_spread)
+         << ",\"audit_overhead_quartiles\":" << quartiles_json(audit_spread)
+         << "}";
     json << ",\"shard_server\":{\"scenario\":\"dense-wlan-10k\",\"cells\":"
          << dense.cell_count() << ",\"hardware_threads\":"
          << std::thread::hardware_concurrency()

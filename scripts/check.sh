@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verification: configure, build, and run the full test suite,
-# then refresh BENCH_tuning.json (the parameter-tuning smoke sweep's
-# stable JSON — the perf/selection trajectory tracked across PRs).
+# then regenerate BENCH_tuning.json and BENCH_campaign.json (the perf
+# records tracked across PRs) and fail when their deterministic parts
+# differ from the committed copies.
 #
 #   ./scripts/check.sh             # RelWithDebInfo, plain build
 #   ./scripts/check.sh --sanitize  # Debug + ASan/UBSan, separate build dir
@@ -105,10 +106,24 @@ if [ "$TSAN" = 1 ]; then
   exit 0
 fi
 
+# Both perf records are regenerated from the tree, and their
+# deterministic parts must equal the committed copies: a change that
+# moves a report byte commits the regenerated file and says so. Their
+# timing sections are host measurements and stay unchecked. Outside a
+# git checkout there is nothing to compare against.
+COMMITTED=0
+if git rev-parse -q --verify HEAD > /dev/null 2>&1; then
+  COMMITTED=1
+fi
+
 # The tuner's smoke sweep doubles as the machine-readable perf record:
 # deterministic, so the diff of BENCH_tuning.json across PRs is the
 # selection/latency trajectory of the tuning subsystem.
 "./$BUILD_DIR/bench_parameter_tuning" --smoke --json BENCH_tuning.json
+if [ "$COMMITTED" = 1 ] && ! git diff --quiet HEAD -- BENCH_tuning.json; then
+  echo "check.sh: BENCH_tuning.json differs from the committed copy" >&2
+  exit 1
+fi
 
 # The campaign-throughput bench is the hot-path perf record: the campaign
 # section of BENCH_campaign.json is deterministic (its diff across PRs is
@@ -116,6 +131,17 @@ fi
 # and the bench's own gates assert byte-identical reports across thread
 # counts and with telemetry on.
 "./$BUILD_DIR/bench_campaign_throughput" --json BENCH_campaign.json
+if [ "$COMMITTED" = 1 ]; then
+  git show HEAD:BENCH_campaign.json | python3 -c '
+import json, sys
+committed = json.load(sys.stdin)["campaign"]
+with open("BENCH_campaign.json") as f:
+    regenerated = json.load(f)["campaign"]
+if committed != regenerated:
+    sys.exit("check.sh: the campaign section of BENCH_campaign.json "
+             "differs from the committed copy")
+'
+fi
 
 # The 10k-station scale gate: one dense-wlan-10k cell must generate,
 # arbitrate, and score to completion under the smoke's wall-clock budget
@@ -128,22 +154,6 @@ fi
 # chain with scripts/trace_dump.py telemetry.json.
 OBS_TELEMETRY=telemetry.json "./$BUILD_DIR/live_wlan_session" > /dev/null
 test -s telemetry.json
-
-# The drift smoke: the monitored-drift campaign must fire the
-# Page–Hinkley rule on its shifted run and stay silent on the stationary
-# control (the example exits non-zero otherwise). alerts.json carries the
-# windowed series + alerts; inspect with scripts/trace_dump.py --series /
-# --alerts alerts.json.
-"./$BUILD_DIR/drift_monitor" --out alerts.json > /dev/null
-test -s alerts.json
-
-# The privacy smoke: the label-free leakage audit must rank undefended
-# traffic above OR by proxy accuracy (the example exits non-zero
-# otherwise). privacy.json carries the windowed privacy_* series
-# including the per-vMAC-pair divergences; inspect with
-# scripts/trace_dump.py --privacy privacy.json.
-"./$BUILD_DIR/adaptive_privacy" --out privacy.json > /dev/null
-test -s privacy.json
 
 # The shard-server smoke: every engine's report and telemetry folded
 # from worker processes must be byte-identical to the in-process run

@@ -62,9 +62,11 @@ def trace_of(doc, path):
 
 def print_profile(profile):
     """Per-phase lap table from a PhaseProfiler export: accumulated wall
-    and thread-CPU time per phase, with per-call averages. Phases nest by
-    name ("cells" contains every "cell/<id>"; "features" laps run inside
-    cells), so the table is sorted to keep families adjacent."""
+    and thread-CPU time per phase, with per-call averages. "cells" is the
+    sum of the whole-cell laps and "cell/<id>" one cell's lap, keyed by
+    its grid cell id; the fixed phases (generation, features, streaming,
+    arbitration, adaptive) are laps taken inside cells. Sorting by name
+    keeps the cell laps adjacent."""
     if not profile:
         print("profile section is empty (profiling disabled for the run?)")
         return

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 #include <utility>
 
 #include "runtime/adaptive_campaign.h"
@@ -75,7 +74,7 @@ CandidateShardOutcome CandidateEvaluator::evaluate_cell(
     const TunedConfiguration& candidate,
     std::span<const traffic::Trace> sessions, const runtime::CellGrid& grid,
     std::size_t cell_id, obs::WindowedRegistry* windows,
-    bool audit_privacy, bool audit_pairs) const {
+    bool audit_privacy, bool audit_pairs, obs::CellLaps* laps) const {
   util::require(trained_, "CandidateEvaluator: call train() first");
   candidate.validate();
   const runtime::CellStreams streams =
@@ -98,31 +97,31 @@ CandidateShardOutcome CandidateEvaluator::evaluate_cell(
       sim::channel::DcfParams{.bitrate_mbps = spec_.arbitration_bitrate_mbps},
       streams.channel.fork(2)};
 
-  // One phase-timer lap per pass (emplace ends the previous lap); host
-  // timings only, the simulation below never reads the profiler.
-  std::optional<obs::PhaseProfiler::Scope> phase;
-  phase.emplace(profiler_, "streaming");
-
+  // One lap per pass; host timings only, the simulation below never
+  // reads them.
   std::vector<eval::DefendedSession> defended;
   defended.reserve(sessions.size());
-  for (std::size_t s = 0; s < sessions.size(); ++s) {
-    const auto reshaper = candidate.make_reshaper(config);
-    reshaper->set_windowed(windows, window_labels);  // nullptr: off
-    for (const traffic::PacketRecord& record : sessions[s].records()) {
-      const online::ShapedPacket shaped = reshaper->push(record);
-      cell.release(s, shaped.tx_start, shaped.record.size_bytes);
-    }
-    eval::DefendedSession session;
-    session.app = sessions[s].app();
-    session.original_bytes = reshaper->stats().original_bytes;
-    session.added_bytes = reshaper->stats().added_bytes;
-    for (const traffic::Trace& stream : reshaper->streams()) {
-      if (!stream.empty()) {
-        session.flows.push_back(stream);
+  {
+    const obs::PhaseLap lap{laps, obs::Phase::kStreaming};
+    for (std::size_t s = 0; s < sessions.size(); ++s) {
+      const auto reshaper = candidate.make_reshaper(config);
+      reshaper->set_windowed(windows, window_labels);  // nullptr: off
+      for (const traffic::PacketRecord& record : sessions[s].records()) {
+        const online::ShapedPacket shaped = reshaper->push(record);
+        cell.release(s, shaped.tx_start, shaped.record.size_bytes);
       }
+      eval::DefendedSession session;
+      session.app = sessions[s].app();
+      session.original_bytes = reshaper->stats().original_bytes;
+      session.added_bytes = reshaper->stats().added_bytes;
+      for (const traffic::Trace& stream : reshaper->streams()) {
+        if (!stream.empty()) {
+          session.flows.push_back(stream);
+        }
+      }
+      outcome.streaming.merge(reshaper->stats());
+      defended.push_back(std::move(session));
     }
-    outcome.streaming.merge(reshaper->stats());
-    defended.push_back(std::move(session));
   }
 
   // Observed pass: every released frame contends for one arbitrated DCF
@@ -130,21 +129,24 @@ CandidateShardOutcome CandidateEvaluator::evaluate_cell(
   // sample distribution the latency budgets are checked against. Delays
   // are whole microseconds, so an exact integer sort orders them; every
   // release without one was dropped.
-  phase.emplace(profiler_, "arbitration");
-  cell.arbiter().set_windowed(windows, window_labels);
-  std::vector<std::uint64_t> delays_us;
-  delays_us.reserve(cell.releases());
-  cell.run([&delays_us](std::size_t, const mac::Frame&,
-                        util::Duration access_delay) {
-    delays_us.push_back(static_cast<std::uint64_t>(access_delay.count_us()));
-  });
-  outcome.frames_dropped = cell.releases() - delays_us.size();
-  util::radix_sort(delays_us);
-  outcome.access_delay_us.assign(delays_us.begin(), delays_us.end());
+  {
+    const obs::PhaseLap lap{laps, obs::Phase::kArbitration};
+    cell.arbiter().set_windowed(windows, window_labels);
+    std::vector<std::uint64_t> delays_us;
+    delays_us.reserve(cell.releases());
+    cell.run([&delays_us](std::size_t, const mac::Frame&,
+                          util::Duration access_delay) {
+      delays_us.push_back(
+          static_cast<std::uint64_t>(access_delay.count_us()));
+    });
+    outcome.frames_dropped = cell.releases() - delays_us.size();
+    util::radix_sort(delays_us);
+    outcome.access_delay_us.assign(delays_us.begin(), delays_us.end());
+  }
 
   // Adaptive pass: identical scoring to AdaptiveCampaignEngine, via the
   // shared backend (consumes the defended flow traces).
-  phase.emplace(profiler_, "adaptive");
+  const obs::PhaseLap lap{laps, obs::Phase::kAdaptive};
   const std::vector<attack::adaptive::ObservedFlow> flows =
       runtime::rssi_tagged_flows(defended, streams.rssi,
                                  runtime::RssiModel{});
@@ -160,7 +162,6 @@ CandidateShardOutcome CandidateEvaluator::evaluate_cell(
       publish_windowed(*windows, epoch, window_labels);
     }
   }
-  phase.reset();
   return outcome;
 }
 

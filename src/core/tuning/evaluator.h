@@ -121,12 +121,15 @@ class CandidateEvaluator {
   /// non-null `windows`), the cell's observed flows additionally run
   /// through the shared label-free leakage audit — privacy_* series under
   /// the same labels, still observation-only; `audit_pairs` adds the
-  /// per-vMAC-pair divergence series on top.
+  /// per-vMAC-pair divergence series on top. `laps` (optional) receives
+  /// one wall/CPU lap each of the streaming, arbitration and adaptive
+  /// passes — host timings only, never part of the outcome.
   [[nodiscard]] CandidateShardOutcome evaluate_cell(
       const TunedConfiguration& candidate,
       std::span<const traffic::Trace> sessions, const runtime::CellGrid& grid,
       std::size_t cell_id, obs::WindowedRegistry* windows = nullptr,
-      bool audit_privacy = false, bool audit_pairs = false) const;
+      bool audit_privacy = false, bool audit_pairs = false,
+      obs::CellLaps* laps = nullptr) const;
 
   /// Merges one candidate's shard outcomes into metrics under
   /// `objective` (epoch confusions merged per epoch before the crossing
@@ -137,18 +140,12 @@ class CandidateEvaluator {
       std::span<const CandidateShardOutcome> shards,
       const TuningObjective& objective);
 
-  /// Attaches a phase profiler (nullptr detaches): evaluate_cell records
-  /// wall/CPU laps of its streaming / arbitration / adaptive passes.
-  /// Host timings only — never part of the deterministic reports.
-  void set_profiler(obs::PhaseProfiler* profiler) { profiler_ = profiler; }
-
  private:
   const TunerSpec& spec_;
   ml::Dataset base_;
   traffic::Trace profile_;
   attack::audit::NearestCentroidProbe probe_;  // label-free attacker proxy
   bool trained_ = false;
-  obs::PhaseProfiler* profiler_ = nullptr;  // not owned
 };
 
 }  // namespace reshape::core::tuning

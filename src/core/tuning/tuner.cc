@@ -117,40 +117,36 @@ std::size_t ParameterTuner::cell_count() {
   return grid().cell_count();
 }
 
-void ParameterTuner::set_telemetry(obs::TelemetryConfig config) {
-  GridEngine::set_telemetry(config);
-  evaluator_.set_profiler(config.profiling ? &telemetry_.profiler : nullptr);
-}
-
 TuningRangeOutcome ParameterTuner::run_range(std::size_t begin,
                                              std::size_t end,
                                              std::size_t threads) {
-  runtime::WorkloadMemo memo{
-      spec_.shards,
-      telemetry_.config.profiling ? &telemetry_.profiler : nullptr};
+  runtime::WorkloadMemo<std::vector<traffic::Trace>> memo{spec_.shards};
   workloads_ = &memo;
   struct Detach {
-    runtime::WorkloadMemo*& memo;
+    runtime::WorkloadMemo<std::vector<traffic::Trace>>*& memo;
     ~Detach() { memo = nullptr; }
   } detach{workloads_};
   return GridEngine::run_range(begin, end, threads);
 }
 
 CandidateShardOutcome ParameterTuner::run_cell(
-    std::size_t cell_id, runtime::WorkerArena& /*arena*/,
+    std::size_t cell_id, runtime::WorkerArena& arena,
     obs::WindowedRegistry* windows) const {
   const runtime::CellGrid g = grid();
   const runtime::CellGrid::Cell cell = g.decompose(cell_id);
+  obs::CellLaps* laps = &arena.eval.laps;
   // Candidates take the defense axis, so the workload slot is the shard.
+  // Only the cell that fills the slot laps its generation.
   const std::vector<traffic::Trace>& sessions =
       workloads_->get(g.workload_id(cell), [&] {
+        const obs::PhaseLap lap{laps, obs::Phase::kGeneration};
         util::Rng stream =
             runtime::cell_streams(spec_.seed, g, cell_id).workload;
         return spec_.scenario.generate(stream);
       });
   return evaluator_.evaluate_cell(candidates_[cell.defense], sessions, g,
                                   cell_id, windows, telemetry_.config.privacy,
-                                  telemetry_.config.privacy_pairs);
+                                  telemetry_.config.privacy_pairs, laps);
 }
 
 // Publishes one (candidate, shard) cell into a private per-cell

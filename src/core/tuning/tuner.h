@@ -98,10 +98,6 @@ class ParameterTuner
                                              std::size_t end,
                                              std::size_t threads = 0);
 
-  /// GridEngine::set_telemetry, plus attaching the profiler to the
-  /// evaluator when profiling is on.
-  void set_telemetry(obs::TelemetryConfig config);
-
  private:
   friend GridEngine;
 
@@ -126,7 +122,7 @@ class ParameterTuner
   bool trained_ = false;
   // The memo of the run_range() in flight (one slot per shard); null
   // between calls.
-  runtime::WorkloadMemo* workloads_ = nullptr;
+  runtime::WorkloadMemo<std::vector<traffic::Trace>>* workloads_ = nullptr;
 };
 
 }  // namespace reshape::core::tuning

@@ -99,27 +99,17 @@ std::vector<ml::ConfusionMatrix> ExperimentHarness::attack_confusions(
   std::vector<features::WindowFeatures> local_windows;
   std::vector<features::WindowFeatures>& windows =
       scratch != nullptr ? scratch->windows : local_windows;
-  obs::PhaseProfiler* profiler =
-      scratch != nullptr ? scratch->profiler : nullptr;
+  obs::CellLaps* laps = scratch != nullptr ? &scratch->laps : nullptr;
   std::vector<ml::ConfusionMatrix> confusions(
       attacks_.size(),
       ml::ConfusionMatrix{static_cast<int>(traffic::kAppCount)});
-  // Feature-extraction laps are accumulated locally and flushed once —
-  // a per-flow PhaseProfiler::Scope would take the profiler mutex on
-  // every flow of every cell, which is measurable against the <5%
-  // telemetry-overhead budget.
-  obs::PhaseSample features_sample;
   for (const traffic::Trace& flow : flows) {
     const int truth = static_cast<int>(traffic::app_index(flow.app()));
-    const std::int64_t wall = profiler != nullptr ? obs::wall_clock_us() : 0;
-    const std::int64_t cpu = profiler != nullptr ? obs::thread_cpu_us() : 0;
-    const std::vector<std::vector<double>> rows = attack::feature_rows_of(
-        flow, attacks_.front().attack->config(), windows);
-    if (profiler != nullptr) {
-      features_sample.wall_us += obs::wall_clock_us() - wall;
-      features_sample.cpu_us += obs::thread_cpu_us() - cpu;
-      ++features_sample.calls;
-    }
+    const std::vector<std::vector<double>> rows = [&] {
+      const obs::PhaseLap lap{laps, obs::Phase::kFeatures};
+      return attack::feature_rows_of(flow, attacks_.front().attack->config(),
+                                     windows);
+    }();
     for (std::size_t a = 0; a < attacks_.size(); ++a) {
       util::internal_check(
           attacks_[a].attack->config() == attacks_.front().attack->config(),
@@ -128,9 +118,6 @@ std::vector<ml::ConfusionMatrix> ExperimentHarness::attack_confusions(
         confusions[a].add(truth, predicted);
       }
     }
-  }
-  if (profiler != nullptr && features_sample.calls > 0) {
-    profiler->add("features", features_sample);
   }
   return confusions;
 }

@@ -62,11 +62,12 @@ struct ExperimentConfig {
 /// evaluate_sessions() calls: the window-feature buffer grows to the
 /// largest flow once and is reused for every later extraction instead of
 /// reallocating per flow. Purely an allocation cache — results are
-/// byte-identical with or without it. The optional profiler receives one
-/// "features" lap per extracted flow (host timings, telemetry-only).
+/// byte-identical with or without it. `laps` is the running cell's lap
+/// record: one "features" lap per extracted flow when enabled (host
+/// timings, telemetry-only).
 struct EvalScratch {
   std::vector<features::WindowFeatures> windows;
-  obs::PhaseProfiler* profiler = nullptr;
+  obs::CellLaps laps;
 };
 
 /// Everything a table row needs about one defense.

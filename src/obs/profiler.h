@@ -1,22 +1,23 @@
 // Per-phase wall/CPU profiling for the evaluation backends.
 //
-// The campaign engines and the tuner run three distinct passes per cell —
-// streaming, arbitration, adaptive — and the fleet-controller roadmap item
-// needs to know where campaign time actually goes. PhaseProfiler collects
-// RAII-scoped wall-clock and thread-CPU laps, keyed by phase name, and is
-// safe to fill from worker threads (add() takes a mutex; a lap itself is
-// two clock reads, no locking).
+// A grid cell's host time splits over a fixed phase list (generation,
+// features, streaming, arbitration, adaptive). The worker that runs a
+// cell laps those phases into the cell's own CellLaps record — an RAII
+// PhaseLap is two clock reads at each end and an array slot, with no
+// lock and no string. After the pool joins, the coordinating thread
+// folds the records in cell order into a PhaseProfiler, the one place
+// that names phases; nothing else touches it.
 //
 // Profiling is inherently nondeterministic (it measures the host, not the
 // simulation), so its output is exported ONLY through the telemetry JSON —
 // it must never be folded into the deterministic campaign/tuner reports.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <string>
-#include <string_view>
 
 namespace reshape::obs {
 
@@ -33,52 +34,79 @@ struct PhaseSample {
   }
 };
 
-/// Current wall-clock, in microseconds (monotonic).
-[[nodiscard]] std::int64_t wall_clock_us();
+/// The phases a cell laps, in the order CellLaps::phases stores them.
+enum class Phase : std::uint8_t {
+  kGeneration,
+  kFeatures,
+  kStreaming,
+  kArbitration,
+  kAdaptive,
+};
+inline constexpr std::size_t kPhaseCount =
+    static_cast<std::size_t>(Phase::kAdaptive) + 1;
 
-/// Calling thread's consumed CPU time, in microseconds; falls back to the
-/// process clock where a per-thread clock is unavailable.
-[[nodiscard]] std::int64_t thread_cpu_us();
+/// One cell's laps, filled by the one worker that runs the cell. With
+/// `enabled` false every PhaseLap on it is a no-op.
+struct CellLaps {
+  bool enabled = false;
+  PhaseSample cell;  // the whole cell
+  std::array<PhaseSample, kPhaseCount> phases{};
+};
 
+/// RAII lap: adds one call of the elapsed wall and thread-CPU time to a
+/// sample when it dies.
+class PhaseLap {
+ public:
+  /// Laps `phase` of `laps`; inert when `laps` is null or not enabled.
+  PhaseLap(CellLaps* laps, Phase phase)
+      : PhaseLap{laps != nullptr && laps->enabled
+                     ? &laps->phases[static_cast<std::size_t>(phase)]
+                     : nullptr} {}
+  /// Laps into `sample`; inert when it is null. The inert path is one
+  /// inline test, so a lap can sit on a per-flow loop.
+  explicit PhaseLap(PhaseSample* sample) : sample_{sample} {
+    if (sample_ != nullptr) {
+      start();
+    }
+  }
+  ~PhaseLap() {
+    if (sample_ != nullptr) {
+      stop();
+    }
+  }
+  PhaseLap(const PhaseLap&) = delete;
+  PhaseLap& operator=(const PhaseLap&) = delete;
+
+ private:
+  void start();
+  void stop();
+
+  PhaseSample* sample_;
+  std::int64_t wall_start_ = 0;
+  std::int64_t cpu_start_ = 0;
+};
+
+/// The fold target of an engine's cell laps. Single-threaded: only the
+/// coordinating thread adds to or reads it.
 class PhaseProfiler {
  public:
-  /// RAII lap: records one PhaseSample into the profiler at destruction.
-  class Scope {
-   public:
-    Scope(PhaseProfiler* profiler, std::string phase);
-    ~Scope();
-    Scope(const Scope&) = delete;
-    Scope& operator=(const Scope&) = delete;
-
-   private:
-    PhaseProfiler* profiler_;  // nullptr = disabled, zero-cost
-    std::string phase_;
-    std::int64_t wall_start_ = 0;
-    std::int64_t cpu_start_ = 0;
-  };
-
-  /// Times `phase` until the returned Scope dies. `profiler` may be
-  /// nullptr (a disabled scope records nothing) — callers hold a plain
-  /// pointer and need no branching.
-  [[nodiscard]] static Scope time(PhaseProfiler* profiler,
-                                  std::string phase) {
-    return Scope{profiler, std::move(phase)};
-  }
-
-  /// Thread-safe accumulation of one lap into the named phase.
-  void add(std::string_view phase, const PhaseSample& sample);
+  /// Folds one cell's laps: its whole-cell sample into "cells" (the sum
+  /// over cells) and "cell/<cell_id>", and each phase with laps into the
+  /// phase's name.
+  void add(std::size_t cell_id, const CellLaps& laps);
 
   /// Phases sorted by name (std::map order), samples copied out.
-  [[nodiscard]] std::map<std::string, PhaseSample> snapshot() const;
+  [[nodiscard]] std::map<std::string, PhaseSample> snapshot() const {
+    return phases_;
+  }
 
   /// {"phase":{"wall_us":...,"cpu_us":...,"calls":...},...} sorted by
   /// phase name.
   [[nodiscard]] std::string to_json() const;
 
-  void clear();
+  void clear() { phases_.clear(); }
 
  private:
-  mutable std::mutex mutex_;
   std::map<std::string, PhaseSample> phases_;
 };
 

@@ -68,20 +68,17 @@ std::string CampaignReport::to_json() const {
 CampaignEngine::CampaignEngine(CampaignSpec spec)
     : spec_{std::move(spec)},
       harness_{spec_.training},
-      workloads_{spec_.scenarios.size() * spec_.shards} {
+      workloads_{spec_.scenarios.size() * spec_.shards},
+      offered_windows_{spec_.scenarios.size() * spec_.shards} {
   detail::require_defense_grid(spec_, "CampaignEngine");
-  const std::size_t workload_slots = spec_.scenarios.size() * spec_.shards;
-  offered_once_ = std::make_unique<std::once_flag[]>(workload_slots);
-  offered_windows_.assign(workload_slots, nullptr);
 }
 
 void CampaignEngine::set_telemetry(obs::TelemetryConfig config) {
   GridEngine::set_telemetry(config);
   // The cached offered-load reductions are keyed on the window length;
   // rebuild them lazily under the (possibly new) config.
-  const std::size_t workload_slots = spec_.scenarios.size() * spec_.shards;
-  offered_once_ = std::make_unique<std::once_flag[]>(workload_slots);
-  offered_windows_.assign(workload_slots, nullptr);
+  offered_windows_ = WorkloadMemo<std::vector<obs::WindowPoint>>{
+      spec_.scenarios.size() * spec_.shards};
 }
 
 void CampaignEngine::train() {
@@ -140,18 +137,17 @@ CellResult CampaignEngine::run_cell(std::size_t cell_id, WorkerArena& arena,
     // cell on this (scenario, shard) sweeps the packet columns once and
     // every defense row folds the cached points (commutative merge: the
     // result is byte-identical to reducing per cell).
-    std::call_once(offered_once_[workload_slot], [&] {
-      obs::WindowedSeries reduced{telemetry_.config.window};
-      for (const traffic::Trace& session : sessions) {
-        publish_windowed(reduced, session);
-      }
-      offered_windows_[workload_slot] =
-          std::make_shared<const std::vector<obs::WindowPoint>>(
-              reduced.points());
-    });
+    const std::vector<obs::WindowPoint>& offered =
+        offered_windows_.get(workload_slot, [&] {
+          obs::WindowedSeries reduced{telemetry_.config.window};
+          for (const traffic::Trace& session : sessions) {
+            publish_windowed(reduced, session);
+          }
+          return reduced.points();
+        });
     obs::WindowedSeries& series =
         windows->series("campaign_offered_bytes", cell_labels(spec_, result));
-    for (const obs::WindowPoint& point : *offered_windows_[workload_slot]) {
+    for (const obs::WindowPoint& point : offered) {
       series.fold(point.window, point.value);
     }
   }

@@ -16,8 +16,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -207,16 +205,14 @@ class CampaignEngine
   // the RNG draws), so this is the difference between re-simulating the
   // paper's workload per defense and sampling it once per (scenario,
   // shard).
-  mutable WorkloadMemo workloads_;
+  mutable WorkloadMemo<std::vector<traffic::Trace>> workloads_;
 
   // Windowed-reduction memoization, same keying: campaign_offered_bytes
   // is the *pre-defense* workload, so its per-window reduction is shared
   // by every defense row of the grid exactly like the traces themselves —
   // one packet-column sweep per (scenario, shard) instead of one per
-  // cell. set_telemetry() invalidates it (the window length may change).
-  mutable std::unique_ptr<std::once_flag[]> offered_once_;
-  mutable std::vector<std::shared_ptr<const std::vector<obs::WindowPoint>>>
-      offered_windows_;
+  // cell. set_telemetry() replaces it (the window length may change).
+  mutable WorkloadMemo<std::vector<obs::WindowPoint>> offered_windows_;
 };
 
 }  // namespace reshape::runtime

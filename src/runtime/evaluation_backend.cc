@@ -27,26 +27,17 @@ CellStreams cell_streams(std::uint64_t seed, const CellGrid& grid,
 }
 
 void run_cells(std::size_t cells, std::size_t threads,
-               const std::function<void(std::size_t, WorkerArena&)>& run_one,
-               obs::PhaseProfiler* profiler) {
+               const std::function<void(std::size_t, WorkerArena&)>& run_one) {
   if (threads == 0) {
     threads = std::thread::hardware_concurrency();
     if (threads == 0) {
       threads = 1;
     }
   }
-  const auto timed = [&run_one, profiler](std::size_t c, WorkerArena& arena) {
-    const auto pooled = obs::PhaseProfiler::time(profiler, "cells");
-    const auto per_cell =
-        obs::PhaseProfiler::time(profiler, "cell/" + std::to_string(c));
-    run_one(c, arena);
-  };
-
   if (threads <= 1 || cells <= 1) {
     WorkerArena arena;
-    arena.eval.profiler = profiler;
     for (std::size_t c = 0; c < cells; ++c) {
-      timed(c, arena);
+      run_one(c, arena);
     }
     return;
   }
@@ -57,14 +48,13 @@ void run_cells(std::size_t cells, std::size_t threads,
   std::mutex error_mutex;
   const auto worker = [&] {
     WorkerArena arena;  // private to this worker, reused across its cells
-    arena.eval.profiler = profiler;
     for (;;) {
       const std::size_t c = next.fetch_add(1, std::memory_order_relaxed);
       if (c >= cells || abort.load(std::memory_order_relaxed)) {
         return;
       }
       try {
-        timed(c, arena);
+        run_one(c, arena);
       } catch (...) {
         abort.store(true, std::memory_order_relaxed);
         const std::lock_guard<std::mutex> lock{error_mutex};

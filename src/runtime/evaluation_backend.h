@@ -36,7 +36,6 @@
 #include "eval/experiment.h"
 #include "eval/session_eval.h"
 #include "ml/dataset.h"
-#include "obs/profiler.h"
 #include "obs/windowed.h"
 #include "traffic/trace.h"
 #include "util/check.h"
@@ -85,57 +84,47 @@ struct CellStreams {
 
 /// Per-worker allocation cache, owned by one pool worker and threaded
 /// through every cell that worker runs: buffers grow to the largest cell
-/// once instead of reallocating per cell. Purely an allocation cache —
-/// cell results never depend on which worker (or arena) ran them.
+/// once instead of reallocating per cell. Besides that allocation cache
+/// it carries the running cell's lap record (eval.laps, reset per cell by
+/// GridEngine::run_range); cell results never depend on which worker (or
+/// arena) ran them.
 struct WorkerArena {
   eval::EvalScratch eval;
 };
 
-/// Materializes each workload slot at most once: the first caller on a
-/// slot generates its sessions, concurrent callers block until they are
-/// ready, and later callers share them read-only. A slot's sessions are a
-/// pure function of the spec and the slot (workload streams are keyed by
-/// (scenario, shard) only), so which cell or worker fills a slot never
-/// shows in a result. A non-null `profiler` records one "generation" lap
-/// per filled slot.
+/// Materializes each slot's value at most once: the first caller on a
+/// slot generates it, concurrent callers block until it is ready, and
+/// later callers share it read-only. The engines memo workload sessions
+/// and per-workload reductions, which are pure functions of the spec and
+/// the slot (workload streams are keyed by (scenario, shard) only), so
+/// which cell or worker fills a slot never shows in a result.
+template <typename Value>
 class WorkloadMemo {
  public:
-  explicit WorkloadMemo(std::size_t slots,
-                        obs::PhaseProfiler* profiler = nullptr)
-      : once_{std::make_unique<std::once_flag[]>(slots)},
-        sessions_(slots),
-        profiler_{profiler} {}
+  explicit WorkloadMemo(std::size_t slots)
+      : once_{std::make_unique<std::once_flag[]>(slots)}, values_(slots) {}
 
-  /// The sessions of `slot`, from `generate()` on first use.
+  /// The value of `slot`, from `generate()` on first use.
   template <typename Generate>
-  [[nodiscard]] const std::vector<traffic::Trace>& get(std::size_t slot,
-                                                       Generate&& generate) {
-    util::require(slot < sessions_.size(), "WorkloadMemo: slot out of range");
-    std::call_once(once_[slot], [&] {
-      const auto lap = obs::PhaseProfiler::time(profiler_, "generation");
-      sessions_[slot] = generate();
-    });
-    return sessions_[slot];
+  [[nodiscard]] const Value& get(std::size_t slot, Generate&& generate) {
+    util::require(slot < values_.size(), "WorkloadMemo: slot out of range");
+    std::call_once(once_[slot], [&] { values_[slot] = generate(); });
+    return values_[slot];
   }
 
  private:
   std::unique_ptr<std::once_flag[]> once_;
   // Never resized: each slot is written once, under its own once_flag.
-  std::vector<std::vector<traffic::Trace>> sessions_;
-  obs::PhaseProfiler* profiler_;  // not owned
+  std::vector<Value> values_;
 };
 
 /// Runs `run_one(cell_id, arena)` for every cell on `threads` workers (0
-/// = hardware concurrency), passing each worker's private WorkerArena
-/// (profiler wired into arena.eval) so engines can reuse allocations
-/// across cells. Aborts remaining cells on the first exception and
-/// rethrows it after the pool drains. `run_one` must be thread-safe and
-/// write only to its own cell's slot. A non-null `profiler` records one
-/// wall/CPU lap per cell (phase "cell/<id>") plus a pooled "cells" total —
-/// host timings only, never part of the deterministic reports.
+/// = hardware concurrency), passing each worker's private WorkerArena so
+/// engines can reuse allocations across cells. Aborts remaining cells on
+/// the first exception and rethrows it after the pool drains. `run_one`
+/// must be thread-safe and write only to its own cell's slot.
 void run_cells(std::size_t cells, std::size_t threads,
-               const std::function<void(std::size_t, WorkerArena&)>& run_one,
-               obs::PhaseProfiler* profiler = nullptr);
+               const std::function<void(std::size_t, WorkerArena&)>& run_one);
 
 /// The labeled rows of the clean bootstrap corpus an adaptive adversary
 /// profiles before the session starts: attack::profile_rows over

@@ -99,31 +99,43 @@ class GridEngine {
     const bool collect_windows = config.windowed || config.privacy;
     std::vector<obs::WindowedSnapshot> cell_windows(collect_windows ? count
                                                                     : 0);
-    run_cells(
-        count, threads,
-        [&](std::size_t index, WorkerArena& arena) {
-          const std::size_t cell_id = begin + index;
-          std::optional<obs::WindowedRegistry> windows;
-          if (collect_windows) {
-            windows.emplace(config.window);
-          }
-          outcome.cells[index] =
-              engine.run_cell(cell_id, arena, windows ? &*windows : nullptr);
-          if (config.metrics) {
-            obs::MetricsRegistry registry;
-            engine.publish_cell(registry, cell_id, outcome.cells[index]);
-            cell_metrics[index] = registry.snapshot();
-          }
-          if (windows) {
-            cell_windows[index] = windows->snapshot();
-          }
-        },
-        config.profiling ? &telemetry_.profiler : nullptr);
+    // Host timings take the same route: the worker laps into its arena's
+    // record, copies it to the cell's slot, and the slots fold below.
+    std::vector<obs::CellLaps> cell_laps(config.profiling ? count : 0);
+    run_cells(count, threads, [&](std::size_t index, WorkerArena& arena) {
+      const std::size_t cell_id = begin + index;
+      obs::CellLaps& laps = arena.eval.laps;
+      laps = obs::CellLaps{};
+      laps.enabled = config.profiling;
+      {
+        const obs::PhaseLap whole{laps.enabled ? &laps.cell : nullptr};
+        std::optional<obs::WindowedRegistry> windows;
+        if (collect_windows) {
+          windows.emplace(config.window);
+        }
+        outcome.cells[index] =
+            engine.run_cell(cell_id, arena, windows ? &*windows : nullptr);
+        if (config.metrics) {
+          obs::MetricsRegistry registry;
+          engine.publish_cell(registry, cell_id, outcome.cells[index]);
+          cell_metrics[index] = registry.snapshot();
+        }
+        if (windows) {
+          cell_windows[index] = windows->snapshot();
+        }
+      }
+      if (laps.enabled) {
+        cell_laps[index] = laps;
+      }
+    });
     for (const obs::MetricsSnapshot& snapshot : cell_metrics) {
       outcome.metrics.merge(snapshot);
     }
     for (const obs::WindowedSnapshot& snapshot : cell_windows) {
       outcome.windows.merge(snapshot);
+    }
+    for (std::size_t index = 0; index < cell_laps.size(); ++index) {
+      telemetry_.profiler.add(begin + index, cell_laps[index]);
     }
     return outcome;
   }
@@ -196,9 +208,10 @@ class GridEngine {
     return telemetry_.windows;
   }
 
-  /// Wall/CPU phase timings: per-cell laps from the worker pool plus any
-  /// the engine records inside its cells. Host measurements — never part
-  /// of the deterministic report. run() clears them; run_range() adds.
+  /// Wall/CPU phase timings: each cell's whole-cell lap ("cells" and
+  /// "cell/<cell id>") plus the phase laps the engine records inside it,
+  /// folded in cell order. Host measurements — never part of the
+  /// deterministic report. run() clears them; run_range() adds.
   [[nodiscard]] const obs::PhaseProfiler& profiler() const {
     return telemetry_.profiler;
   }

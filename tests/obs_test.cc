@@ -304,25 +304,48 @@ TEST(PacketTraceTest, RingBufferEvictsOldest) {
   EXPECT_EQ(events.back().frame_id, 6u);
 }
 
-TEST(ProfilerTest, NullProfilerIsInertAndScopesRecord) {
+TEST(ProfilerTest, DisabledLapsAreInertAndEnabledLapsCount) {
+  obs::CellLaps laps;  // default: off
   {
-    // No profiler attached: scopes are no-ops.
-    const auto scope = obs::PhaseProfiler::time(nullptr, "x");
+    const obs::PhaseLap none{nullptr, obs::Phase::kFeatures};
+    const obs::PhaseLap off{&laps, obs::Phase::kFeatures};
+    const obs::PhaseLap no_sample{static_cast<obs::PhaseSample*>(nullptr)};
   }
+  for (const obs::PhaseSample& sample : laps.phases) {
+    EXPECT_EQ(sample.calls, 0u);
+  }
+
+  laps.enabled = true;
+  {
+    const obs::PhaseLap whole{&laps.cell};
+    const obs::PhaseLap features{&laps, obs::Phase::kFeatures};
+    const obs::PhaseLap adaptive{&laps, obs::Phase::kAdaptive};
+  }
+  {
+    const obs::PhaseLap again{&laps, obs::Phase::kFeatures};
+  }
+  const auto calls = [&laps](obs::Phase phase) {
+    return laps.phases[static_cast<std::size_t>(phase)].calls;
+  };
+  EXPECT_EQ(laps.cell.calls, 1u);
+  EXPECT_EQ(calls(obs::Phase::kFeatures), 2u);
+  EXPECT_EQ(calls(obs::Phase::kAdaptive), 1u);
+  EXPECT_EQ(calls(obs::Phase::kGeneration), 0u);
+  EXPECT_GE(laps.cell.wall_us, 0);
+
+  // The fold names the cell, sums "cells", and skips phases with no laps.
   obs::PhaseProfiler profiler;
-  {
-    const auto outer = obs::PhaseProfiler::time(&profiler, "outer");
-    const auto inner = obs::PhaseProfiler::time(&profiler, "inner");
-  }
-  {
-    const auto again = obs::PhaseProfiler::time(&profiler, "outer");
-  }
+  profiler.add(7, laps);
+  profiler.add(9, laps);
   const auto snap = profiler.snapshot();
-  ASSERT_EQ(snap.count("outer"), 1u);
-  ASSERT_EQ(snap.count("inner"), 1u);
-  EXPECT_EQ(snap.at("outer").calls, 2u);
-  EXPECT_EQ(snap.at("inner").calls, 1u);
-  EXPECT_GE(snap.at("outer").wall_us, snap.at("inner").wall_us);
+  ASSERT_EQ(snap.size(), 5u);
+  EXPECT_EQ(snap.at("cells").calls, 2u);
+  EXPECT_EQ(snap.at("cell/7").calls, 1u);
+  EXPECT_EQ(snap.at("cell/9").calls, 1u);
+  EXPECT_EQ(snap.at("features").calls, 4u);
+  EXPECT_EQ(snap.at("adaptive").calls, 2u);
+  EXPECT_EQ(snap.count("generation"), 0u);
+  EXPECT_EQ(profiler.to_json().find("{\"adaptive\":{\"wall_us\":"), 0u);
   profiler.clear();
   EXPECT_TRUE(profiler.snapshot().empty());
 }

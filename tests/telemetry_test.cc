@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <ios>
+#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -23,6 +24,7 @@
 #include "core/scheduler.h"
 #include "core/tuning/tuned_configuration.h"
 #include "eval/defense_factory.h"
+#include "eval/session_eval.h"
 #include "net/access_point.h"
 #include "net/client.h"
 #include "obs/export.h"
@@ -233,6 +235,101 @@ TEST(TelemetryPinTest, AdaptiveTelemetryAndAlertBytes) {
   expect_pinned(obs::alerts_to_json(drift), 0x4b97abbbf2ee7d1bULL,
                 "drift alerts");
   expect_pinned(obs::alerts_to_json(slo), 0xe4eecd1d4decd220ULL, "slo alerts");
+}
+
+// ------------------------------------------------------------ host profile
+//
+// Each cell's laps fold into "cells", "cell/<grid cell id>" and one entry
+// per phase with laps. The names and call counts are deterministic even
+// though the timings are not.
+
+/// Asserts "cells" and exactly one "cell/<id>" lap per id in [begin, end).
+void expect_cell_laps(const std::map<std::string, obs::PhaseSample>& phases,
+                      std::size_t begin, std::size_t end) {
+  ASSERT_EQ(phases.count("cells"), 1u);
+  EXPECT_EQ(phases.at("cells").calls, end - begin);
+  std::size_t named = 0;
+  for (const auto& [name, sample] : phases) {
+    if (name.starts_with("cell/")) {
+      ++named;
+      EXPECT_EQ(sample.calls, 1u) << name;
+    }
+  }
+  EXPECT_EQ(named, end - begin);
+  for (std::size_t id = begin; id < end; ++id) {
+    EXPECT_EQ(phases.count("cell/" + std::to_string(id)), 1u) << id;
+  }
+}
+
+/// The phase names of a profile other than the per-cell laps.
+std::vector<std::string> phase_names(
+    const std::map<std::string, obs::PhaseSample>& phases) {
+  std::vector<std::string> names;
+  for (const auto& [name, sample] : phases) {
+    if (!name.starts_with("cell/")) {
+      names.push_back(name);
+    }
+  }
+  return names;
+}
+
+/// Every flow the campaign's cells score: the defended flows of each
+/// cell's workload, rebuilt from the cell streams.
+std::uint64_t scored_flows(const runtime::CampaignSpec& spec) {
+  const runtime::CellGrid grid{spec.defenses.size(), spec.scenarios.size(),
+                               spec.shards};
+  std::uint64_t flows = 0;
+  for (std::size_t c = 0; c < grid.cell_count(); ++c) {
+    const runtime::CellGrid::Cell cell = grid.decompose(c);
+    runtime::CellStreams streams = runtime::cell_streams(spec.seed, grid, c);
+    const std::vector<traffic::Trace> sessions =
+        spec.scenarios[cell.scenario].generate(streams.workload);
+    for (const eval::DefendedSession& session :
+         eval::apply_defense(spec.defenses[cell.defense].factory, sessions,
+                             streams.defense_seed)) {
+      flows += session.flows.size();
+    }
+  }
+  return flows;
+}
+
+obs::TelemetryConfig profiling_only() {
+  obs::TelemetryConfig config;
+  config.profiling = true;
+  return config;
+}
+
+TEST(ProfileTest, RangeLapsNameTheGridCell) {
+  runtime::CampaignEngine engine{tiny_campaign()};
+  engine.set_telemetry(profiling_only());
+  (void)engine.run_range(2, 3, 1);
+  const auto phases = engine.profiler().snapshot();
+  EXPECT_EQ(phases.count("cell/2"), 1u);
+  EXPECT_EQ(phases.count("cell/0"), 0u);
+  expect_cell_laps(phases, 2, 3);
+}
+
+TEST(ProfileTest, CampaignLapsEveryCellAndScoredFlow) {
+  const runtime::CampaignSpec spec = tiny_campaign();
+  runtime::CampaignEngine engine{spec};
+  engine.set_telemetry(profiling_only());
+  (void)engine.run(2);
+  const auto phases = engine.profiler().snapshot();
+  expect_cell_laps(phases, 0, engine.cell_count());
+  EXPECT_EQ(phase_names(phases),
+            (std::vector<std::string>{"cells", "features"}));
+  const std::uint64_t flows = scored_flows(spec);
+  EXPECT_GT(flows, 0u);
+  EXPECT_EQ(phases.at("features").calls, flows);
+}
+
+TEST(ProfileTest, AdaptiveLapsEveryCell) {
+  runtime::AdaptiveCampaignEngine engine{pinned_adaptive()};
+  engine.set_telemetry(profiling_only());
+  (void)engine.run(2);
+  const auto phases = engine.profiler().snapshot();
+  expect_cell_laps(phases, 0, engine.cell_count());
+  EXPECT_EQ(phase_names(phases), std::vector<std::string>{"cells"});
 }
 
 TEST(PacketTraceGoldenTest, SpansSumExactlyToEndToEndOnLiveStack) {

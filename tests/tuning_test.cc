@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstdint>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -485,6 +486,35 @@ TEST(ParameterTunerTest, GeneratesEachShardArenaOncePerRun) {
   // calls.
   (void)tuner.run_range(0, 1, 1);
   EXPECT_EQ(generations(), tuner.spec().shards + 1);
+}
+
+// The tuner laps every cell, each cell's three passes, and the arena
+// generation of each shard once (only the cell that fills a memo slot
+// laps it).
+TEST(ParameterTunerTest, ProfileLapsEveryCellAndPass) {
+  ParameterTuner tuner{tiny_sweep()};
+  obs::TelemetryConfig profiling;
+  profiling.profiling = true;
+  tuner.set_telemetry(profiling);
+  (void)tuner.run(2);
+  const std::size_t cells = tuner.cell_count();
+  std::size_t named = 0;
+  std::set<std::string> phases;
+  for (const auto& [name, sample] : tuner.profiler().snapshot()) {
+    if (name.starts_with("cell/")) {
+      ++named;
+      EXPECT_EQ(sample.calls, 1u) << name;
+    } else {
+      phases.insert(name);
+      const std::uint64_t expected =
+          name == "generation" ? tuner.spec().shards : cells;
+      EXPECT_EQ(sample.calls, expected) << name;
+    }
+  }
+  EXPECT_EQ(named, cells);
+  EXPECT_EQ(phases,
+            (std::set<std::string>{"adaptive", "arbitration", "cells",
+                                   "generation", "streaming"}));
 }
 
 }  // namespace

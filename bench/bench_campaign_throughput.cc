@@ -293,7 +293,7 @@ int run(const std::string& json_path) {
   check("privacy auditing overhead < 40%", audit_percent < 40.0);
 
   // Multi-process shard server on the 10k-station scenario: a
-  // workers x threads grid over a 4-cell dense-wlan-10k campaign (fork
+  // workers x threads grid over an 8-cell dense-wlan-10k campaign (fork
   // mode — children inherit the trained engine and warmed workloads).
   // Byte-identity vs the in-process run is unconditional; the 1->2 worker
   // scaling gate needs a second hardware thread to mean anything.
@@ -309,7 +309,9 @@ int run(const std::string& json_path) {
   dense_spec.defenses.push_back(
       {"OR", eval::reshaping_factory(core::SchedulerKind::kOrthogonal, 3)});
   dense_spec.scenarios.push_back(runtime::dense_wlan_10k());
-  dense_spec.shards = 2;
+  // 4 shards x 2 defenses = 8 cells: 4 per worker at 2 workers, so the
+  // 1->2 scaling gate does not hinge on how 2 cells split.
+  dense_spec.shards = 4;
 
   runtime::CampaignEngine dense{dense_spec};
   dense.train();

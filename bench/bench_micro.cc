@@ -233,12 +233,13 @@ void BM_TunerArbitrationPass(benchmark::State& state) {
     sim::channel::DcfParams params;
     params.bitrate_mbps = spec.arbitration_bitrate_mbps;
     sim::channel::ArbitratedCell cell{params, util::Rng{0xC0FFEE}};
+    cell.reserve(releases.size());
     for (const Release& r : releases) {
       cell.release(r.station, r.when, r.size_bytes);
     }
     std::vector<std::uint64_t> delays_us;
     delays_us.reserve(cell.releases());
-    cell.run([&delays_us](std::size_t, const mac::Frame&,
+    cell.run([&delays_us](std::size_t, util::TimePoint, std::uint32_t,
                           util::Duration delay) {
       delays_us.push_back(static_cast<std::uint64_t>(delay.count_us()));
     });

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <utility>
 
 #include "attack/rssi_linker.h"
@@ -27,6 +28,42 @@ constexpr std::size_t kSizeBins = 16;
 constexpr double kSizeMaxBytes = 1600.0;
 constexpr std::size_t kIatBins = 16;
 constexpr double kIatLogMax = 7.0;
+
+/// One stream's share of every pairwise divergence it enters, computed
+/// once per window by util::jsd_normalize: its pmf normalized by its
+/// total and the entropy H of that distribution. `usable` is false for an
+/// all-zero pmf, whose divergence with anything is 0.
+template <std::size_t Bins>
+struct JsdTerms {
+  std::array<double, Bins> normalized{};
+  double entropy_bits = 0.0;
+  bool usable = false;
+
+  JsdTerms() = default;  // an all-zero pmf
+
+  /// Prepares the terms of the pmf counts / total, computed exactly as
+  /// util::Histogram::pmf does when every sample was added once.
+  JsdTerms(const std::array<std::uint32_t, Bins>& counts, double total) {
+    std::array<double, Bins> pmf;
+    for (std::size_t b = 0; b < Bins; ++b) {
+      pmf[b] = static_cast<double>(counts[b]) / total;
+    }
+    const std::optional<double> h = util::jsd_normalize(pmf, normalized);
+    usable = h.has_value();
+    entropy_bits = h.value_or(0.0);
+  }
+};
+
+/// util::jensen_shannon_divergence_bits of two prepared pmfs: only H(m)
+/// is computed per pair, with the same bits.
+template <std::size_t Bins>
+double pairwise_jsd_bits(const JsdTerms<Bins>& p, const JsdTerms<Bins>& q) {
+  if (!p.usable || !q.usable) {
+    return 0.0;
+  }
+  return util::jensen_shannon_divergence_bits(p.normalized, p.entropy_bits,
+                                              q.normalized, q.entropy_bits);
+}
 
 /// A stream needs this many packets in a window to count as active
 /// (below it there is nothing to fingerprint — matches the attack
@@ -266,9 +303,10 @@ std::vector<obs::WindowLeakage> LeakageAuditor::reduce() const {
     std::uint64_t station = 0;
     double bytes = 0.0;
     double mean_rssi = 0.0;
-    std::vector<double> size_pmf;
-    std::vector<double> iat_pmf;
-    bool has_iat = false;  // >= 1 interarrival inside the window
+    std::size_t packets = 0;
+    // Histogram counts, in bins of kSizeBins / kIatBins.
+    std::array<std::uint32_t, kSizeBins> size_counts{};
+    std::array<std::uint32_t, kIatBins> iat_counts{};
   };
   std::map<std::int64_t, std::vector<StreamWindow>> by_window;
   // Attacker-proxy margins, accumulated row by row as slices are
@@ -282,8 +320,6 @@ std::vector<obs::WindowLeakage> LeakageAuditor::reduce() const {
   std::map<std::int64_t, MarginSum> margin_by_window;
   std::vector<std::vector<double>> row_scratch;
   std::vector<features::WindowFeatures> window_scratch;
-  std::vector<std::uint64_t> size_counts;
-  std::vector<std::uint64_t> iat_counts;
 
   const bool probing = probe_ != nullptr && probe_->ready();
   // When the attacker's feature window is at least as long as the audit
@@ -321,8 +357,7 @@ std::vector<obs::WindowLeakage> LeakageAuditor::reduce() const {
       }
       StreamWindow sw;
       sw.station = station;
-      size_counts.assign(kSizeBins, 0);
-      iat_counts.assign(kIatBins, 0);
+      sw.packets = n;
       const std::size_t last_size_bin = kSizeBins - 1;
       const bool fuse_probe =
           single_row_slices && n >= attack->min_packets_per_window;
@@ -333,8 +368,8 @@ std::vector<obs::WindowLeakage> LeakageAuditor::reduce() const {
       for (std::size_t k = i; k < j; ++k) {
         const std::uint32_t size = sizes[k];
         sw.bytes += static_cast<double>(size);
-        ++size_counts[size < size_lut.size() ? size_lut[size]
-                                             : last_size_bin];
+        ++sw.size_counts[size < size_lut.size() ? size_lut[size]
+                                                : last_size_bin];
         if (k > i) {
           const std::int64_t iat = times[k] - times[k - 1];
           const auto e = static_cast<unsigned>(
@@ -343,7 +378,7 @@ std::vector<obs::WindowLeakage> LeakageAuditor::reduce() const {
           for (std::uint32_t c = octave_base[e]; c < octave_end[e]; ++c) {
             bin += static_cast<std::size_t>(iat >= iat_cuts[c]);
           }
-          ++iat_counts[bin];
+          ++sw.iat_counts[bin];
         }
         if (fuse_probe) {
           DirectionSums& d =
@@ -364,21 +399,6 @@ std::vector<obs::WindowLeakage> LeakageAuditor::reduce() const {
           }
           d.prev_us = times[k];
           d.has_prev = true;
-        }
-      }
-      // pmf exactly as util::Histogram::pmf computes it: count / total,
-      // where every packet was added once.
-      sw.size_pmf.assign(kSizeBins, 0.0);
-      for (std::size_t b = 0; b < kSizeBins; ++b) {
-        sw.size_pmf[b] = static_cast<double>(size_counts[b]) /
-                         static_cast<double>(n);
-      }
-      sw.iat_pmf.assign(kIatBins, 0.0);
-      sw.has_iat = n >= 2;
-      if (sw.has_iat) {
-        const auto iats = static_cast<double>(n - 1);
-        for (std::size_t b = 0; b < kIatBins; ++b) {
-          sw.iat_pmf[b] = static_cast<double>(iat_counts[b]) / iats;
         }
       }
       if (per.has_flat_rssi) {
@@ -420,6 +440,9 @@ std::vector<obs::WindowLeakage> LeakageAuditor::reduce() const {
   }
 
   const RssiLinker linker{};
+  // Per window: the JSD terms of each selected stream's size and
+  // interarrival pmfs, in selection order.
+  std::vector<std::pair<JsdTerms<kSizeBins>, JsdTerms<kIatBins>>> terms;
   std::vector<obs::WindowLeakage> out;
   out.reserve(by_window.size());
   for (const auto& [w, streams] : by_window) {
@@ -459,15 +482,24 @@ std::vector<obs::WindowLeakage> LeakageAuditor::reduce() const {
                   return a->station < b->station;
                 });
     }
+    // Interarrival pmfs exist with >= 2 packets (>= 1 interarrival).
+    terms.clear();
+    if (sel.size() >= 2) {
+      for (const StreamWindow* s : sel) {
+        const auto n = static_cast<double>(s->packets);
+        terms.emplace_back(
+            JsdTerms<kSizeBins>{s->size_counts, n},
+            s->packets >= 2 ? JsdTerms<kIatBins>{s->iat_counts, n - 1.0}
+                            : JsdTerms<kIatBins>{});
+      }
+    }
     double jsd_sum = 0.0;
     std::size_t pair_count = 0;
     for (std::size_t a = 0; a < sel.size(); ++a) {
       for (std::size_t b = a + 1; b < sel.size(); ++b) {
-        double jsd = util::jensen_shannon_divergence_bits(sel[a]->size_pmf,
-                                                          sel[b]->size_pmf);
-        if (sel[a]->has_iat && sel[b]->has_iat) {
-          jsd = (jsd + util::jensen_shannon_divergence_bits(
-                           sel[a]->iat_pmf, sel[b]->iat_pmf)) /
+        double jsd = pairwise_jsd_bits(terms[a].first, terms[b].first);
+        if (sel[a]->packets >= 2 && sel[b]->packets >= 2) {
+          jsd = (jsd + pairwise_jsd_bits(terms[a].second, terms[b].second)) /
                 2.0;
         }
         jsd_sum += jsd;

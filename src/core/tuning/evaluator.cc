@@ -96,6 +96,11 @@ CandidateShardOutcome CandidateEvaluator::evaluate_cell(
   sim::channel::ArbitratedCell cell{
       sim::channel::DcfParams{.bitrate_mbps = spec_.arbitration_bitrate_mbps},
       streams.channel.fork(2)};
+  std::size_t records = 0;
+  for (const traffic::Trace& session : sessions) {
+    records += session.size();
+  }
+  cell.reserve(records);  // one release per record
 
   // One lap per pass; host timings only, the simulation below never
   // reads them.
@@ -131,10 +136,10 @@ CandidateShardOutcome CandidateEvaluator::evaluate_cell(
   // release without one was dropped.
   {
     const obs::PhaseLap lap{laps, obs::Phase::kArbitration};
-    cell.arbiter().set_windowed(windows, window_labels);
+    cell.set_windowed(windows, window_labels);
     std::vector<std::uint64_t> delays_us;
     delays_us.reserve(cell.releases());
-    cell.run([&delays_us](std::size_t, const mac::Frame&,
+    cell.run([&delays_us](std::size_t, util::TimePoint, std::uint32_t,
                           util::Duration access_delay) {
       delays_us.push_back(
           static_cast<std::uint64_t>(access_delay.count_us()));

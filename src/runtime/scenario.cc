@@ -23,14 +23,19 @@ class ArbitratedAir {
   /// One output flow per trace of `originals`, labeled like it. Each is
   /// reserved for its original's records up front: allocated in stream
   /// order rather than grown frame by frame, the flows of a 10k-station
-  /// cell stay contiguous for the passes that read them.
+  /// cell stay contiguous for the passes that read them. The release
+  /// list is reserved for every original record too.
   ArbitratedAir(double bitrate_mbps, util::Rng arbiter_rng,
                 const std::vector<traffic::Trace>& originals)
       : cell_{sim::channel::DcfParams{.bitrate_mbps = bitrate_mbps},
               arbiter_rng} {
+    std::size_t records = 0;
     for (const traffic::Trace& original : originals) {
       flows_.emplace_back(original.app()).reserve(original.size());
+      records += original.size();
     }
+    cell_.reserve(records);
+    observed_.reserve(records);
   }
 
   /// Schedules `record` for transmission by station `transmitter` at its
@@ -45,10 +50,10 @@ class ArbitratedAir {
   /// simulated-time order, so every flow is time-sorted, however many
   /// transmitters feed it.
   std::vector<traffic::Trace> run() {
-    cell_.run([this](std::size_t release, const mac::Frame& frame,
-                     util::Duration) {
+    cell_.run([this](std::size_t release, util::TimePoint on_air,
+                     std::uint32_t size_bytes, util::Duration) {
       const auto [stream, direction] = observed_[release];
-      flows_[stream].push_back(frame.timestamp, frame.size_bytes, direction);
+      flows_[stream].push_back(on_air, size_bytes, direction);
     });
     return std::move(flows_);
   }

@@ -119,7 +119,7 @@ class Scenario {
 
 /// Dense co-channel contention: `stations` stations (random apps) share
 /// one arbitrated channel under the simplified DCF
-/// (sim::channel::ChannelArbiter) at `bitrate_mbps`, and every packet is
+/// (sim::channel::DcfCore) at `bitrate_mbps`, and every packet is
 /// re-timestamped to its *arbitrated on-air* instant — carrier sense,
 /// backoff, and collision retries included. The air as captured in a
 /// crowded cell; frames dropped at the retry limit never appear.

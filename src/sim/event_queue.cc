@@ -29,26 +29,6 @@ void EventQueue::push_event(util::TimePoint when, EventHandler& handler,
   std::push_heap(heap_.begin(), heap_.end(), Later{});
 }
 
-std::uint64_t EventQueue::reserve_sequences(std::size_t count) {
-  const std::uint64_t first = next_sequence_;
-  next_sequence_ += count;
-  reserved_.emplace_back(first, next_sequence_);
-  return first;
-}
-
-void EventQueue::push_event(util::TimePoint when, std::uint64_t sequence,
-                            EventHandler& handler, std::uint64_t a,
-                            std::uint64_t b) {
-  util::require(std::any_of(reserved_.begin(), reserved_.end(),
-                            [sequence](const auto& range) {
-                              return sequence >= range.first &&
-                                     sequence < range.second;
-                            }),
-                "EventQueue::push_event: sequence was not reserved");
-  heap_.push_back(Entry{when.count_us(), sequence, &handler, a, b});
-  std::push_heap(heap_.begin(), heap_.end(), Later{});
-}
-
 EventQueue::TimerId EventQueue::add_timer(EventHandler& handler) {
   timers_.push_back(Entry{0, kUnarmed, &handler, 0, 0});
   return timers_.size() - 1;

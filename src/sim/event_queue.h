@@ -4,16 +4,6 @@
 // increasing sequence number), so identical runs replay identically —
 // a requirement for the reproducibility of every table in the paper.
 //
-// Reserved sequences: reserve_sequences(n) hands out the n numbers that n
-// plain pushes at that point would have taken, and the sequenced
-// push_event overload files an event under one of them later. Events are
-// ordered by (when, sequence) whatever the push order, so a reserved
-// event pushed late dispatches exactly where it would have had it been
-// pushed at reservation time — provided it is pushed before any event
-// that orders after it is dispatched. That is what lets a caller feed a
-// long pre-numbered release list one time-sorted chain link at a time
-// (sim::ReleaseChains) instead of preloading every entry into the heap.
-//
 // Timers: a re-armable typed event for a caller that keeps at most one
 // pending firing and moves it often (the ChannelArbiter's channel-access
 // decision). arm() takes a fresh sequence number exactly as push_event
@@ -24,13 +14,14 @@
 // and count in size()/empty(); while any is armed, each dispatch scans
 // the registered timers, which suits a handful (one per arbiter).
 //
-// Layout is built for dense cells (10k contending stations): the heap is
-// a flat vector of 40-byte POD entries, so sift operations never move
-// closures. An event is either *typed* — an EventHandler pointer plus two
-// integer arguments, zero allocation (sim::ReleaseChains' release path)
-// — or a *callback* parked in a slab arena of fixed-capacity inline tasks
-// with free-list reuse, so steady-state scheduling stops allocating per
-// frame. Oversized callables spill to the heap transparently.
+// Layout: the heap is a flat vector of 40-byte POD entries, so sift
+// operations never move closures. An event is either *typed* — an
+// EventHandler pointer plus two integer arguments, zero allocation — or a
+// *callback* parked in a slab arena of fixed-capacity inline tasks with
+// free-list reuse, so steady-state scheduling stops allocating per frame.
+// Oversized callables spill to the heap transparently. (Runs whose frame
+// releases are all known up front skip the queue altogether:
+// sim::channel::ArbitratedCell drives the DCF from a plain loop.)
 #pragma once
 
 #include <cstddef>
@@ -153,17 +144,6 @@ class EventQueue {
   void push_event(util::TimePoint when, EventHandler& handler,
                   std::uint64_t a = 0, std::uint64_t b = 0);
 
-  /// Reserves `count` consecutive sequence numbers and returns the first;
-  /// later pushes number after them.
-  std::uint64_t reserve_sequences(std::size_t count);
-
-  /// Enqueues a typed event under a sequence number handed out by
-  /// reserve_sequences (throws std::invalid_argument for any other).
-  /// Each reserved number is meant to be pushed at most once.
-  void push_event(util::TimePoint when, std::uint64_t sequence,
-                  EventHandler& handler, std::uint64_t a = 0,
-                  std::uint64_t b = 0);
-
   /// Handle of a re-armable timer; valid for the queue's lifetime.
   using TimerId = std::size_t;
 
@@ -224,8 +204,6 @@ class EventQueue {
   std::deque<InplaceTask> slots_;        // slab arena; deque = stable chunks
   std::vector<std::uint32_t> free_slots_;
   std::uint64_t next_sequence_ = 0;
-  // Reserved [first, end) sequence ranges, in reservation order.
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> reserved_;
   std::vector<Entry> timers_;  // one per timer; sequence kUnarmed if unarmed
   std::size_t armed_ = 0;      // armed timers
 };

@@ -25,17 +25,6 @@ void Simulator::schedule_event(util::TimePoint when, EventHandler& handler,
   queue_.push_event(when, handler, a, b);
 }
 
-std::uint64_t Simulator::reserve_sequences(std::size_t count) {
-  return queue_.reserve_sequences(count);
-}
-
-void Simulator::schedule_event(util::TimePoint when, std::uint64_t sequence,
-                               EventHandler& handler, std::uint64_t a,
-                               std::uint64_t b) {
-  util::require(when >= now_, "Simulator::schedule_event: time is in the past");
-  queue_.push_event(when, sequence, handler, a, b);
-}
-
 void Simulator::arm_timer(EventQueue::TimerId timer, util::TimePoint when,
                           std::uint64_t a, std::uint64_t b) {
   util::require(when >= now_, "Simulator::arm_timer: time is in the past");

@@ -34,16 +34,6 @@ class Simulator {
   void schedule_event(util::TimePoint when, EventHandler& handler,
                       std::uint64_t a = 0, std::uint64_t b = 0);
 
-  /// Reserves `count` consecutive event sequence numbers (see
-  /// EventQueue::reserve_sequences) and returns the first.
-  std::uint64_t reserve_sequences(std::size_t count);
-
-  /// Schedules a typed event under a reserved sequence number: it fires
-  /// where it would have had it been scheduled at reservation time.
-  void schedule_event(util::TimePoint when, std::uint64_t sequence,
-                      EventHandler& handler, std::uint64_t a = 0,
-                      std::uint64_t b = 0);
-
   /// Registers a re-armable timer (see EventQueue::add_timer).
   [[nodiscard]] EventQueue::TimerId add_timer(EventHandler& handler) {
     return queue_.add_timer(handler);

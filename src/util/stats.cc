@@ -201,36 +201,54 @@ double jensen_shannon_divergence_bits(std::span<const double> p,
                                       std::span<const double> q) {
   require(p.size() == q.size(),
           "jensen_shannon_divergence_bits: size mismatch");
-  double p_total = 0.0;
-  double q_total = 0.0;
-  for (std::size_t i = 0; i < p.size(); ++i) {
-    p_total += p[i];
-    q_total += q[i];
-  }
-  if (p_total <= 0.0 || q_total <= 0.0) {
+  std::vector<double> p_normalized(p.size());
+  std::vector<double> q_normalized(q.size());
+  const std::optional<double> h_p = jsd_normalize(p, p_normalized);
+  const std::optional<double> h_q = jsd_normalize(q, q_normalized);
+  if (!h_p || !h_q) {
     return 0.0;
   }
-  // JSD = H(m) - (H(p) + H(q)) / 2 over the normalized distributions,
-  // computed bucket-wise so no normalized vectors are materialised.
-  double h_m = 0.0;
-  double h_p = 0.0;
-  double h_q = 0.0;
+  return jensen_shannon_divergence_bits(p_normalized, *h_p, q_normalized,
+                                        *h_q);
+}
+
+std::optional<double> jsd_normalize(std::span<const double> p,
+                                    std::span<double> normalized) {
+  require(p.size() == normalized.size(), "jsd_normalize: size mismatch");
+  double total = 0.0;
+  for (const double v : p) {
+    total += v;
+  }
+  if (total <= 0.0) {
+    return std::nullopt;
+  }
+  double h = 0.0;
   for (std::size_t i = 0; i < p.size(); ++i) {
-    const double pi = p[i] / p_total;
-    const double qi = q[i] / q_total;
-    const double mi = (pi + qi) / 2.0;
+    const double pi = p[i] / total;
+    normalized[i] = pi;
     if (pi > 0.0) {
-      h_p -= pi * std::log2(pi);
+      h -= pi * std::log2(pi);
     }
-    if (qi > 0.0) {
-      h_q -= qi * std::log2(qi);
-    }
+  }
+  return h;
+}
+
+double jensen_shannon_divergence_bits(std::span<const double> p_normalized,
+                                      double p_entropy_bits,
+                                      std::span<const double> q_normalized,
+                                      double q_entropy_bits) {
+  require(p_normalized.size() == q_normalized.size(),
+          "jensen_shannon_divergence_bits: size mismatch");
+  // JSD = H(m) - (H(p) + H(q)) / 2 over the normalized distributions.
+  double h_m = 0.0;
+  for (std::size_t i = 0; i < p_normalized.size(); ++i) {
+    const double mi = (p_normalized[i] + q_normalized[i]) / 2.0;
     if (mi > 0.0) {
       h_m -= mi * std::log2(mi);
     }
   }
   // Clamp tiny negative float residue so identical inputs report exactly 0.
-  return std::max(0.0, h_m - (h_p + h_q) / 2.0);
+  return std::max(0.0, h_m - (p_entropy_bits + q_entropy_bits) / 2.0);
 }
 
 double dot(std::span<const double> a, std::span<const double> b) {

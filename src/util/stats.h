@@ -8,6 +8,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -129,6 +130,21 @@ class Histogram {
 /// weights sum to zero — an empty histogram — yields 0.0.
 [[nodiscard]] double jensen_shannon_divergence_bits(std::span<const double> p,
                                                     std::span<const double> q);
+
+/// The half of jensen_shannon_divergence_bits that depends on one side
+/// alone, for a side compared with many others: writes p / sum(p) into
+/// `normalized` (p's length) and returns H(p) in bits, or nullopt —
+/// writing nothing — when p sums to zero or less.
+[[nodiscard]] std::optional<double> jsd_normalize(std::span<const double> p,
+                                                  std::span<double> normalized);
+
+/// The pairwise half: the divergence of two sides prepared by
+/// jsd_normalize (normalized weights and entropy), bit-identical to
+/// jensen_shannon_divergence_bits on the raw weights. Only H(m) is left
+/// to compute.
+[[nodiscard]] double jensen_shannon_divergence_bits(
+    std::span<const double> p_normalized, double p_entropy_bits,
+    std::span<const double> q_normalized, double q_entropy_bits);
 
 /// Dot product of two equally-sized vectors (used by the orthogonality
 /// check of Eq. (2) in the paper).

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <deque>
 #include <memory>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -458,6 +459,142 @@ TEST(ContentionTest, SubSlotArrivalsDoNotStarveTheCountdown) {
 
 // ----------------------------------------- observed vs modeled accessors ---
 
+/// A release list: (station, when µs, size bytes) per release.
+using Releases =
+    std::vector<std::tuple<std::size_t, std::int64_t, std::uint32_t>>;
+
+/// What became of one release: (release, on-air µs, access delay µs), or
+/// (release, kDropped, kDropped) for a frame dropped at the retry limit.
+using Fate = std::tuple<std::size_t, std::int64_t, std::int64_t>;
+constexpr std::int64_t kDropped = -1;
+
+struct ArbitrationRun {
+  std::vector<Fate> fates;  // channel order
+  ChannelStats totals;
+};
+
+/// The reference: a ChannelArbiter on a Simulator with every release
+/// preloaded as an event before the run.
+ArbitrationRun preloaded_arbiter(const Releases& releases, DcfParams params,
+                                 std::uint64_t seed) {
+  ArbitrationRun run;
+  Simulator sim;
+  Medium medium{quiet_model(), util::Rng{0}};
+  ChannelArbiter arbiter{sim, medium, 1, params, util::Rng{seed}};
+  std::size_t stations = 0;
+  for (const auto& [s, t, size] : releases) {
+    stations = std::max(stations, s + 1);
+  }
+  std::vector<Identity> ids(stations);
+  std::vector<std::deque<std::size_t>> fifo(stations);
+  const auto station_of = [&ids](const RadioListener* tx) {
+    return static_cast<std::size_t>(static_cast<const Identity*>(tx) -
+                                    ids.data());
+  };
+  arbiter.set_on_air_hook([&](const mac::Frame& frame, Duration delay,
+                              const RadioListener* tx) {
+    auto& queue = fifo[station_of(tx)];
+    EXPECT_EQ(frame.timestamp, sim.now());
+    run.fates.emplace_back(queue.front(), frame.timestamp.count_us(),
+                           delay.count_us());
+    queue.pop_front();
+  });
+  arbiter.set_drop_hook([&](const mac::Frame&, const RadioListener* tx) {
+    auto& queue = fifo[station_of(tx)];
+    run.fates.emplace_back(queue.front(), kDropped, kDropped);
+    queue.pop_front();
+  });
+  struct Feed final : EventHandler {
+    void on_event(std::uint64_t index, std::uint64_t) override {
+      const auto& [s, t, size] = (*releases)[index];
+      (*fifo)[s].push_back(index);
+      arbiter->enqueue(data_frame(size), Position{}, &(*ids)[s]);
+    }
+    const Releases* releases;
+    std::vector<std::deque<std::size_t>>* fifo;
+    ChannelArbiter* arbiter;
+    std::vector<Identity>* ids;
+  } feed;
+  feed.releases = &releases;
+  feed.fifo = &fifo;
+  feed.arbiter = &arbiter;
+  feed.ids = &ids;
+  for (std::size_t i = 0; i < releases.size(); ++i) {
+    sim.schedule_event(TimePoint::from_microseconds(std::get<1>(releases[i])),
+                       feed, i);
+  }
+  sim.run();
+  EXPECT_EQ(arbiter.pending(), 0u);
+  // The decision is a re-armable timer: besides the releases, every event
+  // dispatched transmitted or collided, none was a superseded no-op.
+  EXPECT_EQ(sim.events_processed(), releases.size() + arbiter.frames_on_air() +
+                                        arbiter.collision_events());
+  run.totals = arbiter.totals();
+  return run;
+}
+
+/// The same releases through an ArbitratedCell. Drops are not reported
+/// by the cell: they are the releases it never put on the air.
+ArbitrationRun arbitrated_cell(const Releases& releases, DcfParams params,
+                               std::uint64_t seed) {
+  ArbitrationRun run;
+  ArbitratedCell cell{params, util::Rng{seed}};
+  cell.reserve(releases.size());
+  for (std::size_t i = 0; i < releases.size(); ++i) {
+    const auto& [s, t, size] = releases[i];
+    EXPECT_EQ(cell.release(s, TimePoint::from_microseconds(t), size), i);
+  }
+  EXPECT_EQ(cell.releases(), releases.size());
+  cell.run([&](std::size_t release, TimePoint on_air, std::uint32_t size,
+               Duration delay) {
+    EXPECT_EQ(size, std::get<2>(releases[release]));
+    run.fates.emplace_back(release, on_air.count_us(), delay.count_us());
+  });
+  EXPECT_THROW(cell.release(0, TimePoint{}, 100), std::invalid_argument);
+  run.totals = cell.totals();
+  return run;
+}
+
+/// Every (release, on-air µs, delay), the drops and the totals, bit for
+/// bit.
+void expect_same_run(const ArbitrationRun& expected,
+                     const ArbitrationRun& actual, const std::string& what) {
+  std::vector<Fate> on_air;
+  std::vector<std::size_t> dropped;
+  for (const Fate& fate : expected.fates) {
+    if (std::get<1>(fate) == kDropped) {
+      dropped.push_back(std::get<0>(fate));
+    } else {
+      on_air.push_back(fate);
+    }
+  }
+  EXPECT_TRUE(actual.fates == on_air) << what;
+  std::vector<bool> aired(expected.fates.size(), false);
+  for (const Fate& fate : actual.fates) {
+    aired.at(std::get<0>(fate)) = true;
+  }
+  std::vector<std::size_t> not_aired;
+  for (std::size_t i = 0; i < aired.size(); ++i) {
+    if (!aired[i]) {
+      not_aired.push_back(i);
+    }
+  }
+  std::sort(dropped.begin(), dropped.end());
+  EXPECT_EQ(not_aired, dropped) << what;
+  const ChannelStats& e = expected.totals;
+  const ChannelStats& a = actual.totals;
+  EXPECT_EQ(a.frames_sent, e.frames_sent) << what;
+  EXPECT_EQ(a.frames_dropped, e.frames_dropped) << what;
+  EXPECT_EQ(a.collisions, e.collisions) << what;
+  EXPECT_EQ(a.retries, e.retries) << what;
+  EXPECT_EQ(a.total_access_delay, e.total_access_delay) << what;
+  EXPECT_EQ(a.max_access_delay, e.max_access_delay) << what;
+  EXPECT_EQ(a.airtime, e.airtime) << what;
+  EXPECT_EQ(a.max_queue_depth, e.max_queue_depth) << what;
+  EXPECT_EQ(a.frames_sent, actual.fates.size()) << what;
+  EXPECT_EQ(a.frames_sent + a.frames_dropped, expected.fates.size()) << what;
+}
+
 TEST(ArbitratedCellTest, MatchesAPreloadedArbiterReleaseForRelease) {
   // Station 0 plays an AP: its releases step back in time, as when one
   // transmitter serves several clients' records. A tight window and a
@@ -471,7 +608,7 @@ TEST(ArbitratedCellTest, MatchesAPreloadedArbiterReleaseForRelease) {
   params.retry_limit = 1;
   constexpr std::size_t kStations = 6;
   util::Rng rng{0xCE11};
-  std::vector<std::tuple<std::size_t, std::int64_t, std::uint32_t>> releases;
+  Releases releases;
   for (std::size_t s = 0; s < kStations; ++s) {
     std::int64_t t = s == 0 ? 0 : rng.uniform_int(0, 2000);
     for (int i = 0; i < 300; ++i) {
@@ -481,83 +618,59 @@ TEST(ArbitratedCellTest, MatchesAPreloadedArbiterReleaseForRelease) {
           s, t, static_cast<std::uint32_t>(rng.uniform_int(60, 1576)));
     }
   }
-  using Fate = std::tuple<std::size_t, std::int64_t, std::int64_t>;
-  constexpr std::int64_t kDropped = -1;
+  const ArbitrationRun expected = preloaded_arbiter(releases, params, 99);
+  EXPECT_LT(expected.totals.frames_sent, releases.size());  // some dropped
+  expect_same_run(expected, arbitrated_cell(releases, params, 99), "AP cell");
+}
 
-  std::vector<Fate> expected;
-  {
-    Simulator sim;
-    Medium medium{quiet_model(), util::Rng{0}};
-    ChannelArbiter arbiter{sim, medium, 1, params, util::Rng{99}};
-    std::vector<Identity> ids(kStations);
-    std::vector<std::deque<std::size_t>> fifo(kStations);
-    const auto station_of = [&ids](const RadioListener* tx) {
-      return static_cast<std::size_t>(static_cast<const Identity*>(tx) -
-                                      ids.data());
-    };
-    arbiter.set_on_air_hook([&](const mac::Frame& frame, Duration delay,
-                                const RadioListener* tx) {
-      auto& queue = fifo[station_of(tx)];
-      expected.emplace_back(queue.front(), frame.timestamp.count_us(),
-                            delay.count_us());
-      queue.pop_front();
-    });
-    arbiter.set_drop_hook([&](const mac::Frame&, const RadioListener* tx) {
-      auto& queue = fifo[station_of(tx)];
-      expected.emplace_back(queue.front(), kDropped, kDropped);
-      queue.pop_front();
-    });
-    struct Feed final : EventHandler {
-      void on_event(std::uint64_t index, std::uint64_t) override {
-        const auto& [s, t, size] = (*releases)[index];
-        (*fifo)[s].push_back(index);
-        mac::Frame frame;
-        frame.size_bytes = size;
-        arbiter->enqueue(std::move(frame), Position{}, &(*ids)[s]);
+TEST(ArbitratedCellTest, SeededSweepMatchesThePreloadedArbiter) {
+  // Random cells of 2-135 stations, each station's records released in
+  // time order, but some stations step back in time mid-list (an AP
+  // serving several clients) and the station order interleaves. Every
+  // DIFS, window cap and retry limit of the sweep goes through both
+  // drivers of the one DCF core; the loop must replay the preloaded
+  // simulator exactly.
+  util::Rng rng{0x0DCFCE11};
+  std::uint64_t collisions = 0;
+  std::uint64_t drops = 0;
+  for (int round = 0; round < 48; ++round) {
+    DcfParams params;
+    params.bitrate_mbps = rng.bernoulli(0.5) ? 12.0 : 54.0;
+    params.difs = Duration::microseconds(10 * rng.uniform_int(0, 2));
+    params.cw_min = static_cast<std::uint32_t>(rng.uniform_int(0, 15));
+    params.cw_max = rng.bernoulli(0.5) ? 63 : 1023;
+    params.retry_limit = static_cast<std::uint32_t>(rng.uniform_int(0, 3));
+    const auto stations = static_cast<std::size_t>(
+        round % 6 == 0 ? 135 : rng.uniform_int(2, 40));
+    const std::int64_t per_station =
+        std::max<std::int64_t>(3, 3000 / static_cast<std::int64_t>(stations));
+    const std::int64_t gap_us = rng.uniform_int(1, 6) * 200;
+    Releases releases;
+    for (std::size_t k = 0; k < stations; ++k) {
+      // Stations add their lists in a shuffled order, so first releases
+      // (which register stations) do not follow the station numbers.
+      const std::size_t s = (k * 7 + static_cast<std::size_t>(round)) %
+                            stations;
+      const bool steps_back = rng.bernoulli(0.3);
+      std::int64_t t = rng.uniform_int(0, 4000);
+      for (std::int64_t i = 0; i < per_station; ++i) {
+        if (steps_back && i % 10 == 9) {
+          t = std::max<std::int64_t>(0, t - rng.uniform_int(1, 8) * gap_us);
+        }
+        t += rng.uniform_int(0, 3) * gap_us / 2;
+        releases.emplace_back(
+            s, t, static_cast<std::uint32_t>(rng.uniform_int(40, 1576)));
       }
-      const std::vector<std::tuple<std::size_t, std::int64_t, std::uint32_t>>*
-          releases;
-      std::vector<std::deque<std::size_t>>* fifo;
-      ChannelArbiter* arbiter;
-      std::vector<Identity>* ids;
-    } feed;
-    feed.releases = &releases;
-    feed.fifo = &fifo;
-    feed.arbiter = &arbiter;
-    feed.ids = &ids;
-    for (std::size_t i = 0; i < releases.size(); ++i) {
-      sim.schedule_event(TimePoint::from_microseconds(std::get<1>(releases[i])),
-                         feed, i);
     }
-    sim.run();
+    const auto seed = static_cast<std::uint64_t>(round) * 7919 + 1;
+    const ArbitrationRun expected = preloaded_arbiter(releases, params, seed);
+    collisions += expected.totals.collisions;
+    drops += expected.totals.frames_dropped;
+    expect_same_run(expected, arbitrated_cell(releases, params, seed),
+                    "round " + std::to_string(round));
   }
-
-  ArbitratedCell cell{params, util::Rng{99}};
-  for (std::size_t i = 0; i < releases.size(); ++i) {
-    const auto& [s, t, size] = releases[i];
-    EXPECT_EQ(cell.release(s, TimePoint::from_microseconds(t), size), i);
-  }
-  EXPECT_EQ(cell.releases(), releases.size());
-  std::vector<Fate> actual;
-  cell.run([&](std::size_t release, const mac::Frame& frame, Duration delay) {
-    EXPECT_EQ(frame.size_bytes, std::get<2>(releases[release]));
-    actual.emplace_back(release, frame.timestamp.count_us(), delay.count_us());
-  });
-
-  // The cell reports exactly the frames that reached the air; the rest
-  // were dropped.
-  std::vector<Fate> on_air;
-  for (const Fate& fate : expected) {
-    if (std::get<1>(fate) != kDropped) {
-      on_air.push_back(fate);
-    }
-  }
-  EXPECT_LT(on_air.size(), expected.size());  // some were dropped
-  EXPECT_TRUE(actual == on_air);
-  const ChannelStats totals = cell.arbiter().totals();
-  EXPECT_EQ(totals.frames_sent, actual.size());
-  EXPECT_EQ(totals.frames_sent + totals.frames_dropped, releases.size());
-  EXPECT_THROW(cell.release(0, TimePoint{}, 100), std::invalid_argument);
+  EXPECT_GT(collisions, 0u);  // the sweep reaches contention
+  EXPECT_GT(drops, 0u);       // and the retry limit
 }
 
 TEST(ObservedStatsTest, ClientAndApExposeChannelStatsUnderArbitration) {

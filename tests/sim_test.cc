@@ -7,10 +7,8 @@
 #include <utility>
 #include <vector>
 
-#include "sim/channel/channel_arbiter.h"
 #include "sim/event_queue.h"
 #include "sim/medium.h"
-#include "sim/release_chains.h"
 #include "sim/simulator.h"
 #include "util/rng.h"
 #include "util/stats.h"
@@ -567,202 +565,6 @@ TEST(PathLossTest, ClampsBelowReferenceDistance) {
   PathLossModel m = deterministic_model();
   util::Rng rng{1};
   EXPECT_DOUBLE_EQ(m.rssi_dbm(15.0, 0.001, rng), m.rssi_dbm(15.0, 1.0, rng));
-}
-
-// ------------------------------------------------------- ReleaseChains ---
-
-/// Records every dispatch as (id, now) and, for every third release,
-/// schedules a plain follow-up event at the current instant or shortly
-/// after — the live decision events an arbiter pushes mid-run.
-class ChainProbe final : public EventHandler {
- public:
-  explicit ChainProbe(Simulator& sim) : sim_{sim} {}
-
-  void on_event(std::uint64_t id, std::uint64_t) override {
-    fired.emplace_back(id, sim_.now().count_us());
-    peak_pending = std::max(peak_pending, sim_.pending());
-    if (id < kFollowUp && id % 3 == 0) {
-      const std::int64_t delay_us = id % 2 == 0 ? 0 : 500;
-      sim_.schedule_event(sim_.now() + Duration::microseconds(delay_us), *this,
-                          kFollowUp + id);
-    }
-  }
-
-  static constexpr std::uint64_t kFollowUp = 1'000'000;
-  std::vector<std::pair<std::uint64_t, std::int64_t>> fired;
-  std::size_t peak_pending = 0;
-
- private:
-  Simulator& sim_;
-};
-
-TEST(ReleaseChainsTest, DispatchOrderMatchesThePreload) {
-  // Random release lists: chains of non-decreasing times on a coarse grid
-  // (dense equal-time ties across chains), each chain starting earlier
-  // than its predecessor ended, plus follow-up events pushed at the
-  // current instant during dispatch. Lazy chains must fire exactly what
-  // preloading every release fires, in the same order at the same times.
-  util::Rng rng{0xC4A1};
-  for (int round = 0; round < 30; ++round) {
-    std::vector<std::int64_t> times;
-    std::size_t chains = 0;
-    const auto chain_count = rng.uniform_int(1, 8);
-    for (std::int64_t c = 0; c < chain_count; ++c) {
-      std::int64_t t = rng.uniform_int(0, 5) * 1000;
-      if (!times.empty() && t >= times.back()) {
-        t = std::max<std::int64_t>(0, times.back() - 1000);
-      }
-      if (times.empty() || t < times.back()) {
-        ++chains;
-      }
-      const auto length = rng.uniform_int(1, 40);
-      for (std::int64_t i = 0; i < length; ++i) {
-        times.push_back(t);
-        t += rng.uniform_int(0, 2) * 500;
-      }
-    }
-
-    Simulator preload;
-    ChainProbe expected{preload};
-    for (std::size_t i = 0; i < times.size(); ++i) {
-      preload.schedule_event(TimePoint::from_microseconds(times[i]), expected,
-                             i);
-    }
-    preload.run();
-
-    Simulator lazy;
-    ChainProbe actual{lazy};
-    ReleaseChains releases{lazy, actual};
-    for (std::size_t i = 0; i < times.size(); ++i) {
-      releases.add(TimePoint::from_microseconds(times[i]), i);
-    }
-    releases.start();
-    EXPECT_EQ(lazy.pending(), chains) << "round " << round;
-    lazy.run();
-
-    EXPECT_EQ(actual.fired, expected.fired) << "round " << round;
-    EXPECT_EQ(lazy.events_processed(), preload.events_processed());
-    // Each chain holds one pending entry; follow-ups come on top.
-    EXPECT_LE(actual.peak_pending, chains + times.size() / 3 + 1);
-  }
-}
-
-TEST(ReleaseChainsTest, ArbitratedCellKeepsTheQueueSmall) {
-  // A 4-station DCF cell of 50k frames, released station-major (four
-  // chains). The lazy feed must reproduce the preloaded on-air timeline
-  // exactly while the event queue holds a handful of entries, never the
-  // run's frames.
-  using Frames =
-      std::vector<std::vector<std::pair<std::int64_t, std::uint32_t>>>;
-  struct Identity final : RadioListener {
-    void on_frame(const mac::Frame&, double) override {}
-  };
-  struct Cell final : EventHandler {
-    explicit Cell(const Frames& frames)
-        : frames{frames},
-          medium{deterministic_model(), util::Rng{7}},
-          arbiter{sim, medium, 1, channel::DcfParams{}, util::Rng{11}},
-          stations(frames.size()) {
-      arbiter.set_on_air_hook([this](const mac::Frame& frame, Duration,
-                                     const RadioListener* tx) {
-        const auto* station = static_cast<const Identity*>(tx);
-        on_air.emplace_back(frame.timestamp.count_us(),
-                            station - stations.data());
-        peak_pending = std::max(peak_pending, sim.pending());
-      });
-    }
-    void on_event(std::uint64_t station, std::uint64_t index) override {
-      mac::Frame frame;
-      frame.channel = 1;
-      frame.size_bytes = frames[station][index].second;
-      arbiter.enqueue(std::move(frame), Position{}, &stations[station]);
-      peak_pending = std::max(peak_pending, sim.pending());
-    }
-    const Frames& frames;
-    Simulator sim;
-    Medium medium;
-    channel::ChannelArbiter arbiter;
-    std::vector<Identity> stations;
-    std::vector<std::pair<std::int64_t, std::ptrdiff_t>> on_air;
-    std::size_t peak_pending = 0;
-  };
-
-  constexpr std::size_t kStations = 4;
-  constexpr std::size_t kFramesPerStation = 12'500;
-  util::Rng rng{0x50CE11};
-  Frames frames(kStations);
-  for (auto& station : frames) {
-    std::int64_t t = 0;
-    for (std::size_t i = 0; i < kFramesPerStation; ++i) {
-      t += rng.uniform_int(0, 4000);
-      station.emplace_back(
-          t, static_cast<std::uint32_t>(rng.uniform_int(60, 1500)));
-    }
-  }
-
-  Cell preload{frames};
-  for (std::size_t s = 0; s < kStations; ++s) {
-    for (std::size_t i = 0; i < kFramesPerStation; ++i) {
-      preload.sim.schedule_event(
-          TimePoint::from_microseconds(frames[s][i].first), preload, s, i);
-    }
-  }
-  preload.sim.run();
-
-  Cell lazy{frames};
-  ReleaseChains releases{lazy.sim, lazy};
-  for (std::size_t s = 0; s < kStations; ++s) {
-    for (std::size_t i = 0; i < kFramesPerStation; ++i) {
-      releases.add(TimePoint::from_microseconds(frames[s][i].first), s, i);
-    }
-  }
-  releases.start();
-  lazy.sim.run();
-
-  ASSERT_EQ(lazy.on_air.size(), preload.on_air.size());
-  EXPECT_TRUE(lazy.on_air == preload.on_air);
-  EXPECT_GT(preload.arbiter.totals().collisions, 0u);  // real contention
-  EXPECT_EQ(lazy.arbiter.totals().collisions,
-            preload.arbiter.totals().collisions);
-  EXPECT_GT(preload.peak_pending, kStations * kFramesPerStation / 2);
-  EXPECT_LT(lazy.peak_pending, kStations + 8);
-
-  // The decision is a re-armable timer: every decision event dispatched
-  // transmitted or collided, none was a superseded no-op.
-  for (const Cell* cell : {&preload, &lazy}) {
-    EXPECT_EQ(cell->sim.events_processed(),
-              kStations * kFramesPerStation + cell->arbiter.frames_on_air() +
-                  cell->arbiter.collision_events());
-  }
-  EXPECT_GT(lazy.arbiter.collision_events(), 0u);
-}
-
-TEST(ReleaseChainsTest, SequencedPushesAreChecked) {
-  Simulator sim;
-  ChainProbe probe{sim};
-  // A sequence nobody reserved, or one a plain push already took.
-  EXPECT_THROW(sim.schedule_event(TimePoint{}, 0, probe),
-               std::invalid_argument);
-  sim.schedule_event(TimePoint{}, probe, 1);
-  const std::uint64_t first = sim.reserve_sequences(2);
-  EXPECT_EQ(first, 1u);
-  EXPECT_THROW(sim.schedule_event(TimePoint{}, 0, probe),
-               std::invalid_argument);
-  EXPECT_THROW(sim.schedule_event(TimePoint{}, first + 2, probe),
-               std::invalid_argument);
-  sim.schedule_event(TimePoint::from_microseconds(10), first + 1, probe, 2);
-  sim.run();
-  // A reserved sequence cannot reach into the simulated past.
-  EXPECT_THROW(sim.schedule_event(TimePoint::from_microseconds(5), first,
-                                  probe),
-               std::invalid_argument);
-
-  ReleaseChains releases{sim, probe};
-  releases.add(TimePoint::from_microseconds(20), 4);
-  releases.start();
-  EXPECT_THROW(releases.add(TimePoint::from_microseconds(30), 5),
-               std::invalid_argument);
-  EXPECT_THROW(releases.start(), std::invalid_argument);
 }
 
 }  // namespace

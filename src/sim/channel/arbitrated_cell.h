@@ -52,6 +52,10 @@ class ArbitratedCell {
 
   [[nodiscard]] std::size_t releases() const { return releases_.size(); }
 
+  /// Chains with a release still to fire: while run() runs, the merge
+  /// heap holds one entry per chain, never one per release.
+  [[nodiscard]] std::size_t pending_chains() const { return heads_.size(); }
+
   /// Attaches the channel's windowed-series emission (see
   /// DcfCore::set_windowed) before run().
   void set_windowed(obs::WindowedRegistry* registry,

@@ -673,6 +673,100 @@ TEST(ArbitratedCellTest, SeededSweepMatchesThePreloadedArbiter) {
   EXPECT_GT(drops, 0u);       // and the retry limit
 }
 
+TEST(ReleaseChainsTest, DispatchOrderMatchesThePreload) {
+  // Random release lists: chains of non-decreasing times on a coarse grid
+  // (dense equal-time ties across chains), each chain starting earlier
+  // than its predecessor ended, spread over three stations so one station
+  // owns several chains. With no DIFS and a small window, decisions fall
+  // at the very instants releases do. The merged chains must fire what
+  // preloading every release fires, in the same order, so the cell's
+  // timeline equals the preloaded arbiter's.
+  util::Rng rng{0xC4A1};
+  for (int round = 0; round < 30; ++round) {
+    DcfParams params;
+    params.difs = Duration::microseconds(round % 3 == 0 ? 0 : 10);
+    params.cw_min = static_cast<std::uint32_t>(rng.uniform_int(0, 3));
+    params.retry_limit = static_cast<std::uint32_t>(rng.uniform_int(0, 2));
+    Releases releases;
+    std::size_t chains = 0;
+    std::int64_t last = 0;
+    const auto chain_count = rng.uniform_int(1, 8);
+    for (std::int64_t c = 0; c < chain_count; ++c) {
+      std::int64_t t = rng.uniform_int(0, 5) * 1000;
+      if (!releases.empty() && t >= last) {
+        t = std::max<std::int64_t>(0, last - 1000);
+      }
+      if (releases.empty() || t < last) {
+        ++chains;
+      }
+      const auto station = static_cast<std::size_t>(c % 3);
+      const auto length = rng.uniform_int(1, 40);
+      for (std::int64_t i = 0; i < length; ++i) {
+        releases.emplace_back(
+            station, t, static_cast<std::uint32_t>(rng.uniform_int(40, 600)));
+        last = t;
+        t += rng.uniform_int(0, 2) * 500;
+      }
+    }
+    const auto seed = static_cast<std::uint64_t>(round) + 1;
+    const ArbitrationRun expected = preloaded_arbiter(releases, params, seed);
+
+    ArbitratedCell cell{params, util::Rng{seed}};
+    for (const auto& [s, t, size] : releases) {
+      cell.release(s, TimePoint::from_microseconds(t), size);
+    }
+    ArbitrationRun actual;
+    std::size_t peak_chains = 0;
+    cell.run([&](std::size_t release, TimePoint on_air, std::uint32_t,
+                 Duration delay) {
+      peak_chains = std::max(peak_chains, cell.pending_chains());
+      actual.fates.emplace_back(release, on_air.count_us(), delay.count_us());
+    });
+    actual.totals = cell.totals();
+    expect_same_run(expected, actual, "round " + std::to_string(round));
+    EXPECT_LE(peak_chains, chains) << "round " << round;
+    EXPECT_EQ(cell.pending_chains(), 0u);
+  }
+}
+
+TEST(ReleaseChainsTest, ArbitratedCellKeepsTheQueueSmall) {
+  // A 4-station DCF cell of 50k frames, released station-major (four
+  // chains). The cell must reproduce the preloaded on-air timeline
+  // exactly while its merge heap holds one entry per chain, never the
+  // run's frames.
+  constexpr std::size_t kStations = 4;
+  constexpr std::size_t kFramesPerStation = 12'500;
+  util::Rng rng{0x50CE11};
+  Releases releases;
+  for (std::size_t s = 0; s < kStations; ++s) {
+    std::int64_t t = 0;
+    for (std::size_t i = 0; i < kFramesPerStation; ++i) {
+      t += rng.uniform_int(0, 4000);
+      releases.emplace_back(
+          s, t, static_cast<std::uint32_t>(rng.uniform_int(60, 1500)));
+    }
+  }
+  const ArbitrationRun expected = preloaded_arbiter(releases, DcfParams{}, 11);
+
+  ArbitratedCell cell{DcfParams{}, util::Rng{11}};
+  cell.reserve(releases.size());
+  for (const auto& [s, t, size] : releases) {
+    cell.release(s, TimePoint::from_microseconds(t), size);
+  }
+  ArbitrationRun actual;
+  std::size_t peak_chains = 0;
+  cell.run([&](std::size_t release, TimePoint on_air, std::uint32_t,
+               Duration delay) {
+    peak_chains = std::max(peak_chains, cell.pending_chains());
+    actual.fates.emplace_back(release, on_air.count_us(), delay.count_us());
+  });
+  actual.totals = cell.totals();
+
+  expect_same_run(expected, actual, "station-major cell");
+  EXPECT_GT(expected.totals.collisions, 0u);  // real contention
+  EXPECT_EQ(peak_chains, kStations);
+}
+
 TEST(ObservedStatsTest, ClientAndApExposeChannelStatsUnderArbitration) {
   NetStackCell cell{DcfParams{}};  // contended defaults at 54 Mbit/s
   cell.configure_interfaces();

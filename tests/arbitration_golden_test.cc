@@ -9,16 +9,27 @@
 #include <bit>
 #include <cstdint>
 #include <cstdio>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "attack/audit/leakage_audit.h"
+#include "attack/sniffer.h"
 #include "core/scheduler.h"
+#include "core/tpc.h"
 #include "core/tuning/evaluator.h"
 #include "core/tuning/tuned_configuration.h"
 #include "core/tuning/tuner.h"
+#include "net/access_point.h"
+#include "net/client.h"
+#include "obs/packet_trace.h"
 #include "runtime/evaluation_backend.h"
 #include "runtime/scenario.h"
+#include "sim/channel/channel_arbiter.h"
+#include "sim/medium.h"
+#include "sim/simulator.h"
+#include "traffic/generator.h"
 #include "util/rng.h"
 
 namespace reshape {
@@ -159,6 +170,203 @@ TEST(ArbitrationGoldenTest, TuningReportPinnedBitForBit) {
   Fnv1a fnv;
   fnv.add_bytes(tuner.run(2).to_json());
   EXPECT_EQ(hex(fnv.value()), hex(0x27604b5aec9de669ULL));
+}
+
+void add_stats(Fnv1a& fnv, const sim::channel::ChannelStats& stats) {
+  fnv.add(stats.frames_sent);
+  fnv.add(stats.frames_dropped);
+  fnv.add(stats.collisions);
+  fnv.add(stats.retries);
+  fnv.add(static_cast<std::uint64_t>(stats.total_access_delay.count_us()));
+  fnv.add(static_cast<std::uint64_t>(stats.max_access_delay.count_us()));
+  fnv.add(static_cast<std::uint64_t>(stats.airtime.count_us()));
+  fnv.add(std::uint64_t{stats.max_queue_depth});
+}
+
+void add_stats(Fnv1a& fnv, const core::online::StreamingStats& stats) {
+  fnv.add(stats.packets);
+  fnv.add(stats.original_bytes);
+  fnv.add(stats.added_bytes);
+  fnv.add(stats.deadline_misses);
+  fnv.add(static_cast<std::uint64_t>(stats.total_queueing_delay.count_us()));
+  fnv.add(static_cast<std::uint64_t>(stats.max_queueing_delay.count_us()));
+  fnv.add(static_cast<std::uint64_t>(stats.airtime_busy.count_us()));
+  fnv.add(std::uint64_t{stats.max_queue_depth});
+}
+
+// The live path: an AP and two reshaping clients under OR on one
+// ChannelArbiter channel, driven event by event through sim::Simulator.
+// Client 0 transmits each virtual interface at its own random power
+// (§V-A), client 1 and the AP at a per-packet random power, and the AP
+// pushes client 0 a padded configuration mid-session. The digests cover
+// what the sniffer, the arbiter, the reshapers, the packet trace and the
+// leakage auditor saw, and the number of events dispatched.
+TEST(LivePathPinTest, LiveSessionPinnedBitForBit) {
+  sim::Simulator simulator;
+  sim::Medium medium{sim::PathLossModel{}, util::Rng{0x5EED}};
+  // A slow PHY and a narrow contention window, so the three stations
+  // collide and retry.
+  sim::channel::DcfParams params;
+  params.bitrate_mbps = 6.0;
+  params.cw_min = 3;
+  sim::channel::ChannelArbiter arbiter{simulator, medium, /*channel=*/6,
+                                       params, util::Rng{0xA4B}};
+  const auto bssid = mac::MacAddress::parse("02:00:00:00:aa:01");
+  const auto make_or = [] {
+    return std::make_unique<core::OrthogonalScheduler>(
+        core::OrthogonalScheduler::identity(core::SizeRanges::paper_default()));
+  };
+  net::AccessPoint ap{simulator, medium, sim::Position{0, 0}, bssid,
+                      /*channel=*/6, net::ApConfig{}, util::Rng{1}, make_or};
+  ap.set_power_control(
+      core::TransmitPowerControl::uniform(14.0, 20.0, util::Rng{2}));
+
+  const mac::MacAddress client_macs[] = {
+      mac::MacAddress::parse("02:00:00:00:bb:02"),
+      mac::MacAddress::parse("02:00:00:00:bb:03")};
+  const sim::Position positions[] = {sim::Position{7, 2},
+                                     sim::Position{-3, 9}};
+  std::vector<std::unique_ptr<net::WirelessClient>> clients;
+  for (std::size_t c = 0; c < 2; ++c) {
+    const mac::SymmetricKey key{0x1234 + c, 0x5678 + c};
+    clients.push_back(std::make_unique<net::WirelessClient>(
+        simulator, medium, positions[c], client_macs[c], bssid, 6, key,
+        util::Rng{10 + c}, make_or()));
+    ap.associate(client_macs[c], key);
+  }
+
+  attack::Sniffer sniffer{bssid};
+  medium.attach(sniffer, sim::Position{-5, 10}, 6);
+  obs::PacketTrace trace;
+  attack::audit::AuditConfig audit_config;
+  audit_config.window = util::Duration::seconds(1.0);
+  attack::audit::LeakageAuditor auditor{audit_config};
+  sniffer.set_packet_trace(&trace);
+  sniffer.set_leakage_auditor(&auditor);
+  arbiter.set_packet_trace(&trace);
+  ap.set_packet_trace(&trace);
+  for (const auto& client : clients) {
+    client->set_packet_trace(&trace);
+    client->request_virtual_interfaces(3);
+  }
+  simulator.run();
+
+  std::vector<core::TransmitPowerControl> controls;
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    const double low = 6.0 + 6.0 * static_cast<double>(i);
+    controls.push_back(
+        core::TransmitPowerControl::uniform(low, low + 4.0, util::Rng{20 + i}));
+  }
+  clients[0]->set_interface_power_controls(std::move(controls));
+  clients[1]->set_power_control(
+      core::TransmitPowerControl::uniform(8.0, 18.0, util::Rng{30}));
+
+  const traffic::AppType apps[] = {traffic::AppType::kDownloading,
+                                   traffic::AppType::kVideo};
+  const util::TimePoint start = simulator.now();
+  for (std::size_t c = 0; c < 2; ++c) {
+    const traffic::Trace session = traffic::generate_trace(
+        apps[c], util::Duration::seconds(3.0), 40 + c);
+    for (const traffic::PacketRecord& r : session.records()) {
+      net::WirelessClient* client = clients[c].get();
+      const mac::MacAddress& peer = client_macs[c];
+      if (r.direction == mac::Direction::kUplink) {
+        simulator.schedule_at(start + (r.time - util::TimePoint{}),
+                              [client, s = r.size_bytes] {
+                                client->send_packet(mac::payload_of(s));
+                              });
+      } else {
+        simulator.schedule_at(start + (r.time - util::TimePoint{}),
+                              [&ap, &peer, s = r.size_bytes] {
+                                ap.send_to_client(peer, mac::payload_of(s));
+                              });
+      }
+    }
+  }
+  auto padded = core::tuning::TunedConfiguration::identity(
+      "pin-padded", core::SizeRanges::paper_default());
+  padded.pad_to[0] = padded.range_bounds[0];
+  simulator.schedule_at(start + util::Duration::seconds(1.5), [&] {
+    EXPECT_TRUE(ap.push_tuned_configuration(client_macs[0], padded));
+  });
+  simulator.run();
+
+  // The session exercises what it pins: contention, the push, the audit.
+  EXPECT_GT(arbiter.totals().collisions, 0u);
+  EXPECT_EQ(trace.evicted_events(), 0u);
+  EXPECT_EQ(ap.tuned_pushes(), 1u);
+  EXPECT_EQ(clients[0]->interfaces().size(), 3u);
+  EXPECT_GT(sniffer.frames_captured(), 0u);
+
+  Fnv1a capture;
+  const attack::CaptureColumns& columns = sniffer.captures();
+  capture.add(std::uint64_t{columns.size()});
+  for (std::size_t i = 0; i < columns.size(); ++i) {
+    capture.add(static_cast<std::uint64_t>(columns.time_us[i]));
+    capture.add(std::uint64_t{columns.size_bytes[i]});
+    capture.add(columns.station[i]);
+    capture.add(static_cast<std::uint64_t>(columns.direction[i]));
+    capture.add(columns.rssi_dbm[i]);
+  }
+
+  Fnv1a channel;
+  add_stats(channel, arbiter.totals());
+  channel.add(arbiter.frames_on_air());
+  channel.add(arbiter.collision_events());
+  channel.add(static_cast<std::uint64_t>(arbiter.busy_time().count_us()));
+  channel.add(std::uint64_t{arbiter.station_count()});
+  ASSERT_NE(ap.observed_channel_stats(), nullptr);
+  add_stats(channel, *ap.observed_channel_stats());
+  for (const auto& client : clients) {
+    ASSERT_NE(client->observed_channel_stats(), nullptr);
+    add_stats(channel, *client->observed_channel_stats());
+  }
+
+  Fnv1a modeled;
+  for (std::size_t c = 0; c < 2; ++c) {
+    add_stats(modeled, clients[c]->modeled_reshaping_stats());
+    ASSERT_NE(ap.modeled_reshaping_stats_of(client_macs[c]), nullptr);
+    add_stats(modeled, *ap.modeled_reshaping_stats_of(client_macs[c]));
+  }
+
+  Fnv1a spans;
+  spans.add(std::uint64_t{trace.events().size()});
+  for (const obs::SpanEvent& event : trace.events()) {
+    spans.add(event.frame_id);
+    spans.add(static_cast<std::uint64_t>(event.hop));
+    spans.add(static_cast<std::uint64_t>(event.at.count_us()));
+    spans.add(static_cast<std::uint64_t>(event.aux));
+  }
+
+  Fnv1a leakage;
+  const std::vector<obs::WindowLeakage> windows = auditor.reduce();
+  EXPECT_GE(windows.size(), 3u);
+  for (const obs::WindowLeakage& window : windows) {
+    leakage.add(static_cast<std::uint64_t>(window.window));
+    leakage.add(window.active_streams);
+    leakage.add(window.partition_balance);
+    leakage.add(window.anonymity_set);
+    leakage.add(window.max_pairwise_jsd_bits);
+    leakage.add(window.mean_pairwise_jsd_bits);
+    leakage.add(window.rssi_linked_fraction);
+    leakage.add(std::uint64_t{window.has_proxy});
+    leakage.add(window.proxy_accuracy_percent);
+    for (const obs::WindowLeakage::PairDivergence& pair : window.pairs) {
+      leakage.add(pair.a);
+      leakage.add(pair.b);
+      leakage.add(pair.jsd_bits);
+    }
+  }
+
+  EXPECT_EQ(hex(capture.value()), hex(0x2ce27dc59721218bULL)) << "sniffer capture";
+  EXPECT_EQ(hex(channel.value()), hex(0x60f0bacc592a18ccULL)) << "arbiter stats";
+  EXPECT_EQ(hex(modeled.value()), hex(0x9810cfeebf874bf4ULL)) << "modeled stats";
+  EXPECT_EQ(hex(spans.value()), hex(0x136f786eba4246b6ULL)) << "packet trace";
+  EXPECT_EQ(hex(leakage.value()), hex(0xa3b2b233fb577416ULL)) << "leakage audit";
+  EXPECT_EQ(simulator.events_processed(), 11075u);
+
+  sniffer.set_leakage_auditor(nullptr);
+  medium.detach(sniffer);
 }
 
 }  // namespace

@@ -49,10 +49,12 @@ for arg in "$@"; do
       CTEST_ARGS+=(-L concurrency)
       ;;
     --native)
-      # The byte-identity suites (goldens, hot-path equivalence, ml,
-      # attack row order, telemetry, shard server) on a build for this
-      # host's ISA: with -ffp-contract=off an FMA-capable target must
-      # reproduce every bit of the default build.
+      # The byte-identity suites (goldens, hot-path equivalence, the
+      # channel suite's ArbitratedCell-vs-ChannelArbiter sweep, ml, attack
+      # row order, telemetry, shard server) on a build for this host's
+      # ISA: with -ffp-contract=off an FMA-capable target must reproduce
+      # every bit of the default build. The live path's RSSI and transmit
+      # power are floating point; arbitration_golden_test pins them.
       NATIVE=1
       BUILD_DIR=build-native
       CMAKE_ARGS+=(
@@ -88,7 +90,7 @@ cmake --build "$BUILD_DIR" -j
 # The native leg runs the byte-identity suites only, and no smokes.
 if [ "$NATIVE" = 1 ]; then
   for suite in defense_golden_test arbitration_golden_test \
-               hot_path_equivalence_test ml_test attack_test \
+               hot_path_equivalence_test channel_test ml_test attack_test \
                telemetry_test shard_server_test; do
     "./$BUILD_DIR/$suite" --gtest_brief=1
   done

@@ -21,6 +21,11 @@ namespace reshape::runtime {
 
 namespace {
 
+/// Contiguous range chunks offered per worker: more than one
+/// oversubscribes, so fast workers steal load from slow ones without
+/// breaking cell order.
+constexpr std::size_t kRangesPerWorker = 3;
+
 /// Sends the whole buffer; MSG_NOSIGNAL turns a dead peer into EPIPE
 /// instead of SIGPIPE. Returns false on any error.
 bool send_all(int fd, const std::uint8_t* data, std::size_t size) {
@@ -192,14 +197,12 @@ void serve(int fd, const JobFactory& factory) {
 
 std::vector<CellRange> shard_ranges(std::size_t cell_count,
                                     const ShardConfig& config) {
-  util::require(config.ranges_per_worker > 0,
-                "shard_server: ranges_per_worker must be positive");
   std::vector<CellRange> out;
   if (cell_count == 0) {
     return out;
   }
   const std::size_t chunks = std::min(
-      std::max<std::size_t>(1, config.workers) * config.ranges_per_worker,
+      std::max<std::size_t>(1, config.workers) * kRangesPerWorker,
       cell_count);
   const std::size_t base = cell_count / chunks;
   const std::size_t extra = cell_count % chunks;

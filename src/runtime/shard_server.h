@@ -19,7 +19,7 @@
 //     protocol). The worker rebuilds its engine from the job name in the
 //     work order — tools/shard_eval's registry does exactly that.
 //
-// Work is oversubscribed (ranges_per_worker contiguous chunks per worker,
+// Work is oversubscribed (three contiguous chunks per worker,
 // claimed atomically) so a slow worker sheds load to fast ones. Every
 // reply is treated as hostile: its frame is read only as far as bytes
 // actually arrive, and its payload is decoded and checked against the
@@ -51,10 +51,6 @@ struct ShardConfig {
 
   /// Threads per worker's own cell pool (the workers × threads grid).
   std::size_t threads_per_worker = 1;
-
-  /// Contiguous range chunks offered per worker; > 1 oversubscribes so
-  /// fast workers steal load from slow ones without breaking cell order.
-  std::size_t ranges_per_worker = 3;
 
   /// Job name workers resolve to an engine (exec mode registry key);
   /// fork-mode workers serve a closure and only use it as a cache key.
@@ -89,7 +85,7 @@ using ReplySink = std::function<void(std::size_t range,
 void serve(int fd, const JobFactory& factory);
 
 /// Balanced contiguous ranges covering [0, cell_count):
-/// max(1, workers) × ranges_per_worker of them, at most one per cell.
+/// max(1, workers) × 3 of them, at most one per cell.
 [[nodiscard]] std::vector<CellRange> shard_ranges(std::size_t cell_count,
                                                   const ShardConfig& config);
 

@@ -12,7 +12,7 @@ ChannelArbiter::ChannelArbiter(Simulator& simulator, Medium& medium,
       medium_{medium},
       channel_{channel},
       core_{params, rng},
-      decision_{simulator.add_timer(*this)} {
+      decision_{simulator.add_timer([this] { decide(); })} {
   medium_.install_arbiter(*this);
 }
 
@@ -21,30 +21,21 @@ ChannelArbiter::~ChannelArbiter() {
   medium_.uninstall_arbiter(*this);
 }
 
-std::size_t ChannelArbiter::station_of(const RadioListener* transmitter) {
+void ChannelArbiter::enqueue(mac::Frame frame, Position tx_position,
+                             const RadioListener* transmitter) {
+  util::require(frame.channel == channel_,
+                "ChannelArbiter::enqueue: frame tuned to another channel");
   util::require(transmitter != nullptr,
                 "ChannelArbiter::enqueue: transmitter identity required "
                 "(anonymous frames cannot contend)");
+  // First transmission registers the station: registration order keys
+  // its backoff substream.
   const auto [it, inserted] =
       station_index_.try_emplace(transmitter, ids_.size());
   if (inserted) {
     ids_.push_back(transmitter);
     core_.add_station();
   }
-  return it->second;
-}
-
-void ChannelArbiter::enqueue(mac::Frame frame, Position tx_position,
-                             const RadioListener* transmitter) {
-  util::require(frame.channel == channel_,
-                "ChannelArbiter::enqueue: frame tuned to another channel");
-  enqueue(station_of(transmitter), std::move(frame), tx_position);
-}
-
-void ChannelArbiter::enqueue(std::size_t index, mac::Frame&& frame,
-                             Position tx_position) {
-  util::require(frame.channel == channel_,
-                "ChannelArbiter::enqueue: frame tuned to another channel");
   const util::TimePoint now = simulator_.now();
   if (trace_ != nullptr) {
     trace_->record(frame.trace_id, obs::Hop::kChannelEnqueue, now);
@@ -58,7 +49,7 @@ void ChannelArbiter::enqueue(std::size_t index, mac::Frame&& frame,
   } else {
     frames_.push_back(Pending{std::move(frame), tx_position});
   }
-  core_.enqueue(index, handle, size_bytes, now);
+  core_.enqueue(it->second, handle, size_bytes, now);
   rearm();
 }
 

@@ -14,10 +14,10 @@
 // identities to core station indices (first transmission registers a
 // station, which keys its backoff substream), records lifecycle-trace
 // hops, calls the hooks and broadcasts. The pending decision is one
-// re-armable simulator timer: every state change re-arms it, so no
-// superseded decision is ever queued or dispatched, and each decision
-// event that fires transmits or collides. Callers that know every release
-// up front drive the same core from a plain loop instead
+// re-armable simulator timer that calls decide(): every state change
+// re-arms it, so no superseded decision is ever queued or dispatched, and
+// each decision event that fires transmits or collides. Callers that know
+// every release up front drive the same core from a plain loop instead
 // (arbitrated_cell.h).
 #pragma once
 
@@ -45,7 +45,7 @@ namespace reshape::sim::channel {
 /// The medium and simulator must outlive the arbiter, and the arbiter
 /// must outlive any pending simulator events — run the simulator dry
 /// before tearing down, as with every other entity in the sim.
-class ChannelArbiter : private EventHandler {
+class ChannelArbiter {
  public:
   /// On-air notification: the frame exactly as broadcast (timestamp = the
   /// arbitrated on-air instant), its access delay (enqueue -> on-air),
@@ -77,15 +77,6 @@ class ChannelArbiter : private EventHandler {
   /// tuned to this arbiter's channel.
   void enqueue(mac::Frame frame, Position tx_position,
                const RadioListener* transmitter);
-
-  /// The station index of `transmitter` (non-null), registering it on
-  /// first use: registration order keys the backoff substreams, so call
-  /// this when the station first transmits.
-  [[nodiscard]] std::size_t station_of(const RadioListener* transmitter);
-
-  /// enqueue() by station index (from station_of), with no identity
-  /// lookup; the frame is moved once, into the station's queue.
-  void enqueue(std::size_t station, mac::Frame&& frame, Position tx_position);
 
   [[nodiscard]] int channel() const { return channel_; }
   [[nodiscard]] const DcfParams& params() const { return core_.params(); }
@@ -152,12 +143,9 @@ class ChannelArbiter : private EventHandler {
   /// when nothing is pending).
   void rearm();
 
-  /// Fires at countdown expiry: transmits the winner or resolves a
-  /// collision.
+  /// Fires at countdown expiry (the decision timer's callback): transmits
+  /// the winner or resolves a collision.
   void decide();
-
-  /// Decision-timer dispatch (sim::EventHandler).
-  void on_event(std::uint64_t, std::uint64_t) override { decide(); }
 
   Simulator& simulator_;
   Medium& medium_;

@@ -19,16 +19,9 @@ void Simulator::schedule_after(util::Duration delay,
   queue_.push(now_ + delay, std::move(callback));
 }
 
-void Simulator::schedule_event(util::TimePoint when, EventHandler& handler,
-                               std::uint64_t a, std::uint64_t b) {
-  util::require(when >= now_, "Simulator::schedule_event: time is in the past");
-  queue_.push_event(when, handler, a, b);
-}
-
-void Simulator::arm_timer(EventQueue::TimerId timer, util::TimePoint when,
-                          std::uint64_t a, std::uint64_t b) {
+void Simulator::arm_timer(EventQueue::TimerId timer, util::TimePoint when) {
   util::require(when >= now_, "Simulator::arm_timer: time is in the past");
-  queue_.arm(timer, when, a, b);
+  queue_.arm(timer, when);
 }
 
 void Simulator::run() {

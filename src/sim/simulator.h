@@ -9,7 +9,7 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
+#include <utility>
 
 #include "sim/event_queue.h"
 #include "util/time.h"
@@ -29,20 +29,15 @@ class Simulator {
   /// Schedules `callback` after the given delay (delay must be >= 0).
   void schedule_after(util::Duration delay, EventQueue::Callback callback);
 
-  /// Schedules a typed (allocation-free) event: `handler.on_event(a, b)`
-  /// fires at `when`. Same time+sequence ordering as callbacks.
-  void schedule_event(util::TimePoint when, EventHandler& handler,
-                      std::uint64_t a = 0, std::uint64_t b = 0);
-
-  /// Registers a re-armable timer (see EventQueue::add_timer).
-  [[nodiscard]] EventQueue::TimerId add_timer(EventHandler& handler) {
-    return queue_.add_timer(handler);
+  /// Registers a re-armable timer that calls `callback` when it fires
+  /// (see EventQueue::add_timer).
+  [[nodiscard]] EventQueue::TimerId add_timer(EventQueue::Callback callback) {
+    return queue_.add_timer(std::move(callback));
   }
 
   /// (Re)arms a timer at `when`, which must not be in the simulated past;
-  /// same ordering as schedule_event at this point (EventQueue::arm).
-  void arm_timer(EventQueue::TimerId timer, util::TimePoint when,
-                 std::uint64_t a = 0, std::uint64_t b = 0);
+  /// same ordering as schedule_at at this point (EventQueue::arm).
+  void arm_timer(EventQueue::TimerId timer, util::TimePoint when);
 
   void disarm_timer(EventQueue::TimerId timer) { queue_.disarm(timer); }
 

@@ -1,9 +1,11 @@
-// Bit-for-bit pins of everything the DCF arbitration pass produces. Every
+// Bit-for-bit pins of everything DCF arbitration produces. Every
 // arbitrated registry scenario, the tuner's per-cell access-delay
-// measurement and a small tuning sweep all run through the simulator's
-// event queue; these digests (FNV-1a 64) change only when an on-air
-// timestamp, a delay sample, a drop count or a report byte does — not
-// when the queue changes how it holds pending releases.
+// measurement and a small tuning sweep run through ArbitratedCell's plain
+// loop; the live session (LivePathPinTest) runs through sim::Simulator
+// and a ChannelArbiter. These digests (FNV-1a 64) change only when an
+// on-air timestamp, a delay sample, a drop count, an RSSI or a report
+// byte does — not when the event queue or the cell changes how it holds
+// pending releases.
 #include <gtest/gtest.h>
 
 #include <bit>

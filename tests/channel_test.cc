@@ -504,24 +504,12 @@ ArbitrationRun preloaded_arbiter(const Releases& releases, DcfParams params,
     run.fates.emplace_back(queue.front(), kDropped, kDropped);
     queue.pop_front();
   });
-  struct Feed final : EventHandler {
-    void on_event(std::uint64_t index, std::uint64_t) override {
-      const auto& [s, t, size] = (*releases)[index];
-      (*fifo)[s].push_back(index);
-      arbiter->enqueue(data_frame(size), Position{}, &(*ids)[s]);
-    }
-    const Releases* releases;
-    std::vector<std::deque<std::size_t>>* fifo;
-    ChannelArbiter* arbiter;
-    std::vector<Identity>* ids;
-  } feed;
-  feed.releases = &releases;
-  feed.fifo = &fifo;
-  feed.arbiter = &arbiter;
-  feed.ids = &ids;
   for (std::size_t i = 0; i < releases.size(); ++i) {
-    sim.schedule_event(TimePoint::from_microseconds(std::get<1>(releases[i])),
-                       feed, i);
+    const auto& [s, t, size] = releases[i];
+    sim.schedule_at(TimePoint::from_microseconds(t), [&, i, s, size] {
+      fifo[s].push_back(i);
+      arbiter.enqueue(data_frame(size), Position{}, &ids[s]);
+    });
   }
   sim.run();
   EXPECT_EQ(arbiter.pending(), 0u);

@@ -100,7 +100,7 @@ TEST(EventQueueStressTest, MatchesStableSortReference) {
                      return a.time_us < b.time_us;
                    });
   while (!queue.empty()) {
-    queue.pop()();
+    queue.dispatch_next();
   }
   ASSERT_EQ(popped.size(), reference.size());
   for (std::size_t i = 0; i < popped.size(); ++i) {
@@ -129,7 +129,7 @@ TEST(EventQueueStressTest, InterleavedPushPop) {
       const auto t = queue.next_time();
       EXPECT_GE(t, last_popped);
       last_popped = t;
-      queue.pop()();
+      queue.dispatch_next();
       ++executed;
     }
   }

@@ -28,7 +28,7 @@ TEST(EventQueueTest, PopsInTimeOrder) {
   q.push(TimePoint::from_seconds(1.0), [&] { order.push_back(1); });
   q.push(TimePoint::from_seconds(2.0), [&] { order.push_back(2); });
   while (!q.empty()) {
-    q.pop()();
+    q.dispatch_next();
   }
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
@@ -41,43 +41,47 @@ TEST(EventQueueTest, TiesBreakByInsertionOrder) {
     q.push(t, [&order, i] { order.push_back(i); });
   }
   while (!q.empty()) {
-    q.pop()();
+    q.dispatch_next();
   }
   for (int i = 0; i < 10; ++i) {
     EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
   }
 }
 
-TEST(EventQueueTest, MixedTypedAndCallbackEventsMatchReferenceOrder) {
-  // Property test for the arena-backed queue: a random schedule of typed
-  // (EventHandler) and callback events — with deliberate timestamp ties —
-  // must fire in exactly the order of a reference model (stable sort by
-  // time, insertion order breaking ties). The arena slots, free-list
-  // reuse, and typed/callback mixing must never leak into ordering.
-  struct Recorder final : EventHandler {
-    std::vector<std::uint64_t>* fired;
-    void on_event(std::uint64_t a, std::uint64_t) override {
-      fired->push_back(a);
-    }
-  };
-
+TEST(EventQueueTest, MixedTimersAndPushesMatchReferenceOrder) {
+  // Property test: a random schedule of pushes and timer arms — with
+  // deliberate timestamp ties — must fire in exactly the order of a
+  // reference model (stable sort by time, insertion order breaking ties)
+  // in which re-arming a timer withdraws its pending firing.
   util::Rng rng{20110703};
   for (int round = 0; round < 20; ++round) {
     EventQueue q;
     std::vector<std::uint64_t> fired;
-    Recorder recorder;
-    recorder.fired = &fired;
-
+    constexpr std::size_t kTimers = 8;
     constexpr std::uint64_t kEvents = 200;
+    // The id each timer's pending firing reports (kEvents: never armed).
+    std::vector<std::uint64_t> armed_as(kTimers, kEvents);
+    std::vector<EventQueue::TimerId> timers;
+    for (std::size_t k = 0; k < kTimers; ++k) {
+      timers.push_back(q.add_timer(
+          [&fired, &armed_as, k] { fired.push_back(armed_as[k]); }));
+    }
+
     std::vector<std::pair<std::int64_t, std::uint64_t>> reference;
     for (std::uint64_t i = 0; i < kEvents; ++i) {
-      // Few distinct timestamps -> dense ties across event kinds.
+      // Few distinct timestamps -> dense ties between pushes and timers.
       const std::int64_t when_us = rng.uniform_int(0, 9) * 1000;
       const TimePoint when = TimePoint::from_microseconds(when_us);
       if (rng.uniform_int(0, 1) == 0) {
-        q.push_event(when, recorder, i);
-      } else {
         q.push(when, [&fired, i] { fired.push_back(i); });
+      } else {
+        const auto k = static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(kTimers) - 1));
+        std::erase_if(reference, [&](const auto& entry) {
+          return entry.second == armed_as[k];
+        });
+        armed_as[k] = i;
+        q.arm(timers[k], when);
       }
       reference.emplace_back(when_us, i);
     }
@@ -86,17 +90,13 @@ TEST(EventQueueTest, MixedTypedAndCallbackEventsMatchReferenceOrder) {
                        return a.first < b.first;
                      });
 
-    // Alternate both drain paths; dispatch_next and pop must agree.
+    EXPECT_EQ(q.size(), reference.size());
     while (!q.empty()) {
-      if (fired.size() % 2 == 0) {
-        q.dispatch_next();
-      } else {
-        q.pop()();
-      }
+      q.dispatch_next();
     }
 
-    ASSERT_EQ(fired.size(), kEvents);
-    for (std::size_t i = 0; i < kEvents; ++i) {
+    ASSERT_EQ(fired.size(), reference.size());
+    for (std::size_t i = 0; i < fired.size(); ++i) {
       EXPECT_EQ(fired[i], reference[i].second) << "round " << round
                                                << " position " << i;
     }
@@ -105,7 +105,7 @@ TEST(EventQueueTest, MixedTypedAndCallbackEventsMatchReferenceOrder) {
 
 TEST(EventQueueTest, EmptyQueueThrows) {
   EventQueue q;
-  EXPECT_THROW((void)q.pop(), std::invalid_argument);
+  EXPECT_THROW(q.dispatch_next(), std::invalid_argument);
   EXPECT_THROW((void)q.next_time(), std::invalid_argument);
 }
 
@@ -117,33 +117,26 @@ TEST(EventQueueTest, RejectsNullCallback) {
 
 // --------------------------------------------------------------- Timer ---
 
-/// Records every typed event it receives as (a, time) into a shared log.
-class LogHandler final : public EventHandler {
- public:
-  LogHandler(const Simulator& sim,
-             std::vector<std::pair<std::uint64_t, std::int64_t>>& log)
-      : sim_{sim}, log_{log} {}
-  void on_event(std::uint64_t a, std::uint64_t) override {
-    log_.emplace_back(a, sim_.now().count_us());
-  }
+/// A (tag, time) firing log.
+using FiringLog = std::vector<std::pair<std::uint64_t, std::int64_t>>;
 
- private:
-  const Simulator& sim_;
-  std::vector<std::pair<std::uint64_t, std::int64_t>>& log_;
-};
+/// A callback that logs `tag` at the simulator's current time.
+EventQueue::Callback log_as(const Simulator& sim, FiringLog& log,
+                            std::uint64_t tag) {
+  return [&sim, &log, tag] { log.emplace_back(tag, sim.now().count_us()); };
+}
 
 TEST(TimerTest, RearmReplacesThePendingFiring) {
   Simulator sim;
-  std::vector<std::pair<std::uint64_t, std::int64_t>> log;
-  LogHandler handler{sim, log};
-  const EventQueue::TimerId timer = sim.add_timer(handler);
-  sim.arm_timer(timer, TimePoint::from_microseconds(50), 1);
-  sim.arm_timer(timer, TimePoint::from_microseconds(20), 2);  // earlier
-  sim.arm_timer(timer, TimePoint::from_microseconds(80), 3);  // later
+  FiringLog log;
+  const EventQueue::TimerId timer = sim.add_timer(log_as(sim, log, 7));
+  sim.arm_timer(timer, TimePoint::from_microseconds(50));
+  sim.arm_timer(timer, TimePoint::from_microseconds(20));  // earlier
+  sim.arm_timer(timer, TimePoint::from_microseconds(80));  // later
   EXPECT_EQ(sim.pending(), 1u);
   sim.run();
   ASSERT_EQ(log.size(), 1u);  // only the last arming fires
-  EXPECT_EQ(log.front(), (std::pair<std::uint64_t, std::int64_t>{3, 80}));
+  EXPECT_EQ(log.front(), (std::pair<std::uint64_t, std::int64_t>{7, 80}));
   EXPECT_EQ(sim.events_processed(), 1u);
   EXPECT_EQ(sim.now(), TimePoint::from_microseconds(80));
   EXPECT_TRUE(sim.idle());  // a fired timer is unarmed
@@ -156,64 +149,54 @@ TEST(TimerTest, TiesWithHeapEntriesBreakBySequenceLikeAPush) {
   // fires after the equal-time events pushed before its last arming and
   // before those pushed after it.
   Simulator sim;
-  std::vector<std::pair<std::uint64_t, std::int64_t>> log;
-  LogHandler handler{sim, log};
-  const EventQueue::TimerId timer = sim.add_timer(handler);
+  FiringLog log;
+  const EventQueue::TimerId timer = sim.add_timer(log_as(sim, log, 100));
   const TimePoint t = TimePoint::from_microseconds(10);
-  sim.arm_timer(timer, t, 100);        // replaced below
-  sim.schedule_event(t, handler, 1);
-  sim.arm_timer(timer, t, 101);
-  sim.schedule_event(t, handler, 2);
+  sim.arm_timer(timer, t);  // replaced below
+  sim.schedule_at(t, log_as(sim, log, 1));
+  sim.arm_timer(timer, t);
+  sim.schedule_at(t, log_as(sim, log, 2));
   sim.run();
-  const std::vector<std::pair<std::uint64_t, std::int64_t>> expected{
-      {1, 10}, {101, 10}, {2, 10}};
+  const FiringLog expected{{1, 10}, {100, 10}, {2, 10}};
   EXPECT_EQ(log, expected);
+  EXPECT_EQ(sim.events_processed(), 3u);
 
-  // The same through a bare queue's pop(), with a callback in the mix.
+  // The same through a bare queue.
   EventQueue q;
   std::vector<int> order;
-  struct Mark final : EventHandler {
-    explicit Mark(std::vector<int>& order) : order{order} {}
-    void on_event(std::uint64_t a, std::uint64_t) override {
-      order.push_back(static_cast<int>(a));
-    }
-    std::vector<int>& order;
-  } mark{order};
-  const EventQueue::TimerId qt = q.add_timer(mark);
+  const EventQueue::TimerId qt = q.add_timer([&order] { order.push_back(1); });
   q.push(t, [&order] { order.push_back(0); });
-  q.arm(qt, t, 1);
-  q.push_event(t, mark, 2);
+  q.arm(qt, t);
+  q.push(t, [&order] { order.push_back(2); });
   EXPECT_EQ(q.next_time(), t);
   while (!q.empty()) {
-    q.pop()();
+    q.dispatch_next();
   }
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
 }
 
 TEST(TimerTest, DisarmCancelsAndPendingCountsArmedTimers) {
   Simulator sim;
-  std::vector<std::pair<std::uint64_t, std::int64_t>> log;
-  LogHandler handler{sim, log};
-  const EventQueue::TimerId first = sim.add_timer(handler);
-  const EventQueue::TimerId second = sim.add_timer(handler);
+  FiringLog log;
+  const EventQueue::TimerId first = sim.add_timer(log_as(sim, log, 1));
+  const EventQueue::TimerId second = sim.add_timer(log_as(sim, log, 2));
   EXPECT_TRUE(sim.idle());
   EXPECT_EQ(sim.pending(), 0u);
-  sim.arm_timer(first, TimePoint::from_microseconds(30), 1);
+  sim.arm_timer(first, TimePoint::from_microseconds(30));
   EXPECT_FALSE(sim.idle());
   EXPECT_EQ(sim.pending(), 1u);
-  sim.arm_timer(second, TimePoint::from_microseconds(20), 2);
-  sim.schedule_event(TimePoint::from_microseconds(40), handler, 3);
+  sim.arm_timer(second, TimePoint::from_microseconds(20));
+  sim.schedule_at(TimePoint::from_microseconds(40), log_as(sim, log, 3));
   EXPECT_EQ(sim.pending(), 3u);
   sim.disarm_timer(second);
   sim.disarm_timer(second);  // disarming an unarmed timer is a no-op
   EXPECT_EQ(sim.pending(), 2u);
   sim.run();
-  const std::vector<std::pair<std::uint64_t, std::int64_t>> expected{
-      {1, 30}, {3, 40}};
+  const FiringLog expected{{1, 30}, {3, 40}};
   EXPECT_EQ(log, expected);
   EXPECT_EQ(sim.events_processed(), 2u);
 
-  sim.arm_timer(first, TimePoint::from_microseconds(50), 4);
+  sim.arm_timer(first, TimePoint::from_microseconds(50));
   sim.disarm_timer(first);
   EXPECT_TRUE(sim.idle());
 }
@@ -222,17 +205,19 @@ TEST(TimerTest, DisarmCancelsAndPendingCountsArmedTimers) {
 /// cancellations of a single "decision" either through a re-armable timer
 /// or, as the reference, through generation-stamped pushes whose stale
 /// firings return without acting.
-class DecisionProbe final : public EventHandler {
+class DecisionProbe {
  public:
   DecisionProbe(Simulator& sim, bool use_timer, std::uint64_t seed)
       : sim_{sim}, rng_{seed}, use_timer_{use_timer} {
     if (use_timer_) {
-      timer_ = sim_.add_timer(*this);
+      // Every generation change re-arms or disarms the timer, so when it
+      // fires the current generation is the one it was armed under.
+      timer_ = sim_.add_timer([this] { fire(generation_); });
     }
   }
 
   /// Plain events carry kPlain + id; decisions carry their generation.
-  void on_event(std::uint64_t a, std::uint64_t) override {
+  void fire(std::uint64_t a) {
     if (a < kPlain && a != generation_) {
       ++stale;  // superseded: the reference's no-op dispatch
       return;
@@ -252,14 +237,16 @@ class DecisionProbe final : public EventHandler {
       switch (rng_.uniform_int(0, 3)) {
         case 0:
         case 1:
-          sim_.schedule_event(when, *this, kPlain + next_id_++);
+          sim_.schedule_at(when, [this, id = kPlain + next_id_++] {
+            fire(id);
+          });
           break;
         case 2:
           ++generation_;  // (re)schedule the decision
           if (use_timer_) {
-            sim_.arm_timer(timer_, when, generation_);
+            sim_.arm_timer(timer_, when);
           } else {
-            sim_.schedule_event(when, *this, generation_);
+            sim_.schedule_at(when, [this, g = generation_] { fire(g); });
           }
           break;
         default:

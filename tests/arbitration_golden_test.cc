@@ -25,9 +25,11 @@
 #include "core/tuning/tuner.h"
 #include "net/access_point.h"
 #include "net/client.h"
+#include "obs/export.h"
 #include "obs/packet_trace.h"
 #include "runtime/evaluation_backend.h"
 #include "runtime/scenario.h"
+#include "runtime/wire.h"
 #include "sim/channel/channel_arbiter.h"
 #include "sim/medium.h"
 #include "sim/simulator.h"
@@ -172,6 +174,28 @@ TEST(ArbitrationGoldenTest, TuningReportPinnedBitForBit) {
   Fnv1a fnv;
   fnv.add_bytes(tuner.run(2).to_json());
   EXPECT_EQ(hex(fnv.value()), hex(0x27604b5aec9de669ULL));
+}
+
+// The raw cells behind a report, as the shard server ships them: every
+// CandidateShardOutcome field (epoch scores, pooled streaming stats, the
+// sorted access-delay samples, drops) plus the range's metrics, windowed
+// and privacy telemetry. The padded compositions put OR-paper-I3 and
+// OR-paper-I3+pad, the unpadded and padded paper point, in the space.
+TEST(ArbitrationGoldenTest, TuningRangePinnedBitForBit) {
+  core::tuning::TunerSpec spec = small_spec();
+  spec.space.padded_compositions = true;
+  core::tuning::ParameterTuner tuner{spec};
+  obs::TelemetryConfig telemetry;
+  telemetry.metrics = true;
+  telemetry.windowed = true;
+  telemetry.privacy = true;
+  telemetry.privacy_pairs = true;
+  tuner.set_telemetry(telemetry);
+  const std::vector<std::uint8_t> bytes = runtime::wire::encode_range(
+      tuner.run_range(0, tuner.cell_count(), 1));
+  Fnv1a fnv;
+  fnv.add_bytes(std::string{bytes.begin(), bytes.end()});
+  EXPECT_EQ(hex(fnv.value()), hex(0x80f5466978c2b4aeULL));
 }
 
 void add_stats(Fnv1a& fnv, const sim::channel::ChannelStats& stats) {

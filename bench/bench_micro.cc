@@ -10,8 +10,8 @@
 
 #include "core/defense.h"
 #include "core/scheduler.h"
-#include "core/tuning/evaluator.h"
 #include "core/tuning/tuned_configuration.h"
+#include "core/tuning/tuner.h"
 #include "features/features.h"
 #include "mac/address_pool.h"
 #include "ml/mlp.h"
@@ -199,7 +199,7 @@ void BM_ArbitrateContendedCell(benchmark::State& state) {
 }
 BENCHMARK(BM_ArbitrateContendedCell)->Unit(benchmark::kMillisecond);
 
-/// CandidateEvaluator::evaluate_cell's arbitration pass on the tuning
+/// ParameterTuner::run_cell's arbitration pass on the tuning
 /// arena: the Table V identity point's released frames (generated and
 /// reshaped once, outside the timing) replayed through one DCF cell at
 /// the tuner's 12 Mbit/s, access delays collected and sorted. Items are
@@ -231,7 +231,7 @@ void BM_TunerArbitrationPass(benchmark::State& state) {
   const core::tuning::TunerSpec spec;
   for (auto _ : state) {
     sim::channel::DcfParams params;
-    params.bitrate_mbps = spec.arbitration_bitrate_mbps;
+    params.bitrate_mbps = spec.streaming.bitrate_mbps;
     sim::channel::ArbitratedCell cell{params, util::Rng{0xC0FFEE}};
     cell.reserve(releases.size());
     for (const Release& r : releases) {

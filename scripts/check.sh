@@ -51,7 +51,8 @@ for arg in "$@"; do
     --native)
       # The byte-identity suites (goldens, hot-path equivalence, the
       # channel suite's ArbitratedCell-vs-ChannelArbiter sweep, ml, attack
-      # row order, telemetry, shard server) on a build for this host's
+      # row order, telemetry, shard server, and wire, whose WirePinTest
+      # pins one real FP-heavy range per engine) on a build for this host's
       # ISA: with -ffp-contract=off an FMA-capable target must reproduce
       # every bit of the default build. The live path's RSSI and transmit
       # power are floating point; arbitration_golden_test pins them.
@@ -91,7 +92,7 @@ cmake --build "$BUILD_DIR" -j
 if [ "$NATIVE" = 1 ]; then
   for suite in defense_golden_test arbitration_golden_test \
                hot_path_equivalence_test channel_test ml_test attack_test \
-               telemetry_test shard_server_test; do
+               telemetry_test shard_server_test wire_test; do
     "./$BUILD_DIR/$suite" --gtest_brief=1
   done
   exit 0

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <memory>
 #include <utility>
 
 #include "attack/rssi_linker.h"
@@ -48,20 +49,12 @@ double EpochScore::static_accuracy_percent() const {
   return 100.0 * static_confusion.mean_accuracy();
 }
 
-ClassifierFactory default_classifier_factory() {
-  return [] { return std::make_unique<ml::KnnClassifier>(5); };
-}
-
-AdaptiveAttacker::AdaptiveAttacker(AdaptiveConfig config,
-                                   ClassifierFactory make_classifier)
+AdaptiveAttacker::AdaptiveAttacker(AdaptiveConfig config)
     : config_{config},
-      trainer_{(make_classifier ? make_classifier
-                                : default_classifier_factory())(),
-               kClasses,
+      trainer_{std::make_unique<ml::KnnClassifier>(5), kClasses,
                ml::IncrementalTrainerConfig{config.max_adaptive_rows}},
-      static_trainer_{(make_classifier ? make_classifier
-                                       : default_classifier_factory())(),
-                      kClasses, ml::IncrementalTrainerConfig{}} {
+      static_trainer_{std::make_unique<ml::KnnClassifier>(5), kClasses,
+                      ml::IncrementalTrainerConfig{}} {
   util::require(config_.cadence > util::Duration{},
                 "AdaptiveAttacker: cadence must be positive");
 }

@@ -34,8 +34,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -123,20 +121,12 @@ struct EpochScore {
   [[nodiscard]] double static_accuracy_percent() const;
 };
 
-/// Builds a fresh classifier per trainer (the attacker needs independent
-/// adaptive and frozen-baseline instances).
-using ClassifierFactory = std::function<std::unique_ptr<ml::Classifier>()>;
-
-/// The default adaptive classifier: kNN — refits over a growing dataset
-/// are cheap (fit is storage) and prediction is deterministic.
-[[nodiscard]] ClassifierFactory default_classifier_factory();
-
-/// The online adversary.
+/// The online adversary. Both its models are kNN(5): refits over a
+/// growing dataset are cheap (fit is storage) and prediction is
+/// deterministic.
 class AdaptiveAttacker {
  public:
-  /// `make_classifier` may be null (defaults to kNN).
-  explicit AdaptiveAttacker(AdaptiveConfig config,
-                            ClassifierFactory make_classifier = nullptr);
+  explicit AdaptiveAttacker(AdaptiveConfig config);
 
   /// Bootstraps from clean traces: profile_rows(clean_traces,
   /// config().attack), then fit.

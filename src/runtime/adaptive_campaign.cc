@@ -94,7 +94,8 @@ std::string AdaptiveCampaignReport::to_json() const {
 }
 
 AdaptiveCampaignEngine::AdaptiveCampaignEngine(AdaptiveCampaignSpec spec)
-    : spec_{std::move(spec)} {
+    : spec_{std::move(spec)},
+      workloads_{spec_.scenarios.size() * spec_.shards} {
   detail::require_defense_grid(spec_, "AdaptiveCampaignEngine");
 }
 
@@ -115,17 +116,16 @@ AdaptiveCellResult AdaptiveCampaignEngine::run_cell(
     obs::WindowedRegistry* windows) const {
   const CellGrid g = grid();
   const CellGrid::Cell cell = g.decompose(cell_id);
-  CellStreams streams = cell_streams(spec_.seed, g, cell_id);
+  const CellStreams streams = cell_streams(spec_.seed, g, cell_id);
 
   AdaptiveCellResult result;
   result.defense_index = cell.defense;
   result.scenario_index = cell.scenario;
   result.shard = cell.shard;
 
-  const Scenario& scenario = spec_.scenarios[cell.scenario];
   const DefenseSpec& defense = spec_.defenses[cell.defense];
-  const std::vector<traffic::Trace> sessions =
-      scenario.generate(streams.workload);
+  const std::vector<traffic::Trace>& sessions =
+      detail::workload(workloads_, spec_, g.workload_id(cell));
   result.session_count = sessions.size();
 
   std::vector<eval::DefendedSession> defended =
@@ -140,8 +140,9 @@ AdaptiveCellResult AdaptiveCampaignEngine::run_cell(
     audit_flows(flows, probe_ ? &*probe_ : nullptr, *windows,
                 cell_labels(spec_, result), telemetry_.config.privacy_pairs);
   }
-  result.epochs =
-      run_adaptive_flows(base_, spec_.attacker, spec_.make_classifier, flows);
+  attack::adaptive::AdaptiveAttacker attacker{spec_.attacker};
+  attacker.bootstrap(base_);  // copies the shared raw rows
+  result.epochs = attacker.run_session(flows);
   if (windows != nullptr && telemetry_.config.windowed) {
     // Epoch scores observed at their sim-time starts: with the window set
     // to the attacker cadence, windows align 1:1 with epochs — the

@@ -50,9 +50,6 @@ struct AdaptiveCampaignSpec {
   /// The adaptive loop's knobs (cadence, labeling, sliding window).
   attack::adaptive::AdaptiveConfig attacker{};
 
-  /// Classifier per trainer; null selects the default (kNN).
-  attack::adaptive::ClassifierFactory make_classifier;
-
   std::vector<DefenseSpec> defenses;
   std::vector<Scenario> scenarios;
   std::size_t shards = 1;
@@ -80,7 +77,7 @@ struct EpochAggregate {
 
   /// THE canonical shard-merge of one epoch: every field of the score is
   /// folded in (windows, both confusions, both label tallies). The
-  /// adaptive campaign and core::tuning::CandidateEvaluator both merge
+  /// adaptive campaign and core::tuning::ParameterTuner both merge
   /// through here — a second hand-rolled path once dropped the window and
   /// label counters, the aggregation asymmetry tests/obs_test.cc now
   /// guards against.
@@ -154,6 +151,10 @@ class AdaptiveCampaignEngine
   // The label-free attacker proxy (privacy telemetry), built from base_
   // by the first train() with privacy on.
   std::optional<attack::audit::NearestCentroidProbe> probe_;
+
+  // The sessions of each (scenario, shard) slot, generated once for the
+  // engine's lifetime and shared by every defense row (detail::workload).
+  mutable WorkloadMemo<std::vector<traffic::Trace>> workloads_;
 };
 
 }  // namespace reshape::runtime

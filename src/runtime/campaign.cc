@@ -111,7 +111,8 @@ CellResult CampaignEngine::run_cell(std::size_t cell_id, WorkerArena& arena,
 
   const DefenseSpec& defense = spec_.defenses[cell.defense];
   const std::size_t workload_slot = g.workload_id(cell);
-  const std::vector<traffic::Trace>& sessions = workload(workload_slot);
+  const std::vector<traffic::Trace>& sessions =
+      detail::workload(workloads_, spec_, workload_slot);
   result.session_count = sessions.size();
   // The leakage audit needs the exact defended flows the attacker was
   // scored on; evaluate_sessions hands them back instead of applying the
@@ -154,23 +155,10 @@ CellResult CampaignEngine::run_cell(std::size_t cell_id, WorkerArena& arena,
   return result;
 }
 
-const std::vector<traffic::Trace>& CampaignEngine::workload(
-    std::size_t slot) const {
-  // The first cell on a (scenario, shard) materializes the workload; the
-  // other defenses (and later run() calls) reuse it. The workload stream
-  // is keyed on exactly that pair — slot s is the cell id of defense row
-  // 0 — so the cached sessions are the ones any cell would generate.
-  return workloads_.get(slot, [&] {
-    const CellGrid g = grid();
-    util::Rng stream = cell_streams(spec_.seed, g, slot).workload;
-    return spec_.scenarios[g.decompose(slot).scenario].generate(stream);
-  });
-}
-
 void CampaignEngine::warm_workloads() {
   for (std::size_t slot = 0; slot < spec_.scenarios.size() * spec_.shards;
        ++slot) {
-    (void)workload(slot);
+    (void)detail::workload(workloads_, spec_, slot);
   }
 }
 

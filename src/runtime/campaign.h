@@ -130,6 +130,22 @@ template <typename Spec, typename Cell>
       {"shard", std::to_string(cell.shard)}};
 }
 
+/// The sessions of workload slot (scenario, shard) from `memo`: the
+/// first cell on the slot generates them, every defense row after it
+/// (and every later run()) reuses them. The workload stream is keyed on
+/// exactly that pair — slot s is the cell id of defense row 0 — so the
+/// memoized sessions are the ones any cell on the slot would generate.
+template <typename Spec>
+[[nodiscard]] const std::vector<traffic::Trace>& workload(
+    WorkloadMemo<std::vector<traffic::Trace>>& memo, const Spec& spec,
+    std::size_t slot) {
+  return memo.get(slot, [&] {
+    const CellGrid g = defense_grid(spec);
+    util::Rng stream = cell_streams(spec.seed, g, slot).workload;
+    return spec.scenarios[g.decompose(slot).scenario].generate(stream);
+  });
+}
+
 /// The (defense, scenario) entry of `aggregates`; throws
 /// std::out_of_range naming `report` when the pair is absent.
 template <typename Aggregate>
@@ -180,9 +196,6 @@ class CampaignEngine
   friend GridEngine;
 
   [[nodiscard]] CellGrid grid() const { return detail::defense_grid(spec_); }
-  /// The memoized sessions of workload slot (scenario, shard).
-  [[nodiscard]] const std::vector<traffic::Trace>& workload(
-      std::size_t slot) const;
   [[nodiscard]] CellResult run_cell(std::size_t cell_id, WorkerArena& arena,
                                     obs::WindowedRegistry* windows) const;
   void publish_cell(obs::MetricsRegistry& registry, std::size_t cell_id,

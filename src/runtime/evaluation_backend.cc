@@ -109,15 +109,6 @@ std::vector<attack::adaptive::ObservedFlow> rssi_tagged_flows(
   return flows;
 }
 
-std::vector<attack::adaptive::EpochScore> run_adaptive_flows(
-    const ml::Dataset& base, const attack::adaptive::AdaptiveConfig& config,
-    const attack::adaptive::ClassifierFactory& make_classifier,
-    std::span<const attack::adaptive::ObservedFlow> flows) {
-  attack::adaptive::AdaptiveAttacker attacker{config, make_classifier};
-  attacker.bootstrap(base);  // copies the shared raw rows
-  return attacker.run_session(flows);
-}
-
 void audit_flows(std::span<const attack::adaptive::ObservedFlow> flows,
                  const attack::audit::NearestCentroidProbe* probe,
                  obs::WindowedRegistry& windows, const obs::LabelSet& labels,

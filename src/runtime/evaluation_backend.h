@@ -20,8 +20,8 @@
 //     runtime/grid_engine.h, drives it).
 //   * bootstrap_profile — the clean-corpus profiling an adaptive
 //     adversary starts from (byte-identical to the static harness corpus).
-//   * rssi_tagged_flows / run_adaptive_flows — defended flows packaged
-//     with synthetic power signatures, and the prequential epoch loop.
+//   * rssi_tagged_flows — defended flows packaged with synthetic power
+//     signatures, the input of the adaptive adversary's epoch loop.
 #pragma once
 
 #include <cstdint>
@@ -155,15 +155,6 @@ struct RssiModel {
 [[nodiscard]] std::vector<attack::adaptive::ObservedFlow> rssi_tagged_flows(
     std::span<eval::DefendedSession> sessions, const util::Rng& rssi_rng,
     const RssiModel& model);
-
-/// Runs the prequential capture → window → refit → score loop over one
-/// cell's flows: a fresh AdaptiveAttacker is bootstrapped from `base`
-/// (shared raw rows, profiled once per engine) and scores one EpochScore
-/// per cadence epoch. `make_classifier` may be null (default kNN).
-[[nodiscard]] std::vector<attack::adaptive::EpochScore> run_adaptive_flows(
-    const ml::Dataset& base, const attack::adaptive::AdaptiveConfig& config,
-    const attack::adaptive::ClassifierFactory& make_classifier,
-    std::span<const attack::adaptive::ObservedFlow> flows);
 
 /// The shared label-free leakage audit every engine calls on its cell's
 /// observed flows: reduces them with an attack::audit::LeakageAuditor

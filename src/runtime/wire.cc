@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <concepts>
 #include <functional>
 #include <ranges>
@@ -189,6 +190,18 @@ void check(const obs::WindowedSnapshot& v) {
 void check(const obs::SeriesWindows& v) {
   require_ascending(v.points, &obs::WindowPoint::window,
                     "wire: window points not strictly ascending");
+}
+
+// The tuner's fold merges each cell's delays linearly and reads
+// nearest-rank percentiles off the pool: a sample out of order, negative
+// or not finite would move p50/p90/p99 without a word.
+void check(const core::tuning::CandidateShardOutcome& v) {
+  const std::vector<double>& delays = v.access_delay_us;
+  const auto valid = [](double d) { return std::isfinite(d) && d >= 0.0; };
+  if (!std::ranges::all_of(delays, valid) || !std::ranges::is_sorted(delays)) {
+    throw ByteError{
+        "wire: access delays not finite, non-negative and non-descending"};
+  }
 }
 
 // ---------------------------------------------------------- generic codec

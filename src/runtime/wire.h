@@ -19,7 +19,9 @@
 // could not take: a confusion matrix of other than traffic::kAppCount
 // classes, a metric kind out of range, a histogram without strictly
 // ascending bounds plus one overflow bucket, series not strictly sorted
-// by (name, labels), or window points not strictly ascending.
+// by (name, labels), window points not strictly ascending, or a tuning
+// cell whose access delays are not finite, non-negative and
+// non-descending.
 //
 // Determinism contract: encode(decode(bytes)) == bytes and
 // decode(encode(x)) == x for every codec here; the shard server's merged

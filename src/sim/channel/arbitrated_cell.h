@@ -1,7 +1,7 @@
 // One arbitrated DCF cell driven from releases known up front.
 //
 // The contended-cell scenarios (runtime/scenario.cc) and the tuner's
-// access-delay measurement (core/tuning/evaluator.cc) both replay a run's
+// access-delay measurement (core/tuning/tuner.cc) both replay a run's
 // frames through one DCF channel. ArbitratedCell does it for both, with
 // no simulator: callers add releases, then run() drives a DcfCore
 // (dcf_core.h) from a plain loop and reports every frame that reaches the

@@ -1,11 +1,11 @@
 // Bit-for-bit pins of everything DCF arbitration produces. Every
-// arbitrated registry scenario, the tuner's per-cell access-delay
-// measurement and a small tuning sweep run through ArbitratedCell's plain
-// loop; the live session (LivePathPinTest) runs through sim::Simulator
-// and a ChannelArbiter. These digests (FNV-1a 64) change only when an
-// on-air timestamp, a delay sample, a drop count, an RSSI or a report
-// byte does — not when the event queue or the cell changes how it holds
-// pending releases.
+// arbitrated registry scenario and a small tuning sweep (its report, and
+// its whole range with every per-cell access-delay sample) run through
+// ArbitratedCell's plain loop; the live session (LivePathPinTest) runs
+// through sim::Simulator and a ChannelArbiter. These digests (FNV-1a 64)
+// change only when an on-air timestamp, a delay sample, a drop count, an
+// RSSI or a report byte does — not when the event queue or the cell
+// changes how it holds pending releases.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -20,14 +20,12 @@
 #include "attack/sniffer.h"
 #include "core/scheduler.h"
 #include "core/tpc.h"
-#include "core/tuning/evaluator.h"
 #include "core/tuning/tuned_configuration.h"
 #include "core/tuning/tuner.h"
 #include "net/access_point.h"
 #include "net/client.h"
 #include "obs/export.h"
 #include "obs/packet_trace.h"
-#include "runtime/evaluation_backend.h"
 #include "runtime/scenario.h"
 #include "runtime/wire.h"
 #include "sim/channel/channel_arbiter.h"
@@ -125,48 +123,6 @@ core::tuning::TunerSpec small_spec() {
   spec.space.interleaved_fine_partitions = false;
   spec.space.padded_compositions = false;
   return spec;
-}
-
-TEST(ArbitrationGoldenTest, EvaluateCellPinnedBitForBit) {
-  const core::tuning::TunerSpec spec = small_spec();
-  core::tuning::CandidateEvaluator evaluator{spec};
-  evaluator.train();
-
-  auto unpadded = core::tuning::TunedConfiguration::identity(
-      "golden", core::SizeRanges::paper_default());
-  auto padded = unpadded;
-  padded.name = "golden-padded";
-  padded.pad_to = {600, 1576, 0};
-  const std::vector<core::tuning::TunedConfiguration> candidates = {unpadded,
-                                                                    padded};
-  const runtime::CellGrid grid{candidates.size(), 1, 1};
-  util::Rng workload = runtime::cell_streams(spec.seed, grid, 0).workload;
-  const std::vector<traffic::Trace> sessions =
-      spec.scenario.generate(workload);
-
-  const std::uint64_t goldens[] = {0x0d7282532e70eccaULL,
-                                   0x9a6f3856d17afc4bULL};
-  for (std::size_t c = 0; c < candidates.size(); ++c) {
-    const core::tuning::CandidateShardOutcome outcome =
-        evaluator.evaluate_cell(candidates[c], sessions, grid, c);
-    Fnv1a fnv;
-    fnv.add(std::uint64_t{outcome.access_delay_us.size()});
-    for (const double delay : outcome.access_delay_us) {
-      fnv.add(delay);
-    }
-    fnv.add(outcome.frames_dropped);
-    const core::online::StreamingStats& stats = outcome.streaming;
-    fnv.add(stats.packets);
-    fnv.add(stats.original_bytes);
-    fnv.add(stats.added_bytes);
-    fnv.add(stats.deadline_misses);
-    fnv.add(
-        static_cast<std::uint64_t>(stats.total_queueing_delay.count_us()));
-    fnv.add(static_cast<std::uint64_t>(stats.max_queueing_delay.count_us()));
-    fnv.add(static_cast<std::uint64_t>(stats.airtime_busy.count_us()));
-    fnv.add(std::uint64_t{stats.max_queue_depth});
-    EXPECT_EQ(hex(fnv.value()), hex(goldens[c])) << candidates[c].name;
-  }
 }
 
 TEST(ArbitrationGoldenTest, TuningReportPinnedBitForBit) {

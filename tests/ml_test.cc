@@ -143,11 +143,11 @@ TEST(ConfusionMatrixTest, BoundsChecked) {
 
 // Parameterised over classifier factories so every learner faces the same
 // behavioural contract.
-using ClassifierFactory = std::function<std::unique_ptr<Classifier>()>;
+using MakeClassifier = std::function<std::unique_ptr<Classifier>()>;
 
 class ClassifierContractTest
     : public ::testing::TestWithParam<std::pair<std::string,
-                                                ClassifierFactory>> {};
+                                                MakeClassifier>> {};
 
 TEST_P(ClassifierContractTest, LearnsSeparableBlobs) {
   auto classifier = GetParam().second();
@@ -199,27 +199,27 @@ INSTANTIATE_TEST_SUITE_P(
     AllClassifiers, ClassifierContractTest,
     ::testing::Values(
         std::make_pair(std::string{"svm_rbf"},
-                       ClassifierFactory{[] {
+                       MakeClassifier{[] {
                          SvmConfig cfg;
                          cfg.gamma = 0.5;  // blob scale, not minmax scale
                          return std::make_unique<SvmClassifier>(cfg);
                        }}),
         std::make_pair(std::string{"svm_linear"},
-                       ClassifierFactory{[] {
+                       MakeClassifier{[] {
                          SvmConfig cfg;
                          cfg.kernel = KernelKind::kLinear;
                          return std::make_unique<SvmClassifier>(cfg);
                        }}),
         std::make_pair(std::string{"mlp"},
-                       ClassifierFactory{[] {
+                       MakeClassifier{[] {
                          return std::make_unique<MlpClassifier>();
                        }}),
         std::make_pair(std::string{"knn"},
-                       ClassifierFactory{[] {
+                       MakeClassifier{[] {
                          return std::make_unique<KnnClassifier>(5);
                        }}),
         std::make_pair(std::string{"gnb"},
-                       ClassifierFactory{[] {
+                       MakeClassifier{[] {
                          return std::make_unique<NaiveBayesClassifier>();
                        }})),
     [](const auto& info) { return info.param.first; });

@@ -126,7 +126,6 @@ core::tuning::TunerSpec small_tuner_spec() {
   spec.attacker.cadence = Duration::seconds(10.0);
   spec.scenario = tuned_vs_table5(3, Duration::seconds(45.0));
   spec.streaming.bitrate_mbps = 24.0;
-  spec.arbitration_bitrate_mbps = 24.0;
   spec.shards = 1;
   spec.space.interleaved_fine_partitions = false;
   spec.space.padded_compositions = false;

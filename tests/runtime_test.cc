@@ -1,10 +1,14 @@
 // Tests for src/runtime: scenario registry coverage, workload determinism,
-// and the campaign engine's bit-identical-across-thread-counts guarantee.
+// the campaign engine's bit-identical-across-thread-counts guarantee, and
+// the adaptive engine's one generation per workload slot.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <memory>
 #include <thread>
 
 #include "eval/defense_factory.h"
+#include "runtime/adaptive_campaign.h"
 #include "runtime/campaign.h"
 #include "runtime/scenario.h"
 
@@ -224,6 +228,37 @@ TEST(CampaignEngineTest, JsonCarriesTheGrid) {
   EXPECT_NE(json.find("\"aggregates\":["), std::string::npos);
   EXPECT_NE(json.find("\"scenario\":\"iot-telemetry\""), std::string::npos);
   EXPECT_NE(json.find("\"mean_accuracy\":"), std::string::npos);
+}
+
+// ------------------------------------------------------ adaptive campaign ---
+
+TEST(AdaptiveCampaignEngineTest, GeneratesEachWorkloadSlotOnce) {
+  // Workload streams are keyed by (scenario, shard) only, so the three
+  // defense rows of a 3 x 1 x 2 grid share two workloads: generated
+  // twice, by whichever cells reach the slots first, and never again.
+  const auto calls = std::make_shared<std::atomic<int>>(0);
+  const Scenario station = multi_app_station(1, util::Duration::seconds(30.0));
+  AdaptiveCampaignSpec spec;
+  spec.seed = 0xADA;
+  spec.bootstrap = tiny_training();
+  spec.attacker.cadence = util::Duration::seconds(10.0);
+  spec.defenses.push_back({"Original", eval::no_defense_factory()});
+  spec.defenses.push_back(
+      {"RA", eval::reshaping_factory(core::SchedulerKind::kRandom, 3)});
+  spec.defenses.push_back(
+      {"OR", eval::reshaping_factory(core::SchedulerKind::kOrthogonal, 3)});
+  spec.scenarios.push_back(Scenario{
+      "counted-station", "multi_app_station(1, 30 s), counted",
+      [calls, station](util::Rng& rng) {
+        ++*calls;
+        return station.generate(rng);
+      }});
+  spec.shards = 2;
+  AdaptiveCampaignEngine engine{spec};
+  const std::string report = engine.run(3).to_json();
+  EXPECT_EQ(calls->load(), 2);
+  EXPECT_EQ(engine.run(1).to_json(), report);
+  EXPECT_EQ(calls->load(), 2);
 }
 
 }  // namespace

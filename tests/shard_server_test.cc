@@ -14,6 +14,7 @@
 #include <string>
 #include <string_view>
 #include <tuple>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -81,7 +82,6 @@ core::tuning::TunerSpec tiny_tuning() {
   spec.attacker.cadence = util::Duration::seconds(10.0);
   spec.scenario = runtime::tuned_vs_table5(2, util::Duration::seconds(30.0));
   spec.streaming.bitrate_mbps = 24.0;
-  spec.arbitration_bitrate_mbps = 24.0;
   spec.shards = 2;
   spec.space.interleaved_fine_partitions = false;
   spec.space.padded_compositions = false;
@@ -236,19 +236,28 @@ std::vector<std::string> printf_worker(const std::vector<std::uint8_t>& bytes) {
   return {"/bin/sh", "-c", "printf '" + escaped + "' >&3"};
 }
 
-/// Runs tiny_campaign() sharded under `config` (serving `factory_of` the
-/// sharded engine, when set) and checks the run still lands on the
-/// in-process bytes with at least one recorded failure.
+/// The small spec each engine's hostile-reply tests run.
+runtime::CampaignSpec tiny_spec(const runtime::CampaignEngine*) {
+  return tiny_campaign();
+}
+core::tuning::TunerSpec tiny_spec(const core::tuning::ParameterTuner*) {
+  return tiny_tuning();
+}
+
+/// Runs the engine's tiny spec sharded under `config` (serving
+/// `factory_of` the sharded engine, when set) and checks the run still
+/// lands on the in-process bytes with at least one recorded failure.
+template <typename Engine = runtime::CampaignEngine>
 void expect_hostile_run_recovers(
     const runtime::ShardConfig& config,
-    const std::function<runtime::JobFactory(runtime::CampaignEngine&)>&
+    const std::type_identity_t<std::function<runtime::JobFactory(Engine&)>>&
         factory_of = nullptr) {
-  runtime::CampaignEngine baseline{tiny_campaign()};
+  Engine baseline{tiny_spec(static_cast<const Engine*>(nullptr))};
   baseline.set_telemetry(deterministic_telemetry());
   const std::string expect_report = baseline.run(1).to_json();
   const std::string expect_telemetry = baseline.telemetry_to_json();
 
-  runtime::CampaignEngine sharded{tiny_campaign()};
+  Engine sharded{tiny_spec(static_cast<const Engine*>(nullptr))};
   sharded.set_telemetry(deterministic_telemetry());
   std::vector<std::string> failures;
   const std::string report =
@@ -286,15 +295,13 @@ TEST(ShardServerTest, GarbagePayloadIsAWorkerFailure) {
   expect_hostile_run_recovers(config);
 }
 
-/// A fork-mode factory whose workers answer every order with `lie`'s
-/// outcome; the coordinator's own in-process fallback (same factory, same
-/// pid as the test) stays honest.
-std::function<runtime::JobFactory(runtime::CampaignEngine&)> lying_workers(
-    std::function<runtime::CampaignRangeOutcome(
-        runtime::CampaignEngine&, const runtime::wire::WorkOrder&)>
-        lie) {
+/// A fork-mode factory, for any engine, whose workers answer every order
+/// with `lie(engine, order)`; the coordinator's own in-process fallback
+/// (same factory, same pid as the test) stays honest.
+template <typename Lie>
+auto lying_workers(Lie lie) {
   const pid_t coordinator = ::getpid();
-  return [coordinator, lie](runtime::CampaignEngine& engine) {
+  return [coordinator, lie](auto& engine) {
     return runtime::JobFactory{[&engine, coordinator,
                                 lie](std::string_view) {
       runtime::WorkerJob job = runtime::range_job(&engine);
@@ -380,6 +387,24 @@ TEST(ShardServerTest, ForgedSeriesKeyClashIsAWorkerFailure) {
         series.insert(
             std::ranges::upper_bound(series, key(forged), std::less<>{}, key),
             forged);
+        return outcome;
+      }));
+}
+
+TEST(ShardServerTest, UnsortedAccessDelaysIsAWorkerFailure) {
+  // Tuner workers that reverse each cell's access-delay samples: the
+  // fold's linear merge and nearest-rank percentiles would read the
+  // wrong p50/p90/p99 without a word, so decode must refuse the reply.
+  runtime::ShardConfig config;
+  config.workers = 2;
+  expect_hostile_run_recovers<core::tuning::ParameterTuner>(
+      config, lying_workers([](core::tuning::ParameterTuner& tuner,
+                               const runtime::wire::WorkOrder& order) {
+        core::tuning::TuningRangeOutcome outcome =
+            tuner.run_range(order.begin, order.end, order.threads);
+        for (core::tuning::CandidateShardOutcome& cell : outcome.cells) {
+          std::ranges::reverse(cell.access_delay_us);
+        }
         return outcome;
       }));
 }

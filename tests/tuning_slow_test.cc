@@ -33,7 +33,6 @@ TunerSpec acceptance_spec() {
   // latency axes stay meaningful while the arbitration sim stays cheap
   // enough for the sanitized CI leg.
   spec.streaming.bitrate_mbps = 24.0;
-  spec.arbitration_bitrate_mbps = 24.0;
   spec.shards = 2;
   spec.objective.adaptive_cross_percent = 75.0;
   spec.objective.budgets.max_overhead_percent = 0.0;  // equal to the preset

@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "core/tuning/candidate_space.h"
-#include "core/tuning/evaluator.h"
 #include "core/tuning/objective.h"
 #include "core/tuning/presets.h"
 #include "core/tuning/tuned_configuration.h"
@@ -284,9 +283,9 @@ TEST(ObjectiveTest, TieBreaksPreferLowerFinalAccuracy) {
   EXPECT_EQ(*chosen, 1u);
 }
 
-// --------------------------------------------------- CandidateEvaluator
+// ------------------------------------------------------------ shard merge
 
-// The pooled-sample half of CandidateEvaluator::merge as it was before
+// The pooled-sample half of merge_shards as it was before
 // the linear merge: concatenate every shard, then sort. Kept verbatim
 // (with its nearest-rank percentile) as the oracle the merge must match
 // bit for bit.
@@ -402,7 +401,7 @@ TEST(CandidateMergeTest, LinearMergeMatchesConcatenateAndSortBitForBit) {
       {a, b}, {a, empty, b}, {a}, {empty}, {a, b, c}, {c, a, b}, {}};
   for (const std::vector<CandidateShardOutcome>& shards : cases) {
     SCOPED_TRACE(::testing::Message() << shards.size() << " shards");
-    expect_bit_identical(CandidateEvaluator::merge(shards, objective),
+    expect_bit_identical(merge_shards(shards, objective),
                          oracle_merge(shards, objective));
   }
 
@@ -430,7 +429,6 @@ TunerSpec tiny_sweep() {
   spec.attacker.cadence = util::Duration::seconds(10.0);
   spec.scenario = runtime::tuned_vs_table5(2, util::Duration::seconds(30.0));
   spec.streaming.bitrate_mbps = 24.0;
-  spec.arbitration_bitrate_mbps = 24.0;
   spec.shards = 2;
   spec.space.interleaved_fine_partitions = false;
   spec.space.padded_compositions = false;

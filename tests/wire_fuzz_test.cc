@@ -222,7 +222,6 @@ TEST(WireFuzzTest, AdaptiveAndTuningRanges) {
   tuning_spec.scenario =
       runtime::tuned_vs_table5(2, util::Duration::seconds(30.0));
   tuning_spec.streaming.bitrate_mbps = 24.0;
-  tuning_spec.arbitration_bitrate_mbps = 24.0;
   tuning_spec.shards = 1;
   tuning_spec.space.interleaved_fine_partitions = false;
   tuning_spec.space.padded_compositions = false;

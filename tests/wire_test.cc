@@ -561,6 +561,28 @@ TEST(WireTest, NonAscendingWindowPointsRejected) {
       util::ByteError);
 }
 
+TEST(WireTest, UnsortedAccessDelaysRejected) {
+  // The tuner's fold merges sorted samples and reads nearest-rank
+  // percentiles: a cell must carry finite, non-negative delays in
+  // non-descending order.
+  const auto decode_with = [](std::vector<double> delays) {
+    core::tuning::TuningRangeOutcome outcome = sample_tuning_range();
+    outcome.cells.front().access_delay_us = std::move(delays);
+    return wire::decode_range<core::tuning::TuningRangeOutcome>(
+        wire::encode_range(outcome));
+  };
+  EXPECT_NO_THROW((void)decode_with({}));
+  EXPECT_NO_THROW((void)decode_with({0.0, 2.5, 2.5, 100.0}));
+  EXPECT_THROW((void)decode_with({100.0, 2.5, 1.5}), util::ByteError);
+  EXPECT_THROW((void)decode_with({-1.0, 2.5}), util::ByteError);
+  EXPECT_THROW(
+      (void)decode_with({1.5, std::numeric_limits<double>::quiet_NaN()}),
+      util::ByteError);
+  EXPECT_THROW(
+      (void)decode_with({1.5, std::numeric_limits<double>::infinity()}),
+      util::ByteError);
+}
+
 TEST(WireTest, ReplyCheckMatchesTheOrder) {
   CampaignRangeOutcome reply = sample_campaign_range();
   wire::WorkOrder order;
@@ -862,7 +884,6 @@ TEST(WirePinTest, RealTuningRange) {
   spec.attacker.cadence = util::Duration::seconds(10.0);
   spec.scenario = runtime::tuned_vs_table5(2, util::Duration::seconds(30.0));
   spec.streaming.bitrate_mbps = 24.0;
-  spec.arbitration_bitrate_mbps = 24.0;
   spec.shards = 1;
   spec.space.interleaved_fine_partitions = false;
   spec.space.padded_compositions = false;

@@ -88,7 +88,6 @@ core::tuning::TunerSpec tuning_spec() {
   spec.attacker.cadence = util::Duration::seconds(10.0);
   spec.scenario = runtime::tuned_vs_table5(2, util::Duration::seconds(30.0));
   spec.streaming.bitrate_mbps = 24.0;
-  spec.arbitration_bitrate_mbps = 24.0;
   spec.shards = 2;
   spec.space.interleaved_fine_partitions = false;
   spec.space.padded_compositions = false;

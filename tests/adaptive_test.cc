@@ -4,7 +4,10 @@
 // observation, and the new adaptive registry scenarios.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "attack/adaptive/adaptive_attacker.h"
@@ -162,16 +165,9 @@ TEST(AdaptiveAttackerTest, RepeatedSessionsAreIndependent) {
   }
 }
 
-TEST(AdaptiveAttackerTest, RssiClusterLabelingPoolsLinkedFlows) {
-  // Two physical stations, each split across two virtual MACs at nearly
-  // the same RSSI; the §V-A adversary links them and pseudo-labels per
-  // cluster. Clean (undefended) flows keep the current model accurate, so
-  // the majority vote should mostly recover the truth.
-  AdaptiveConfig config = fast_config();
-  config.labeling = Labeling::kRssiCluster;
-  AdaptiveAttacker attacker{config};
-  attacker.bootstrap(clean_corpus(0x400));
-
+/// Two physical stations, each split across two virtual MACs at nearly
+/// the same RSSI: four clean flows.
+std::vector<ObservedFlow> linked_clean_flows() {
   const auto clean_flow = [](AppType app, std::uint64_t seed,
                              std::uint64_t mac, double rssi) {
     ObservedFlow flow;
@@ -185,8 +181,21 @@ TEST(AdaptiveAttackerTest, RssiClusterLabelingPoolsLinkedFlows) {
   flows.push_back(clean_flow(AppType::kChatting, 0x501, 2, -50.4));
   flows.push_back(clean_flow(AppType::kDownloading, 0x502, 3, -68.0));
   flows.push_back(clean_flow(AppType::kDownloading, 0x503, 4, -68.3));
+  return flows;
+}
 
-  const std::vector<EpochScore> epochs = attacker.run_session(flows);
+TEST(AdaptiveAttackerTest, RssiClusterLabelingPoolsLinkedFlows) {
+  // Two physical stations, each split across two virtual MACs at nearly
+  // the same RSSI; the §V-A adversary links them and pseudo-labels per
+  // cluster. Clean (undefended) flows keep the current model accurate, so
+  // the majority vote should mostly recover the truth.
+  AdaptiveConfig config = fast_config();
+  config.labeling = Labeling::kRssiCluster;
+  AdaptiveAttacker attacker{config};
+  attacker.bootstrap(clean_corpus(0x400));
+
+  const std::vector<EpochScore> epochs =
+      attacker.run_session(linked_clean_flows());
   ASSERT_FALSE(epochs.empty());
   std::size_t assigned = 0;
   std::size_t correct = 0;
@@ -208,6 +217,95 @@ TEST(AdaptiveAttackerTest, GuardsMisuse) {
   EXPECT_THROW(AdaptiveAttacker{bad}, std::invalid_argument);
   attacker.bootstrap(clean_corpus(0x600));
   EXPECT_TRUE(attacker.run_session({}).empty());  // nothing on the air
+}
+
+// ------------------------------------------------ session-curve pin ---
+
+// FNV-1a 64 over every EpochScore field of a curve: epoch index, start and
+// end (µs), windows, both confusion matrices cell by cell, both label
+// tallies, training rows and the refit flag.
+class CurveDigest {
+ public:
+  void add(std::uint64_t value) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash_ ^= (value >> (8 * byte)) & 0xFFU;
+      hash_ *= 0x100000001B3ULL;
+    }
+  }
+  void add(const ml::ConfusionMatrix& confusion) {
+    add(static_cast<std::uint64_t>(confusion.num_classes()));
+    for (int truth = 0; truth < confusion.num_classes(); ++truth) {
+      for (int predicted = 0; predicted < confusion.num_classes();
+           ++predicted) {
+        add(confusion.count(truth, predicted));
+      }
+    }
+  }
+  void add(const std::vector<EpochScore>& curve) {
+    add(std::uint64_t{curve.size()});
+    for (const EpochScore& epoch : curve) {
+      add(std::uint64_t{epoch.epoch});
+      add(static_cast<std::uint64_t>(epoch.start.count_us()));
+      add(static_cast<std::uint64_t>(epoch.end.count_us()));
+      add(std::uint64_t{epoch.windows});
+      add(epoch.confusion);
+      add(epoch.static_confusion);
+      add(std::uint64_t{epoch.labels_correct});
+      add(std::uint64_t{epoch.labels_assigned});
+      add(std::uint64_t{epoch.training_rows});
+      add(std::uint64_t{epoch.refitted ? 1U : 0U});
+    }
+  }
+  [[nodiscard]] std::string hex() const {
+    char buf[19];
+    std::snprintf(buf, sizeof buf, "0x%016llx",
+                  static_cast<unsigned long long>(hash_));
+    return buf;
+  }
+
+ private:
+  std::uint64_t hash_ = 0xCBF29CE484222325ULL;
+};
+
+TEST(AdaptiveAttackerPinTest, SessionCurvesPinnedBitForBit) {
+  // Labeling is fixed per attacker, so the pin runs two attackers over one
+  // bootstrap profile. The oracle attacker runs two sessions back to back
+  // (a session must not see its predecessor's rows); its 16-row window
+  // evicts within the OR session. The RSSI-cluster attacker pools the
+  // four linked clean flows of RssiClusterLabelingPoolsLinkedFlows.
+  AdaptiveConfig oracle_config = fast_config();
+  oracle_config.max_adaptive_rows = 16;
+  AdaptiveConfig cluster_config = fast_config();
+  cluster_config.labeling = Labeling::kRssiCluster;
+  const ml::Dataset base =
+      profile_rows(clean_corpus(0x700), oracle_config.attack);
+  AdaptiveAttacker oracle{oracle_config};
+  oracle.bootstrap(base);
+  AdaptiveAttacker cluster{cluster_config};
+  cluster.bootstrap(base);
+
+  std::vector<ObservedFlow> or_session;
+  or_flows(AppType::kBrowsing, 0x710, 1, -50.0, or_session);
+  or_flows(AppType::kBitTorrent, 0x720, 10, -60.0, or_session);
+  const std::vector<ObservedFlow> linked = linked_clean_flows();
+
+  const std::vector<EpochScore> or_curve = oracle.run_session(or_session);
+  const std::vector<EpochScore> oracle_linked = oracle.run_session(linked);
+  const std::vector<EpochScore> cluster_linked = cluster.run_session(linked);
+  ASSERT_FALSE(or_curve.empty());
+  std::size_t assigned = 0;
+  for (const EpochScore& epoch : or_curve) {
+    assigned += epoch.labels_assigned;
+  }
+  ASSERT_GT(assigned, oracle_config.max_adaptive_rows);  // the window evicts
+  EXPECT_EQ(or_curve.back().training_rows,
+            base.size() + oracle_config.max_adaptive_rows);
+
+  CurveDigest digest;
+  digest.add(or_curve);
+  digest.add(oracle_linked);
+  digest.add(cluster_linked);
+  EXPECT_EQ(digest.hex(), "0x2f1cf2a7f830a6b3");
 }
 
 TEST(AdaptiveObserveTest, PullsSortedLabeledFlowsFromSniffer) {

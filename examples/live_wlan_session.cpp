@@ -260,14 +260,15 @@ int main() {
   // claws accuracy back against the live defense.
   attack::adaptive::AdaptiveConfig adaptive_config;
   adaptive_config.cadence = util::Duration::seconds(10.0);
-  attack::adaptive::AdaptiveAttacker adaptive{adaptive_config};
   std::vector<traffic::Trace> clean_profile;
   for (const traffic::AppType app : traffic::kAllApps) {
     clean_profile.push_back(traffic::generate_trace(
         app, util::Duration::seconds(30.0),
         1000 + traffic::app_index(app)));
   }
-  adaptive.bootstrap(clean_profile);
+  const attack::adaptive::AdaptiveAttacker adaptive{
+      adaptive_config,
+      attack::profile_rows(clean_profile, adaptive_config.attack)};
   const auto flows =
       attack::adaptive::observe(sniffer, traffic::AppType::kBrowsing);
   util::TablePrinter epochs{{"Epoch", "Windows", "Static (%)",
@@ -290,11 +291,10 @@ int main() {
   // windowed telemetry registry: the auditor publishes its per-window
   // reduction, and the table below reads the frozen snapshot — no side
   // channel back to the capture. The attacker proxy shares the adaptive
-  // adversary's clean profile corpus but never sees a label afterwards.
+  // adversary's clean profile rows but never sees a label afterwards.
   if (telemetry.privacy) {
-    const attack::audit::NearestCentroidProbe probe{
-        attack::profile_rows(clean_profile, adaptive_config.attack),
-        adaptive_config.attack};
+    const attack::audit::NearestCentroidProbe probe{adaptive.base(),
+                                                    adaptive_config.attack};
     auditor.set_probe(&probe);
 
     obs::WindowedRegistry windows{audit_config.window};

@@ -49,41 +49,19 @@ double EpochScore::static_accuracy_percent() const {
   return 100.0 * static_confusion.mean_accuracy();
 }
 
-AdaptiveAttacker::AdaptiveAttacker(AdaptiveConfig config)
+AdaptiveAttacker::AdaptiveAttacker(AdaptiveConfig config, ml::Dataset base)
     : config_{config},
-      trainer_{std::make_unique<ml::KnnClassifier>(5), kClasses,
-               ml::IncrementalTrainerConfig{config.max_adaptive_rows}},
-      static_trainer_{std::make_unique<ml::KnnClassifier>(5), kClasses,
-                      ml::IncrementalTrainerConfig{}} {
+      static_trainer_{std::make_unique<ml::KnnClassifier>(5), kClasses} {
   util::require(config_.cadence > util::Duration{},
                 "AdaptiveAttacker: cadence must be positive");
-}
-
-void AdaptiveAttacker::bootstrap(std::span<const traffic::Trace> clean_traces) {
-  bootstrap(profile_rows(clean_traces, config_.attack));
-}
-
-void AdaptiveAttacker::bootstrap(ml::Dataset base) {
-  util::require(!base.empty(), "AdaptiveAttacker::bootstrap: empty base");
-  trainer_.set_base(base);
-  trainer_.clear_adaptive();
-  util::internal_check(trainer_.refit(),
-                       "AdaptiveAttacker: bootstrap refit failed");
+  util::require(!base.empty(), "AdaptiveAttacker: empty base");
   static_trainer_.set_base(std::move(base));
   util::internal_check(static_trainer_.refit(),
                        "AdaptiveAttacker: baseline refit failed");
-  bootstrapped_ = true;
 }
 
 std::vector<EpochScore> AdaptiveAttacker::run_session(
-    std::span<const ObservedFlow> flows) {
-  util::require(bootstrapped_, "AdaptiveAttacker::run_session: bootstrap first");
-
-  // Every session restarts the arms race from the bootstrap model.
-  trainer_.clear_adaptive();
-  util::internal_check(trainer_.refit(),
-                       "AdaptiveAttacker: session reset refit failed");
-
+    std::span<const ObservedFlow> flows) const {
   util::TimePoint t0;
   util::TimePoint t_end;
   bool any = false;
@@ -103,6 +81,14 @@ std::vector<EpochScore> AdaptiveAttacker::run_session(
   if (!any) {
     return {};
   }
+
+  // The session's adaptive model starts from the bootstrap rows alone.
+  ml::IncrementalTrainer trainer{
+      std::make_unique<ml::KnnClassifier>(5), kClasses,
+      ml::IncrementalTrainerConfig{config_.max_adaptive_rows}};
+  trainer.set_base(base());
+  util::internal_check(trainer.refit(),
+                       "AdaptiveAttacker: session refit failed");
 
   // Session-level RSSI linkage: groups are stable across epochs (the
   // power signature of a transmitter does not drift in this model), so
@@ -174,7 +160,7 @@ std::vector<EpochScore> AdaptiveAttacker::run_session(
       const int truth =
           static_cast<int>(traffic::app_index(flows[i].flow.app()));
       for (const std::vector<double>& row : fr.rows) {
-        const int predicted = trainer_.predict(row);
+        const int predicted = trainer.predict(row);
         fr.predictions.push_back(predicted);
         score.confusion.add(truth, predicted);
         score.static_confusion.add(truth, static_trainer_.predict(row));
@@ -206,14 +192,14 @@ std::vector<EpochScore> AdaptiveAttacker::run_session(
                               ? truth
                               : group_label[group_of[fr.flow_index]];
         for (std::vector<double>& row : fr.rows) {
-          trainer_.add(std::move(row), label);
+          trainer.add(std::move(row), label);
           ++score.labels_assigned;
           score.labels_correct += label == truth ? 1 : 0;
         }
       }
-      score.refitted = trainer_.refit();
+      score.refitted = trainer.refit();
     }
-    score.training_rows = trainer_.total_rows();
+    score.training_rows = trainer.total_rows();
     out.push_back(std::move(score));
   }
   return out;

@@ -5,9 +5,10 @@
 // applications on clean traffic once and never adapts, which is exactly
 // where related work says defenses get overestimated: an eavesdropper
 // with full observation of shaped traffic can re-fit its pipeline on what
-// the defense actually emits. AdaptiveAttacker closes that gap. It starts
-// from the same clean bootstrap corpus as attack::ClassifierAttack, then
-// runs a prequential (test-then-train) loop over a live session:
+// the defense actually emits. AdaptiveAttacker closes that gap. It is
+// built from the profile rows of the same clean bootstrap corpus as
+// attack::ClassifierAttack, then runs a prequential (test-then-train)
+// loop over each live session:
 //
 //   capture ── window ──> score epoch e with the current model
 //      │                     │
@@ -16,6 +17,10 @@
 //                   (oracle | RSSI-cluster)          add + warm refit
 //                                                       │
 //                              model for epoch e+1 <────┘
+//
+// The attacker itself is const: the frozen baseline is fitted once, at
+// construction, and each session trains its own copy of the adaptive
+// model, so engines build one attacker and share it across cells.
 //
 // Every epoch is scored *before* its windows enter the training window,
 // so epoch 0 is the static baseline and the per-epoch accuracy curve is
@@ -42,6 +47,7 @@
 #include "features/features.h"
 #include "ml/incremental.h"
 #include "ml/metrics.h"
+#include "ml/dataset.h"
 #include "traffic/trace.h"
 #include "util/time.h"
 
@@ -121,41 +127,36 @@ struct EpochScore {
   [[nodiscard]] double static_accuracy_percent() const;
 };
 
-/// The online adversary. Both its models are kNN(5): refits over a
-/// growing dataset are cheap (fit is storage) and prediction is
-/// deterministic.
+/// The online adversary, trained once and read-only after: the
+/// constructor fits the frozen baseline over the base rows, and every
+/// run_session() starts its own adaptive model from those rows, so one
+/// attacker serves any number of sessions, concurrently too. Both models
+/// are kNN(5): refits over a growing dataset are cheap (fit is storage)
+/// and prediction is deterministic.
 class AdaptiveAttacker {
  public:
-  explicit AdaptiveAttacker(AdaptiveConfig config);
-
-  /// Bootstraps from clean traces: profile_rows(clean_traces,
-  /// config().attack), then fit.
-  void bootstrap(std::span<const traffic::Trace> clean_traces);
-
-  /// Bootstraps from pre-extracted profile rows — the base dataset every
-  /// refit keeps pinned (the campaign fast path; rows must be
-  /// raw/unscaled, as profile_rows returns them).
-  void bootstrap(ml::Dataset base);
+  /// `base` holds the raw (unscaled) labeled bootstrap rows, as
+  /// profile_rows(clean_traces, config.attack) returns them; every refit
+  /// keeps them pinned. Throws std::invalid_argument when `base` is empty
+  /// or the cadence is not positive.
+  AdaptiveAttacker(AdaptiveConfig config, ml::Dataset base);
 
   /// Runs the prequential loop over one captured session: slices the
   /// flows into cadence-length epochs, scores each epoch with the current
-  /// model, self-labels it, feeds it to the trainer, and refits. The
-  /// adaptive window is cleared first, so every session starts its arms
-  /// race from the bootstrap model. Requires bootstrap().
+  /// model, self-labels it, feeds it to a session-local trainer, and
+  /// refits. Every session starts its arms race from the bootstrap model.
   [[nodiscard]] std::vector<EpochScore> run_session(
-      std::span<const ObservedFlow> flows);
+      std::span<const ObservedFlow> flows) const;
 
-  [[nodiscard]] bool bootstrapped() const { return bootstrapped_; }
   [[nodiscard]] const AdaptiveConfig& config() const { return config_; }
-  [[nodiscard]] const ml::IncrementalTrainer& trainer() const {
-    return trainer_;
+  /// The bootstrap rows (raw, unscaled).
+  [[nodiscard]] const ml::Dataset& base() const {
+    return static_trainer_.base();
   }
 
  private:
   AdaptiveConfig config_;
-  ml::IncrementalTrainer trainer_;         // the adapting pipeline
   ml::IncrementalTrainer static_trainer_;  // frozen bootstrap baseline
-  bool bootstrapped_ = false;
 };
 
 /// Pulls every station flow + power signature out of a sniffer,

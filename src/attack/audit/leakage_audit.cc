@@ -415,9 +415,7 @@ std::vector<obs::WindowLeakage> LeakageAuditor::reduce() const {
         window_features.downlink = direction_features(dir_sums[0]);
         window_features.uplink = direction_features(dir_sums[1]);
         const std::vector<double> row = features::project(
-            attack->log_compress ? features::log_compress(window_features)
-                                 : window_features,
-            attack->feature_set);
+            features::log_compress(window_features), attack->feature_set);
         MarginSum& acc = margin_by_window[w];
         acc.total += probe_->margin(row);
         ++acc.rows;

@@ -15,9 +15,10 @@
 //     separability via attack::RssiLinker;
 //   * attacker-proxy accuracy — a NearestCentroidProbe over the standard
 //     attack feature rows, built once from the defender's own clean
-//     profile corpus (the same ml::Dataset the adaptive adversary
-//     bootstraps from) and never refit. Its per-window mean margin tracks
-//     the real adaptive attacker's accuracy curve without labels.
+//     profile corpus (the same ml::Dataset the adaptive adversary is
+//     built from, AdaptiveAttacker::base()) and never refit. Its
+//     per-window mean margin tracks the real adaptive attacker's accuracy
+//     curve without labels.
 //
 // Determinism: the auditor holds stations in a sorted map, reduces
 // windows in ascending index order, and draws no randomness — reduce()

@@ -25,8 +25,7 @@ void feature_rows_into(std::vector<std::vector<double>>& rows,
   rows.reserve(windows_scratch.size());
   for (const features::WindowFeatures& w : windows_scratch) {
     rows.push_back(
-        features::project(config.log_compress ? features::log_compress(w) : w,
-                          config.feature_set));
+        features::project(features::log_compress(w), config.feature_set));
   }
 }
 
@@ -40,17 +39,12 @@ std::vector<std::vector<double>> feature_rows_of(
 
 namespace {
 
-/// The feature block an empty direction produces under the configured
-/// processing — masking must write exactly this signature or masked
-/// training rows won't coincide with genuinely one-sided test flows.
-std::array<double, features::DirectionFeatures::kCount> empty_block(
-    bool log_compressed) {
-  features::DirectionFeatures empty;
-  if (log_compressed) {
-    features::WindowFeatures w;  // both directions empty
-    return features::log_compress(w).downlink.to_array();
-  }
-  return empty.to_array();
+/// The feature block an empty direction produces after log compression —
+/// masking must write exactly this signature or masked training rows
+/// won't coincide with genuinely one-sided test flows.
+std::array<double, features::DirectionFeatures::kCount> empty_block() {
+  const features::WindowFeatures w;  // both directions empty
+  return features::log_compress(w).downlink.to_array();
 }
 
 /// Overwrites one direction's block of a full feature row with the
@@ -58,9 +52,9 @@ std::array<double, features::DirectionFeatures::kCount> empty_block(
 /// capture). Row layout is the WindowFeatures order: downlink block then
 /// uplink block.
 std::vector<double> mask_direction(const std::vector<double>& row,
-                                   bool keep_downlink, bool log_compressed) {
+                                   bool keep_downlink) {
   constexpr std::size_t kHalf = features::DirectionFeatures::kCount;
-  const auto blank = empty_block(log_compressed);
+  const auto blank = empty_block();
   std::vector<double> out = row;
   const std::size_t start = keep_downlink ? kHalf : 0;
   for (std::size_t d = 0; d < kHalf; ++d) {
@@ -70,7 +64,7 @@ std::vector<double> mask_direction(const std::vector<double>& row,
 }
 
 /// True when the row has at least one packet in the given direction
-/// (log2(1 + n) and n are both positive exactly when n > 0).
+/// (log2(1 + n) is positive exactly when n > 0).
 bool has_direction(const std::vector<double>& row, bool downlink) {
   constexpr std::size_t kHalf = features::DirectionFeatures::kCount;
   return row[downlink ? 0 : kHalf] > 0.0;  // packet_count leads each block
@@ -93,13 +87,11 @@ ml::Dataset profile_rows(std::span<const traffic::Trace> corpus,
     for (std::vector<double>& row : trace_rows) {
       if (augment) {
         if (has_direction(row, true)) {
-          rows.push_back(
-              mask_direction(row, /*keep_downlink=*/true, config.log_compress));
+          rows.push_back(mask_direction(row, /*keep_downlink=*/true));
           labels.push_back(label);
         }
         if (has_direction(row, false)) {
-          rows.push_back(mask_direction(row, /*keep_downlink=*/false,
-                                        config.log_compress));
+          rows.push_back(mask_direction(row, /*keep_downlink=*/false));
           labels.push_back(label);
         }
       }

@@ -43,16 +43,13 @@ struct AttackConfig {
   /// appearance too. (Only meaningful for FeatureSet::kAll.)
   bool augment_direction_masks = true;
 
-  /// Log-compress counts and interarrival features before scaling (see
-  /// features::log_compress).
-  bool log_compress = true;
-
   friend bool operator==(const AttackConfig&, const AttackConfig&) = default;
 };
 
 /// The one row function: the per-window feature rows of one flow under
-/// the configured processing — W-windowing, optional log compression,
-/// feature-set projection — written into a caller-owned row buffer
+/// the configured processing — W-windowing, log compression of counts
+/// and interarrivals (features::log_compress), feature-set projection —
+/// written into a caller-owned row buffer
 /// (cleared per call) through a caller-owned window buffer. Every
 /// adversary (static, adaptive, the audit probe) extracts through it, so
 /// all of them see byte-identical inputs, and callers that reuse both

@@ -84,22 +84,16 @@ CandidateMetrics merge_shards(std::span<const CandidateShardOutcome> shards,
   CandidateMetrics metrics;
 
   // Merge the epoch curves across shards through the canonical
-  // runtime::EpochAggregate::merge (every field folded — the hand-rolled
+  // runtime::merge_curve (every field folded — the hand-rolled
   // confusion-only merge that used to live here dropped the window and
-  // label tallies), then read the crossing off the merged curve: the
-  // first epoch where the adaptive adversary's accuracy reaches X%.
-  // Curves can differ in length (sessions end at different instants); the
-  // merged curve spans the longest shard.
-  std::size_t epochs_total = 0;
+  // label tallies; the merged curve spans the longest shard), then read
+  // the crossing off the merged curve: the first epoch where the adaptive
+  // adversary's accuracy reaches X%.
+  std::vector<runtime::EpochAggregate> merged;
   for (const CandidateShardOutcome& shard : shards) {
-    epochs_total = std::max(epochs_total, shard.epochs.size());
+    runtime::merge_curve(merged, shard.epochs);
   }
-  std::vector<runtime::EpochAggregate> merged(epochs_total);
-  for (const CandidateShardOutcome& shard : shards) {
-    for (std::size_t e = 0; e < shard.epochs.size(); ++e) {
-      merged[e].merge(shard.epochs[e]);
-    }
-  }
+  const std::size_t epochs_total = merged.size();
   metrics.epochs_total = epochs_total;
   metrics.epochs_survived = epochs_total;
   for (std::size_t e = 0; e < epochs_total; ++e) {
@@ -193,7 +187,9 @@ ParameterTuner::ParameterTuner(TunerSpec spec) : spec_{std::move(spec)} {
 
 void ParameterTuner::train() {
   if (!trained_) {
-    base_ = runtime::bootstrap_profile(spec_.bootstrap, spec_.attacker);
+    attacker_.emplace(
+        spec_.attacker,
+        runtime::bootstrap_profile(spec_.bootstrap, spec_.attacker));
     // The defender's own measurement pass: one clean profile session per
     // app, pooled — what equal-mass candidate partitions are derived
     // from.
@@ -214,7 +210,7 @@ void ParameterTuner::train() {
   if (telemetry_.config.privacy && !probe_) {
     // The label-free attacker proxy shares the adversary's bootstrap
     // rows.
-    probe_.emplace(base_, spec_.attacker.attack);
+    probe_.emplace(attacker_->base(), spec_.attacker.attack);
   }
 }
 
@@ -327,20 +323,17 @@ CandidateShardOutcome ParameterTuner::run_cell(
     outcome.access_delay_us.assign(delays_us.begin(), delays_us.end());
   }
 
-  // Adaptive pass: identical scoring to AdaptiveCampaignEngine, via the
-  // shared backend (consumes the defended flow traces).
+  // Adaptive pass: the engine's one attacker scores this cell's session
+  // exactly as AdaptiveCampaignEngine scores its cells, on flows tagged by
+  // the shared backend (which consumes the defended flow traces); the
+  // privacy audit sees the same flows first.
   const obs::PhaseLap lap{laps, obs::Phase::kAdaptive};
   const std::vector<attack::adaptive::ObservedFlow> flows =
       runtime::rssi_tagged_flows(defended, streams.rssi,
                                  runtime::RssiModel{});
   outcome.flows = flows.size();
-  if (windows != nullptr && telemetry_.config.privacy) {
-    runtime::audit_flows(flows, probe_ ? &*probe_ : nullptr, *windows,
-                         labels, telemetry_.config.privacy_pairs);
-  }
-  attack::adaptive::AdaptiveAttacker attacker{spec_.attacker};
-  attacker.bootstrap(base_);  // copies the shared raw rows
-  outcome.epochs = attacker.run_session(flows);
+  audit(flows, windows, labels);
+  outcome.epochs = attacker_->run_session(flows);
   if (windows != nullptr) {
     for (const attack::adaptive::EpochScore& epoch : outcome.epochs) {
       publish_windowed(*windows, epoch, labels);
@@ -368,11 +361,7 @@ void ParameterTuner::publish_cell(obs::MetricsRegistry& registry,
   for (const double sample : outcome.access_delay_us) {
     access.observe(sample);
   }
-  for (std::size_t e = 0; e < outcome.epochs.size(); ++e) {
-    obs::LabelSet epoch_labels = labels;
-    epoch_labels.set("epoch", std::to_string(e));
-    obs::publish(registry, outcome.epochs[e], epoch_labels);
-  }
+  obs::publish(registry, outcome.epochs, labels);
 }
 
 TuningReport ParameterTuner::aggregate(

@@ -39,13 +39,11 @@
 #include <vector>
 
 #include "attack/adaptive/adaptive_attacker.h"
-#include "attack/audit/leakage_audit.h"
 #include "core/online/streaming_reshaper.h"
 #include "core/tuning/candidate_space.h"
 #include "core/tuning/objective.h"
 #include "core/tuning/tuned_configuration.h"
 #include "eval/experiment.h"
-#include "ml/dataset.h"
 #include "obs/metrics.h"
 #include "runtime/grid_engine.h"
 #include "runtime/scenario.h"
@@ -153,10 +151,10 @@ class ParameterTuner
   /// Validates the spec (>= 1 shard, a positive streaming bitrate).
   explicit ParameterTuner(TunerSpec spec);
 
-  /// Profiles the bootstrap corpus and the defender's size profile,
-  /// enumerates the candidate space and, when privacy telemetry is on,
-  /// builds the label-free probe (idempotent; every run_range() calls
-  /// it).
+  /// Trains the adversary on the bootstrap corpus, profiles the
+  /// defender's size profile, enumerates the candidate space and, when
+  /// privacy telemetry is on, builds the label-free probe from the
+  /// adversary's base rows (idempotent; every run_range() calls it).
   void train();
 
   /// The enumerated candidates, in sweep order. Requires train().
@@ -202,13 +200,11 @@ class ParameterTuner
       std::vector<CandidateShardOutcome> cells) const;
 
   TunerSpec spec_;
-  ml::Dataset base_;  // the adversary's raw bootstrap rows
+  // The adversary, trained on the bootstrap profile by train() and shared
+  // read-only by every cell (run_session is const).
+  std::optional<attack::adaptive::AdaptiveAttacker> attacker_;
   std::vector<TunedConfiguration> candidates_;
   bool trained_ = false;
-
-  // The label-free attacker proxy (privacy telemetry), built from base_
-  // by the first train() with privacy on.
-  std::optional<attack::audit::NearestCentroidProbe> probe_;
 
   // The memo of the run_range() in flight (one slot per shard); null
   // between calls.

@@ -66,6 +66,4 @@ int IncrementalTrainer::predict(std::span<const double> raw) const {
   return classifier_->predict(scaler_.transform(raw));
 }
 
-void IncrementalTrainer::clear_adaptive() { window_.clear(); }
-
 }  // namespace reshape::ml

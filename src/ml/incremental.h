@@ -17,7 +17,6 @@
 #include <deque>
 #include <memory>
 #include <span>
-#include <string_view>
 #include <vector>
 
 #include "features/scaler.h"
@@ -61,23 +60,14 @@ class IncrementalTrainer {
   /// successful refit().
   [[nodiscard]] int predict(std::span<const double> raw) const;
 
-  /// Drops the adaptive window (the base stays pinned); does not refit.
-  void clear_adaptive();
-
   [[nodiscard]] bool fitted() const { return scaler_.fitted(); }
+  [[nodiscard]] const Dataset& base() const { return base_; }
   [[nodiscard]] std::size_t base_rows() const { return base_.size(); }
   [[nodiscard]] std::size_t adaptive_rows() const { return window_.size(); }
   [[nodiscard]] std::size_t total_rows() const {
     return base_.size() + window_.size();
   }
   [[nodiscard]] std::size_t refits() const { return refits_; }
-  [[nodiscard]] int num_classes() const { return num_classes_; }
-  [[nodiscard]] std::string_view classifier_name() const {
-    return classifier_->name();
-  }
-  [[nodiscard]] const IncrementalTrainerConfig& config() const {
-    return config_;
-  }
 
  private:
   struct Row {

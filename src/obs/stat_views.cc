@@ -79,4 +79,14 @@ void publish(MetricsRegistry& registry,
       .max_of(static_cast<double>(score.training_rows));
 }
 
+void publish(MetricsRegistry& registry,
+             const std::vector<attack::adaptive::EpochScore>& curve,
+             const LabelSet& labels) {
+  for (std::size_t e = 0; e < curve.size(); ++e) {
+    LabelSet epoch_labels = labels;
+    epoch_labels.set("epoch", std::to_string(e));
+    publish(registry, curve[e], epoch_labels);
+  }
+}
+
 }  // namespace reshape::obs

@@ -16,6 +16,8 @@
 // fold snapshots without a second, divergent aggregation path.
 #pragma once
 
+#include <vector>
+
 #include "obs/metrics.h"
 
 namespace reshape::core::online {
@@ -48,5 +50,12 @@ void publish(MetricsRegistry& registry,
 void publish(MetricsRegistry& registry,
              const attack::adaptive::EpochScore& score,
              const LabelSet& labels = {});
+
+/// An epoch curve: one adaptive_* series set per epoch, each under
+/// `labels` plus an "epoch" label carrying its index, so the curve
+/// survives the shard merge.
+void publish(MetricsRegistry& registry,
+             const std::vector<attack::adaptive::EpochScore>& curve,
+             const LabelSet& labels);
 
 }  // namespace reshape::obs

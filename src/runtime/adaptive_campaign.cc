@@ -42,6 +42,16 @@ void EpochAggregate::merge(const attack::adaptive::EpochScore& epoch) {
   labels_assigned += epoch.labels_assigned;
 }
 
+void merge_curve(std::vector<EpochAggregate>& merged,
+                 std::span<const attack::adaptive::EpochScore> curve) {
+  if (curve.size() > merged.size()) {
+    merged.resize(curve.size());
+  }
+  for (std::size_t e = 0; e < curve.size(); ++e) {
+    merged[e].merge(curve[e]);
+  }
+}
+
 double EpochAggregate::accuracy_percent() const {
   return 100.0 * confusion.mean_accuracy();
 }
@@ -100,15 +110,20 @@ AdaptiveCampaignEngine::AdaptiveCampaignEngine(AdaptiveCampaignSpec spec)
 }
 
 void AdaptiveCampaignEngine::train() {
-  if (!trained_) {
-    base_ = bootstrap_profile(spec_.bootstrap, spec_.attacker);
-    trained_ = true;
+  if (!attacker_) {
+    attacker_.emplace(spec_.attacker,
+                      bootstrap_profile(spec_.bootstrap, spec_.attacker));
   }
   if (telemetry_.config.privacy && !probe_) {
     // The attacker proxy shares the adversary's own bootstrap rows —
     // built once, read-only across cells and runs.
-    probe_.emplace(base_, spec_.attacker.attack);
+    probe_.emplace(attacker_->base(), spec_.attacker.attack);
   }
+}
+
+void AdaptiveCampaignEngine::prepare() {
+  train();
+  detail::warm_workloads(workloads_, spec_);
 }
 
 AdaptiveCellResult AdaptiveCampaignEngine::run_cell(
@@ -133,16 +148,11 @@ AdaptiveCellResult AdaptiveCampaignEngine::run_cell(
   const std::vector<attack::adaptive::ObservedFlow> flows =
       rssi_tagged_flows(defended, streams.rssi, RssiModel{});
   result.flow_count = flows.size();
-  if (windows != nullptr && telemetry_.config.privacy) {
-    // The label-free audit sees exactly the flows the oracle-labeled
-    // adversary is about to score — the pairing the proxy-vs-oracle
-    // correlation tests rely on.
-    audit_flows(flows, probe_ ? &*probe_ : nullptr, *windows,
-                cell_labels(spec_, result), telemetry_.config.privacy_pairs);
-  }
-  attack::adaptive::AdaptiveAttacker attacker{spec_.attacker};
-  attacker.bootstrap(base_);  // copies the shared raw rows
-  result.epochs = attacker.run_session(flows);
+  // The label-free audit sees exactly the flows the oracle-labeled
+  // adversary is about to score — the pairing the proxy-vs-oracle
+  // correlation tests rely on.
+  audit(flows, windows, cell_labels(spec_, result));
+  result.epochs = attacker_->run_session(flows);
   if (windows != nullptr && telemetry_.config.windowed) {
     // Epoch scores observed at their sim-time starts: with the window set
     // to the attacker cadence, windows align 1:1 with epochs — the
@@ -164,11 +174,7 @@ void AdaptiveCampaignEngine::publish_cell(
   const obs::LabelSet labels = cell_labels(spec_, cell);
   registry.counter("adaptive_sessions_total", labels).add(cell.session_count);
   registry.counter("adaptive_flows_total", labels).add(cell.flow_count);
-  for (std::size_t e = 0; e < cell.epochs.size(); ++e) {
-    obs::LabelSet epoch_labels = labels;
-    epoch_labels.set("epoch", std::to_string(e));
-    obs::publish(registry, cell.epochs[e], epoch_labels);
-  }
+  obs::publish(registry, cell.epochs, labels);
 }
 
 AdaptiveCampaignReport AdaptiveCampaignEngine::aggregate(
@@ -178,9 +184,7 @@ AdaptiveCampaignReport AdaptiveCampaignEngine::aggregate(
   report.shards = spec_.shards;
   report.cells = std::move(cells);
 
-  // Merge shards per (defense, scenario, epoch) in grid order; epoch
-  // counts can differ across shards (sessions end at different instants),
-  // so the merged curve spans the longest shard.
+  // Merge shards per (defense, scenario, epoch) in grid order.
   for (std::size_t d = 0; d < spec_.defenses.size(); ++d) {
     for (std::size_t s = 0; s < spec_.scenarios.size(); ++s) {
       AdaptiveAggregate agg;
@@ -190,13 +194,7 @@ AdaptiveCampaignReport AdaptiveCampaignEngine::aggregate(
       for (std::size_t shard = 0; shard < spec_.shards; ++shard) {
         const std::size_t cell_id =
             (d * spec_.scenarios.size() + s) * spec_.shards + shard;
-        const AdaptiveCellResult& cell = report.cells[cell_id];
-        if (cell.epochs.size() > agg.epochs.size()) {
-          agg.epochs.resize(cell.epochs.size());
-        }
-        for (std::size_t e = 0; e < cell.epochs.size(); ++e) {
-          agg.epochs[e].merge(cell.epochs[e]);
-        }
+        merge_curve(agg.epochs, report.cells[cell_id].epochs);
       }
       report.aggregates.push_back(std::move(agg));
     }

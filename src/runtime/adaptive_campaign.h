@@ -15,20 +15,20 @@
 // Determinism matches CampaignEngine exactly: workload streams are keyed
 // by (scenario, shard) only (every defense faces the same sampled
 // sessions), defense and RSSI streams by the full cell id, and the
-// bootstrap corpus is profiled once before the pool starts — reports are
-// bit-identical for any thread count.
+// attacker is trained on the bootstrap corpus once before the pool starts
+// (each cell's session trains its own adaptive model from it) — reports
+// are bit-identical for any thread count.
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "attack/adaptive/adaptive_attacker.h"
-#include "attack/audit/leakage_audit.h"
 #include "eval/experiment.h"
-#include "ml/dataset.h"
 #include "ml/metrics.h"
 #include "obs/metrics.h"
 #include "runtime/campaign.h"
@@ -88,6 +88,14 @@ struct EpochAggregate {
   [[nodiscard]] double static_accuracy_percent() const;
 };
 
+/// Folds one shard's epoch curve into `merged` through
+/// EpochAggregate::merge, first growing `merged` to the curve's length:
+/// epoch counts can differ across shards (sessions end at different
+/// instants), so a merged curve spans the longest shard. The shard merge
+/// of this engine and of core::tuning::merge_shards.
+void merge_curve(std::vector<EpochAggregate>& merged,
+                 std::span<const attack::adaptive::EpochScore> curve);
+
 /// The epoch curve of one (defense, scenario), shards merged per epoch.
 struct AdaptiveAggregate {
   std::string defense;
@@ -116,7 +124,8 @@ struct AdaptiveCampaignReport {
   [[nodiscard]] std::string to_json() const;
 };
 
-/// Profiles the bootstrap corpus once, then runs cells on a worker pool.
+/// Trains one attacker on the bootstrap corpus, then runs cells on a
+/// worker pool; every cell's session runs on that shared const attacker.
 /// run(), run_range(), fold() and the telemetry accessors come from
 /// GridEngine. The windowed series carry adaptive_accuracy_percent (and
 /// the static baseline) observed at each epoch's start: with the config
@@ -128,9 +137,15 @@ class AdaptiveCampaignEngine
   /// Validates the spec (>= 1 defense, >= 1 scenario, >= 1 shard).
   explicit AdaptiveCampaignEngine(AdaptiveCampaignSpec spec);
 
-  /// Builds the shared bootstrap dataset and, when privacy telemetry is
-  /// on, the label-free probe (idempotent; every run_range() calls it).
+  /// Builds the shared attacker from the bootstrap profile and, when
+  /// privacy telemetry is on, the label-free probe from the attacker's
+  /// base rows (idempotent; every run_range() calls it).
   void train();
+
+  /// train() plus every (scenario, shard) workload slot: shard-server
+  /// coordinators call this before forking so worker processes inherit
+  /// the sessions instead of regenerating them per process.
+  void prepare();
 
  private:
   friend GridEngine;
@@ -145,12 +160,10 @@ class AdaptiveCampaignEngine
       std::vector<AdaptiveCellResult> cells) const;
 
   AdaptiveCampaignSpec spec_;
-  ml::Dataset base_;  // shared raw bootstrap rows (read-only after train)
-  bool trained_ = false;
 
-  // The label-free attacker proxy (privacy telemetry), built from base_
-  // by the first train() with privacy on.
-  std::optional<attack::audit::NearestCentroidProbe> probe_;
+  // The adversary, trained on the bootstrap profile by the first train()
+  // and shared read-only by every cell (run_session is const).
+  std::optional<attack::adaptive::AdaptiveAttacker> attacker_;
 
   // The sessions of each (scenario, shard) slot, generated once for the
   // engine's lifetime and shared by every defense row (detail::workload).

@@ -126,10 +126,8 @@ CellResult CampaignEngine::run_cell(std::size_t cell_id, WorkerArena& arena,
     // Tag flows with §V-A power signatures from the cell's (hitherto
     // unused) RSSI fork — full-cell keyed, observation-only: the report
     // never reads these draws.
-    const std::vector<attack::adaptive::ObservedFlow> flows =
-        rssi_tagged_flows(defended, streams.rssi, RssiModel{});
-    audit_flows(flows, probe_ ? &*probe_ : nullptr, *windows,
-                cell_labels(spec_, result), telemetry_.config.privacy_pairs);
+    audit(rssi_tagged_flows(defended, streams.rssi, RssiModel{}), windows,
+          cell_labels(spec_, result));
   }
   if (windows != nullptr && telemetry_.config.windowed) {
     // Offered load per window — the time-resolved workload shape the
@@ -156,10 +154,7 @@ CellResult CampaignEngine::run_cell(std::size_t cell_id, WorkerArena& arena,
 }
 
 void CampaignEngine::warm_workloads() {
-  for (std::size_t slot = 0; slot < spec_.scenarios.size() * spec_.shards;
-       ++slot) {
-    (void)detail::workload(workloads_, spec_, slot);
-  }
+  detail::warm_workloads(workloads_, spec_);
 }
 
 // Publishes one cell's scored result into a (private, per-cell)

@@ -16,12 +16,10 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "attack/audit/leakage_audit.h"
 #include "eval/defense_factory.h"
 #include "eval/experiment.h"
 #include "obs/export.h"
@@ -146,6 +144,18 @@ template <typename Spec>
   });
 }
 
+/// Materializes every (scenario, shard) slot of `memo` now, on this
+/// thread — what prepare() does before a fork, so shard workers inherit
+/// the sessions instead of regenerating them per process.
+template <typename Spec>
+void warm_workloads(WorkloadMemo<std::vector<traffic::Trace>>& memo,
+                    const Spec& spec) {
+  for (std::size_t slot = 0; slot < spec.scenarios.size() * spec.shards;
+       ++slot) {
+    (void)workload(memo, spec, slot);
+  }
+}
+
 /// The (defense, scenario) entry of `aggregates`; throws
 /// std::out_of_range naming `report` when the pair is absent.
 template <typename Aggregate>
@@ -204,11 +214,6 @@ class CampaignEngine
 
   CampaignSpec spec_;
   eval::ExperimentHarness harness_;
-
-  // The label-free attacker proxy (privacy telemetry): built from the
-  // clean bootstrap corpus by the first train() with privacy on, then
-  // shared read-only by every cell.
-  std::optional<attack::audit::NearestCentroidProbe> probe_;
 
   // Workload memoization for the engine's lifetime. A cell's sessions are
   // a pure function of (seed, scenario, shard) — the workload stream is

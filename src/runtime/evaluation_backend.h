@@ -156,8 +156,8 @@ struct RssiModel {
     std::span<eval::DefendedSession> sessions, const util::Rng& rssi_rng,
     const RssiModel& model);
 
-/// The shared label-free leakage audit every engine calls on its cell's
-/// observed flows: reduces them with an attack::audit::LeakageAuditor
+/// The shared label-free leakage audit of a cell's observed flows (every
+/// engine reaches it through GridEngine::audit): reduces them with an attack::audit::LeakageAuditor
 /// (audit window = the registry's window, so privacy series align with
 /// the rest of the windowed telemetry) and publishes the privacy_* series
 /// into `windows` under `labels`, plus one privacy_pairwise_jsd_bits

@@ -20,7 +20,9 @@
 //
 // and may hide set_telemetry() or prepare() to do more, run_range() to
 // scope per-run state around the range run (run() calls the engine's),
-// and cell_count() when the grid is only known after train().
+// and cell_count() when the grid is only known after train(). The
+// privacy audit is shared too: train() fills probe_ when privacy
+// telemetry is on, and run_cell() hands its observed flows to audit().
 //
 // Determinism: a cell's result and its telemetry snapshots are pure
 // functions of the spec and the cell id, every per-cell series carries
@@ -31,6 +33,7 @@
 
 #include <cstddef>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -226,7 +229,24 @@ class GridEngine {
   GridEngine() = default;
   ~GridEngine() = default;
 
+  /// The label-free leakage audit of one cell's observed flows
+  /// (audit_flows with the engine's probe and per-pair switch). A no-op
+  /// unless privacy telemetry is on and the cell collects windows.
+  void audit(std::span<const attack::adaptive::ObservedFlow> flows,
+             obs::WindowedRegistry* windows,
+             const obs::LabelSet& labels) const {
+    if (windows != nullptr && telemetry_.config.privacy) {
+      audit_flows(flows, probe_ ? &*probe_ : nullptr, *windows, labels,
+                  telemetry_.config.privacy_pairs);
+    }
+  }
+
   obs::EngineTelemetry telemetry_;
+
+  // The label-free attacker proxy of audit(): the engine's train() builds
+  // it from the adversary's clean profile rows the first time privacy
+  // telemetry is on; every cell and later run reads it.
+  std::optional<attack::audit::NearestCentroidProbe> probe_;
 
  private:
   Engine& self() { return static_cast<Engine&>(*this); }

@@ -1,13 +1,15 @@
 // Unit tests for the adaptive attacker-in-the-loop: the incremental
 // trainer's warm refits and sliding window, the prequential epoch loop
-// (score-then-train, oracle and RSSI-cluster labeling), sniffer
-// observation, and the new adaptive registry scenarios.
+// (score-then-train, oracle and RSSI-cluster labeling), concurrent
+// sessions on one const attacker, a bit-for-bit pin of the session
+// curves, sniffer observation, and the adaptive registry scenarios.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "attack/adaptive/adaptive_attacker.h"
@@ -91,6 +93,13 @@ std::vector<traffic::Trace> clean_corpus(std::uint64_t seed) {
   return corpus;
 }
 
+/// An attacker trained on clean_corpus(seed).
+AdaptiveAttacker trained_attacker(const AdaptiveConfig& config,
+                                  std::uint64_t seed) {
+  return AdaptiveAttacker{config,
+                          profile_rows(clean_corpus(seed), config.attack)};
+}
+
 /// Splits a session across OR virtual interfaces — the defended
 /// appearance that collapses the static profile (paper Table II:
 /// browsing/BitTorrent fall to ~2 % under OR) but that a re-training
@@ -117,8 +126,7 @@ void or_flows(AppType app, std::uint64_t seed, std::uint64_t first_mac,
 }
 
 TEST(AdaptiveAttackerTest, PrequentialLoopScoresThenTrains) {
-  AdaptiveAttacker attacker{fast_config()};
-  attacker.bootstrap(clean_corpus(0x100));
+  const AdaptiveAttacker attacker = trained_attacker(fast_config(), 0x100);
 
   std::vector<ObservedFlow> flows;
   or_flows(AppType::kBrowsing, 0x200, 1, -50.0, flows);
@@ -130,7 +138,7 @@ TEST(AdaptiveAttackerTest, PrequentialLoopScoresThenTrains) {
   // Epoch 0 is scored by the bootstrap-only model: adaptive == static.
   EXPECT_EQ(epochs[0].accuracy_percent(), epochs[0].static_accuracy_percent());
   EXPECT_EQ(epochs[0].training_rows,
-            attacker.trainer().base_rows() + epochs[0].labels_assigned);
+            attacker.base().size() + epochs[0].labels_assigned);
 
   // Oracle labels are always correct, and the trainer grows per epoch.
   std::size_t windows = 0;
@@ -150,10 +158,10 @@ TEST(AdaptiveAttackerTest, PrequentialLoopScoresThenTrains) {
 }
 
 TEST(AdaptiveAttackerTest, RepeatedSessionsAreIndependent) {
-  // run_session clears the adaptive window first, so replaying the same
-  // capture yields the same curve (the arms race restarts per session).
-  AdaptiveAttacker attacker{fast_config()};
-  attacker.bootstrap(clean_corpus(0x111));
+  // Each session trains its own model from the bootstrap rows, so
+  // replaying the same capture yields the same curve (the arms race
+  // restarts per session).
+  const AdaptiveAttacker attacker = trained_attacker(fast_config(), 0x111);
   std::vector<ObservedFlow> flows;
   or_flows(AppType::kBrowsing, 0x222, 1, -50.0, flows);
   const auto first = attacker.run_session(flows);
@@ -191,8 +199,7 @@ TEST(AdaptiveAttackerTest, RssiClusterLabelingPoolsLinkedFlows) {
   // the majority vote should mostly recover the truth.
   AdaptiveConfig config = fast_config();
   config.labeling = Labeling::kRssiCluster;
-  AdaptiveAttacker attacker{config};
-  attacker.bootstrap(clean_corpus(0x400));
+  const AdaptiveAttacker attacker = trained_attacker(config, 0x400);
 
   const std::vector<EpochScore> epochs =
       attacker.run_session(linked_clean_flows());
@@ -210,12 +217,15 @@ TEST(AdaptiveAttackerTest, RssiClusterLabelingPoolsLinkedFlows) {
 }
 
 TEST(AdaptiveAttackerTest, GuardsMisuse) {
-  AdaptiveAttacker attacker{fast_config()};
-  EXPECT_THROW((void)attacker.run_session({}), std::invalid_argument);
+  // An attacker without bootstrap rows cannot exist.
+  EXPECT_THROW((AdaptiveAttacker{fast_config(), ml::Dataset{}}),
+               std::invalid_argument);
+  const ml::Dataset base =
+      profile_rows(clean_corpus(0x600), fast_config().attack);
   AdaptiveConfig bad;
   bad.cadence = Duration{};
-  EXPECT_THROW(AdaptiveAttacker{bad}, std::invalid_argument);
-  attacker.bootstrap(clean_corpus(0x600));
+  EXPECT_THROW((AdaptiveAttacker{bad, base}), std::invalid_argument);
+  const AdaptiveAttacker attacker{fast_config(), base};
   EXPECT_TRUE(attacker.run_session({}).empty());  // nothing on the air
 }
 
@@ -279,10 +289,8 @@ TEST(AdaptiveAttackerPinTest, SessionCurvesPinnedBitForBit) {
   cluster_config.labeling = Labeling::kRssiCluster;
   const ml::Dataset base =
       profile_rows(clean_corpus(0x700), oracle_config.attack);
-  AdaptiveAttacker oracle{oracle_config};
-  oracle.bootstrap(base);
-  AdaptiveAttacker cluster{cluster_config};
-  cluster.bootstrap(base);
+  const AdaptiveAttacker oracle{oracle_config, base};
+  const AdaptiveAttacker cluster{cluster_config, base};
 
   std::vector<ObservedFlow> or_session;
   or_flows(AppType::kBrowsing, 0x710, 1, -50.0, or_session);
@@ -306,6 +314,37 @@ TEST(AdaptiveAttackerPinTest, SessionCurvesPinnedBitForBit) {
   digest.add(oracle_linked);
   digest.add(cluster_linked);
   EXPECT_EQ(digest.hex(), "0x2f1cf2a7f830a6b3");
+}
+
+TEST(AdaptiveAttackerTest, ConstSessionsAgreeAcrossThreads) {
+  // Engines share one const attacker across their worker threads: each
+  // session trains its own model, so concurrent sessions read exactly the
+  // curve a serial one does.
+  AdaptiveConfig config = fast_config();
+  config.labeling = Labeling::kRssiCluster;
+  const AdaptiveAttacker attacker = trained_attacker(config, 0x800);
+  std::vector<ObservedFlow> flows;
+  or_flows(AppType::kBrowsing, 0x810, 1, -50.0, flows);
+  or_flows(AppType::kChatting, 0x820, 10, -62.0, flows);
+  CurveDigest serial;
+  serial.add(attacker.run_session(flows));
+
+  constexpr std::size_t kThreads = 4;
+  std::vector<std::string> digests(kThreads);
+  std::vector<std::thread> workers;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&attacker, &flows, &digests, t] {
+      CurveDigest digest;
+      digest.add(attacker.run_session(flows));
+      digests[t] = digest.hex();
+    });
+  }
+  for (std::thread& worker : workers) {
+    worker.join();
+  }
+  for (const std::string& digest : digests) {
+    EXPECT_EQ(digest, serial.hex());
+  }
 }
 
 TEST(AdaptiveObserveTest, PullsSortedLabeledFlowsFromSniffer) {

@@ -232,11 +232,10 @@ TEST(CampaignEngineTest, JsonCarriesTheGrid) {
 
 // ------------------------------------------------------ adaptive campaign ---
 
-TEST(AdaptiveCampaignEngineTest, GeneratesEachWorkloadSlotOnce) {
-  // Workload streams are keyed by (scenario, shard) only, so the three
-  // defense rows of a 3 x 1 x 2 grid share two workloads: generated
-  // twice, by whichever cells reach the slots first, and never again.
-  const auto calls = std::make_shared<std::atomic<int>>(0);
+/// A 3-defense x 1-scenario x 2-shard adaptive grid whose scenario
+/// counts its generate() calls in `calls`.
+AdaptiveCampaignSpec counted_adaptive_spec(
+    const std::shared_ptr<std::atomic<int>>& calls) {
   const Scenario station = multi_app_station(1, util::Duration::seconds(30.0));
   AdaptiveCampaignSpec spec;
   spec.seed = 0xADA;
@@ -254,10 +253,30 @@ TEST(AdaptiveCampaignEngineTest, GeneratesEachWorkloadSlotOnce) {
         return station.generate(rng);
       }});
   spec.shards = 2;
-  AdaptiveCampaignEngine engine{spec};
+  return spec;
+}
+
+TEST(AdaptiveCampaignEngineTest, GeneratesEachWorkloadSlotOnce) {
+  // Workload streams are keyed by (scenario, shard) only, so the three
+  // defense rows of a 3 x 1 x 2 grid share two workloads: generated
+  // twice, by whichever cells reach the slots first, and never again.
+  const auto calls = std::make_shared<std::atomic<int>>(0);
+  AdaptiveCampaignEngine engine{counted_adaptive_spec(calls)};
   const std::string report = engine.run(3).to_json();
   EXPECT_EQ(calls->load(), 2);
   EXPECT_EQ(engine.run(1).to_json(), report);
+  EXPECT_EQ(calls->load(), 2);
+}
+
+TEST(AdaptiveCampaignEngineTest, PrepareWarmsEveryWorkloadSlot) {
+  // prepare() runs before a shard server forks: like CampaignEngine's, it
+  // must generate every (scenario, shard) slot so worker processes
+  // inherit the sessions, and the run after it generates nothing more.
+  const auto calls = std::make_shared<std::atomic<int>>(0);
+  AdaptiveCampaignEngine engine{counted_adaptive_spec(calls)};
+  engine.prepare();
+  EXPECT_EQ(calls->load(), 2);
+  (void)engine.run(2);
   EXPECT_EQ(calls->load(), 2);
 }
 

@@ -45,9 +45,9 @@
 #include "attack/classifier_attack.h"
 #include "attack/sniffer.h"
 #include "features/features.h"
+#include "ml/dataset.h"
 #include "ml/incremental.h"
 #include "ml/metrics.h"
-#include "ml/dataset.h"
 #include "traffic/trace.h"
 #include "util/time.h"
 
